@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ralp.bases import BasisSet, features
-from ralp.mdp import DiscountedMdp
+from ralp.mdp import DiscountedMdp, batch_expected_costs, expected_successor_phases
 
 TAG_STANDARD = "standard"
 TAG_SELF_GUIDING = "self-guiding"
@@ -243,27 +243,18 @@ def _unique_rows(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PreparedPlan:
-    """Plan with successor states and SAA expected costs precomputed.
+    """Plan with its SAA expected costs precomputed.
 
     Preparing once and reusing across basis sets keeps repeated model builds
     (nested basis extensions, multiple seeds on one grid) cheap.
     """
 
     plan: ConstraintSamplePlan
-    next_states: np.ndarray  # (n, k, d_s)
     rhs: np.ndarray  # (n,) SAA expected costs
-    noise_weights: np.ndarray  # (k,)
 
 
 def prepare_plan(mdp: DiscountedMdp, plan: ConstraintSamplePlan) -> PreparedPlan:
-    from ralp.mdp import batch_expected_costs, batch_next_states
-
-    return PreparedPlan(
-        plan=plan,
-        next_states=batch_next_states(mdp, plan.states, plan.actions),
-        rhs=batch_expected_costs(mdp, plan.states, plan.actions),
-        noise_weights=mdp.noise.weights,
-    )
+    return PreparedPlan(plan=plan, rhs=batch_expected_costs(mdp, plan.states, plan.actions))
 
 
 def nu_sample_set(dist, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -273,12 +264,10 @@ def nu_sample_set(dist, size: int, rng: np.random.Generator) -> np.ndarray:
     return dist.sample_batch(size, rng)
 
 
-def _basis_columns(bases: BasisSet, prepared: PreparedPlan) -> np.ndarray:
+def _basis_columns(mdp: DiscountedMdp, bases: BasisSet, plan: ConstraintSamplePlan) -> np.ndarray:
     """phi_i(s) - E[phi_i(s')] building blocks: returns (phi_s, exp_next), each (n, N)."""
-    n, k, ds = prepared.next_states.shape
-    phi_s = features(bases, prepared.plan.states)
-    phi_next = features(bases, prepared.next_states.reshape(n * k, ds)).reshape(n, k, len(bases))
-    exp_next = np.einsum("k,nkb->nb", prepared.noise_weights, phi_next)
+    phi_s = features(bases, plan.states)
+    exp_next = expected_successor_phases(mdp, bases)(plan.states, plan.actions).real
     return np.stack([phi_s, exp_next])
 
 
@@ -307,7 +296,7 @@ class BellmanRowCache:
                 sigma_range=bases.sigma_range,
                 dim_state=bases.dim_state,
             )
-            self._cols = np.concatenate([self._cols, _basis_columns(tail, self.prepared)], axis=2)
+            self._cols = np.concatenate([self._cols, _basis_columns(self.mdp, tail, self.prepared.plan)], axis=2)
             self._count = len(bases)
         phi_s = self._cols[0, :, : len(bases)]
         exp_next = self._cols[1, :, : len(bases)]
@@ -316,14 +305,6 @@ class BellmanRowCache:
         rows[:, 0] = 1.0 - self.mdp.gamma
         rows[:, 1:] = phi_s - self.mdp.gamma * exp_next
         return rows
-
-
-def _bellman_rows(mdp: DiscountedMdp, bases: BasisSet, prepared: PreparedPlan) -> np.ndarray:
-    phi_s, exp_next = _basis_columns(bases, prepared)
-    rows = np.empty((prepared.plan.num_pairs, len(bases) + 1))
-    rows[:, 0] = 1.0 - mdp.gamma
-    rows[:, 1:] = phi_s - mdp.gamma * exp_next
-    return rows
 
 
 def _objective(bases: BasisSet, nu_samples: np.ndarray) -> np.ndarray:
@@ -344,9 +325,11 @@ def build_falp(
     if len(bases) == 0:
         raise ValueError("basis set is empty")
     prepared = plan if isinstance(plan, PreparedPlan) else prepare_plan(mdp, plan)
-    if row_cache is not None and row_cache.prepared is not prepared:
+    if row_cache is None:
+        row_cache = BellmanRowCache(mdp, prepared)
+    elif row_cache.prepared is not prepared:
         raise ValueError("row cache was built for a different prepared plan")
-    rows = row_cache.rows(bases) if row_cache is not None else _bellman_rows(mdp, bases, prepared)
+    rows = row_cache.rows(bases)
     return LpModel(
         objective=_objective(bases, nu_samples),
         rows=rows,

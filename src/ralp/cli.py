@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -239,15 +238,17 @@ def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) ->
     (run_dir / "bounds.json").write_text(json.dumps(bounds, indent=1))
 
     if mdp.name == "toy":
+        # the policy-cost incumbent may predate the final basis set
+        pc_bases = result.bases.prefix(len(result.pc_weights))
         grid, vstar = toy_mod.toy_value_grid(1001)
-        vfa = vfa_values(result.bases, result.pc_weights, grid[:, None])
+        vfa = vfa_values(pc_bases, result.pc_weights, grid[:, None])
         with (run_dir / "vfa_curve.csv").open("w", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(["state", "optimal_value", "vfa_value"])
             for i in range(len(grid)):
                 w.writerow([repr(grid[i]), repr(vstar[i]), repr(float(vfa[i]))])
         hist = policy_mod.estimate_visit_frequency(
-            mdp, result.bases, result.pc_weights, bins=100, sim=loop_config.sim
+            mdp, pc_bases, result.pc_weights, bins=100, sim=loop_config.sim
         )
         with (run_dir / "visit_frequency.csv").open("w", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
@@ -468,7 +469,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="execute a configured experiment")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--threads", type=int, default=None, help="cap numeric library threads")
 
     p_sum = sub.add_parser("summarize", help="aggregate run directories into a gap table")
     p_sum.add_argument("run_dirs", nargs="+")
@@ -482,9 +482,6 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        if args.threads is not None:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(args.threads)
         code, _ = run_experiment(args.config, seed_override=args.seed)
         return code
     if args.command == "summarize":

@@ -24,7 +24,13 @@ import numpy as np
 
 from ralp.alp import VfaWeights, vfa_values
 from ralp.bases import BasisSet
-from ralp.mdp import DiscountedMdp, batch_expected_costs, batch_next_states, split_rng
+from ralp.mdp import (
+    DiscountedMdp,
+    batch_expected_costs,
+    expected_next_values,
+    expected_successor_phases,
+    split_rng,
+)
 from ralp.pic import PicParams
 
 _CHAIN_STREAM = 211
@@ -133,12 +139,28 @@ def chi_value(
     return float(_resolve_value_fn(bases, w, value_fn)(np.atleast_2d(chi_samples)).mean())
 
 
-def _y_batch(mdp, value_fn, states, actions, e_chi) -> np.ndarray:
+def _bellman_terms(mdp, bases, w, value_fn):
+    """``terms(states, actions) -> (V(s), E[V(s') | s, a])``, each (m,).
+
+    The default VFA takes its continuation from the successor-expectation
+    kernel, built here once; a caller-supplied ``value_fn`` is evaluated on
+    every enumerated successor.
+    """
+    if value_fn is not None:
+        return lambda states, actions: (
+            np.asarray(value_fn(states)),
+            expected_next_values(mdp, states, actions, value_fn),
+        )
+    expect = expected_successor_phases(mdp, bases)
+    return lambda states, actions: (
+        vfa_values(bases, w, states),
+        w.beta0 + expect(states, actions).real @ w.betas,
+    )
+
+
+def _y_batch(mdp, terms, states, actions, e_chi) -> np.ndarray:
     costs = batch_expected_costs(mdp, states, actions)
-    nxt = batch_next_states(mdp, states, actions)
-    m, k, ds = nxt.shape
-    cont = np.asarray(value_fn(nxt.reshape(m * k, ds))).reshape(m, k) @ mdp.noise.weights
-    v_here = np.asarray(value_fn(states))
+    v_here, cont = terms(states, actions)
     return e_chi + (costs + mdp.gamma * cont - v_here) / (1.0 - mdp.gamma)
 
 
@@ -153,9 +175,9 @@ def y_value(
 ) -> float:
     """Constraint-violation functional at one state-action pair."""
     s, a = mdp.check_pair(s, a)
-    fn = _resolve_value_fn(bases, w, value_fn)
-    e_chi = chi_value(mdp, bases, w, chi_samples, value_fn=fn)
-    return float(_y_batch(mdp, fn, s[None, :], a[None, :], e_chi)[0])
+    e_chi = chi_value(mdp, bases, w, chi_samples, value_fn=value_fn)
+    terms = _bellman_terms(mdp, bases, w, value_fn)
+    return float(_y_batch(mdp, terms, s[None, :], a[None, :], e_chi)[0])
 
 
 def mh_acceptance(y_old: float, y_new: float, lam: float) -> float:
@@ -190,12 +212,12 @@ def estimate_lower_bound(
     step = cfg.proposal_frac * (hi - lo)
     d = len(lo)
     ds = mdp.dim_state
-    fn = _resolve_value_fn(bases, w, value_fn)
-    e_chi = chi_value(mdp, bases, w, chi_samples, value_fn=fn)
+    e_chi = chi_value(mdp, bases, w, chi_samples, value_fn=value_fn)
+    terms = _bellman_terms(mdp, bases, w, value_fn)
 
     rngs = [split_rng(cfg.seed, _CHAIN_STREAM, c) for c in range(cfg.chains)]
     x = np.stack([lo + (hi - lo) * rngs[c].random(d) for c in range(cfg.chains)])
-    y = _y_batch(mdp, fn, x[:, :ds], x[:, ds:], e_chi)
+    y = _y_batch(mdp, terms, x[:, :ds], x[:, ds:], e_chi)
 
     kept_sums = np.zeros(cfg.chains)
     kept_counts = np.zeros(cfg.chains, dtype=int)
@@ -203,7 +225,7 @@ def estimate_lower_bound(
     for t in range(cfg.chain_length):
         noise = np.stack([rngs[c].normal(0.0, 1.0, d) for c in range(cfg.chains)])
         proposal = _reflect(x + step * noise, lo, hi)
-        y_new = _y_batch(mdp, fn, proposal[:, :ds], proposal[:, ds:], e_chi)
+        y_new = _y_batch(mdp, terms, proposal[:, :ds], proposal[:, ds:], e_chi)
         u = np.array([rngs[c].random() for c in range(cfg.chains)])
         accept = np.log(u) * lam <= y - y_new
         x[accept] = proposal[accept]

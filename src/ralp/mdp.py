@@ -7,10 +7,13 @@ anything random takes an explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+
+from ralp.bases import BasisSet
 
 # Closed-interval membership tolerance, absorbs float drift in transitions.
 BOX_TOL = 1e-9
@@ -40,6 +43,20 @@ def split_rng(seed: int, *stream: int) -> np.random.Generator:
     a generator.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *stream))))
+
+
+class SortedNoise(NamedTuple):
+    """Noise atoms in ascending order with prefix sums.
+
+    ``cum_weights[j]`` and ``cum_moments[j]`` sum ``w`` and ``w * xi`` over
+    the ``j`` smallest atoms, so ``searchsorted(values, u, side="right")``
+    indexes the mass and first moment of ``{xi <= u}``.
+    """
+
+    values: np.ndarray  # (k,)
+    weights: np.ndarray  # (k,)
+    cum_weights: np.ndarray  # (k + 1,)
+    cum_moments: np.ndarray  # (k + 1,)
 
 
 @dataclass(frozen=True)
@@ -74,6 +91,20 @@ class NoiseModel:
         if self.probs is not None:
             return self.probs
         return np.full(len(self.values), 1.0 / len(self.values))
+
+    @cached_property
+    def sorted_atoms(self) -> SortedNoise:
+        """The atoms sorted once per noise model, for closed-form expectations."""
+        order = np.argsort(self.values, kind="stable")
+        values = self.values[order]
+        weights = self.weights[order]
+        zero = np.zeros(1)
+        return SortedNoise(
+            values=values,
+            weights=weights,
+            cum_weights=np.concatenate([zero, np.cumsum(weights)]),
+            cum_moments=np.concatenate([zero, np.cumsum(weights * values)]),
+        )
 
 
 @dataclass(frozen=True)
@@ -148,6 +179,15 @@ class DiscountedMdp:
     # coordinate that simply carries the action while every other output
     # coordinate is action-independent.  Enables a fast greedy lookahead.
     action_output_slot: Optional[int] = None
+    # Optional closed forms over the noise model's atoms, used in place of
+    # enumerating every successor.  ``closed_form_costs(noise, states,
+    # actions)`` returns E[c(s, a)] per row, (m,).
+    # ``closed_form_phases(noise, omega, q)`` prepares a Fourier set's
+    # frequencies (N, d_s) and intercepts (N,) once and returns
+    # ``expect(states, actions)`` giving E[exp(i (q_j + omega_j . s'))],
+    # complex (m, N).  Semantics must match ``transition`` / ``cost``.
+    closed_form_costs: Optional[Callable] = None
+    closed_form_phases: Optional[Callable] = None
     # Instance parameter record (e.g. the inventory catalog row) for consumers
     # that need instance-specific constants.
     params: Optional[object] = None
@@ -239,13 +279,58 @@ def batch_next_states(mdp: DiscountedMdp, states: np.ndarray, actions: np.ndarra
 
 
 def batch_expected_costs(mdp: DiscountedMdp, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """SAA / exact expected immediate cost per (state, action) row, (m,)."""
+    """SAA / exact expected immediate cost per (state, action) row, (m,).
+
+    Uses the problem's closed form when it has one, otherwise enumerates the
+    noise atoms.
+    """
+    if mdp.closed_form_costs is not None:
+        return mdp.closed_form_costs(mdp.noise, states, actions)
     xi = mdp.noise.values
     w = mdp.noise.weights
     if mdp.cost_nd is not None:
         c = mdp.cost_nd(states[:, None, :], actions[:, None, :], xi[None, :])
         return np.broadcast_to(c, (len(states), len(xi))) @ w
     return np.array([w @ mdp.cost(states[j], actions[j], xi) for j in range(len(states))])
+
+
+def expected_next_values(mdp: DiscountedMdp, states: np.ndarray, actions: np.ndarray, value_fn) -> np.ndarray:
+    """E[f(s') | s, a] per (state, action) row by enumerating the noise atoms, (m,).
+
+    ``value_fn`` maps a (n, d_s) batch of states to (n,) values.
+    """
+    nxt = batch_next_states(mdp, states, actions)
+    m, k, ds = nxt.shape
+    return np.asarray(value_fn(nxt.reshape(m * k, ds))).reshape(m, k) @ mdp.noise.weights
+
+
+def expected_successor_phases(mdp: DiscountedMdp, bases: BasisSet) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Successor-expectation kernel of a Fourier set.
+
+    Returns ``expect(states, actions)`` giving E[exp(i (q_j + omega_j . s'))
+    | s, a] per row and basis, complex (m, N): the real part is E[phi_j(s')],
+    the imaginary part the matching sine.  The problem's closed form is used
+    when it has one, with its per-basis tables built here, once per call;
+    otherwise every successor is enumerated.  Build the kernel once per
+    basis set and reuse it across batches.
+    """
+    if bases.kind != "fourier" and len(bases) > 0:
+        raise ValueError("successor expectations are implemented for Fourier sets")
+    omega = np.array([b.omega for b in bases.entries], dtype=float).reshape(len(bases), bases.dim_state)
+    q = np.array([b.q for b in bases.entries], dtype=float)
+    if mdp.closed_form_phases is not None:
+        return mdp.closed_form_phases(mdp.noise, omega, q)
+
+    def enumerate_successors(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        nxt = batch_next_states(mdp, states, actions)
+        m, k, ds = nxt.shape
+        angles = (nxt.reshape(m * k, ds) @ omega.T + q).reshape(m, k, len(q))
+        out = np.empty((m, len(q)), dtype=complex)
+        out.real = np.einsum("k,nkb->nb", mdp.noise.weights, np.cos(angles))
+        out.imag = np.einsum("k,nkb->nb", mdp.noise.weights, np.sin(angles))
+        return out
+
+    return enumerate_successors
 
 
 def paired_next_states(mdp: DiscountedMdp, states: np.ndarray, actions: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 from scipy.stats import truncnorm
@@ -154,6 +155,76 @@ def _cost_nd(p: PicParams):
     return f
 
 
+# Closed-form demand expectations.  The successor (g(xi), s2, a) depends on
+# demand only through its first coordinate, which is piecewise affine with
+# breakpoints s0 and t = s0 + s1 - s_min:
+#     g = s1 for xi <= s0,  s0 + s1 - xi for s0 < xi <= t,  s_min for xi > t,
+# so prefix sums over the sorted demand atoms give every expectation exactly.
+
+
+def _demand_tail(noise: NoiseModel, u: np.ndarray) -> np.ndarray:
+    """H(u) = sum over atoms xi > u of w (xi - u), per entry of ``u``."""
+    tab = noise.sorted_atoms
+    j = np.searchsorted(tab.values, u, side="right")
+    return (tab.cum_moments[-1] - tab.cum_moments[j]) - u * (tab.cum_weights[-1] - tab.cum_weights[j])
+
+
+def pic_expected_costs(p: PicParams, noise: NoiseModel, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """E[c(s, a)] over the demand atoms per row, (m,); matches ``_cost_nd``.
+
+    gamma^L c_o a + c_h (s1 - H(s0) + H(s0 + s1)) + c_d (s0 - E xi + H(s0))
+    + c_b H(s0 + s1) + c_l H(s0 + s1 - s_min).  The holding term uses
+    max(s1 - x, 0) = s1 - x + (x - s1)^+ for x = (xi - s0)^+, which needs
+    s1 >= 0; for s1 < 0 holding is zero.
+    """
+    s0, s1 = states[:, 0], states[:, 1]
+    h0 = _demand_tail(noise, s0)
+    h01 = _demand_tail(noise, s0 + s1)
+    mean = noise.sorted_atoms.cum_moments[-1]
+    holding = np.where(s1 >= 0.0, s1 - h0 + h01, 0.0)
+    return (
+        p.gamma**p.lead * p.c_o * actions[:, 0]
+        + p.c_h * holding
+        + p.c_d * (s0 - mean + h0)
+        + p.c_b * h01
+        + p.c_l * _demand_tail(noise, s0 + s1 - p.s_min)
+    )
+
+
+def pic_successor_phases(p: PicParams, noise: NoiseModel, omega: np.ndarray, q: np.ndarray):
+    """Prepare E[exp(i (q + omega . s'))] for one Fourier set; see ``DiscountedMdp``.
+
+    With W and P(u) = sum over atoms xi <= u of w exp(-i omega_0 xi) taken
+    from prefix sums, the expected phase of the first coordinate is
+    W(s0) e^{i omega_0 s1} + e^{i omega_0 (s0 + s1)} (P(t) - P(s0))
+    + (1 - W(t)) e^{i omega_0 s_min}.  The table of P is built here, once per
+    basis set; each (s, a) row then costs two searches and O(N) work.
+    Requires s1 >= s_min (t >= s0), which holds on the state box.
+    """
+    tab = noise.sorted_atoms
+    w0 = omega[:, 0]
+    prefix = np.zeros((len(tab.values) + 1, len(q)), dtype=complex)
+    prefix[1:] = np.cumsum(tab.weights[:, None] * np.exp(-1j * np.outer(tab.values, w0)), axis=0)
+    total = tab.cum_weights[-1]
+    floor_phase = np.exp(1j * p.s_min * w0)
+
+    def expect(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        s0, s1, s2 = states[:, 0], states[:, 1], states[:, 2]
+        if np.any(s1 < p.s_min):
+            raise ValueError("closed-form expectation needs s1 >= s_min")
+        j0 = np.searchsorted(tab.values, s0, side="right")
+        j1 = np.searchsorted(tab.values, s0 + s1 - p.s_min, side="right")
+        first = (
+            tab.cum_weights[j0][:, None] * np.exp(1j * np.outer(s1, w0))
+            + np.exp(1j * np.outer(s0 + s1, w0)) * (prefix[j1] - prefix[j0])
+            + (total - tab.cum_weights[j1])[:, None] * floor_phase
+        )
+        rest = np.exp(1j * (q + np.outer(s2, omega[:, 1]) + np.outer(actions[:, 0], omega[:, 2])))
+        return rest * first
+
+    return expect
+
+
 def _demand_dist(p: PicParams):
     lo, hi = p.demand_range
     a_std = (lo - p.demand_mean) / p.demand_sd
@@ -206,6 +277,8 @@ def build_pic_mdp(p: PicParams, demand_saa_size: int = DEMAND_SAA_SIZE, demand_s
         state_relevance=chi,
         transition_nd=_transition_nd(p),
         cost_nd=_cost_nd(p),
+        closed_form_costs=partial(pic_expected_costs, p),
+        closed_form_phases=partial(pic_successor_phases, p),
         noise_quantile=dist.ppf,
         action_output_slot=2,
         params=p,

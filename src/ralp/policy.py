@@ -16,11 +16,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from ralp.alp import VfaWeights, vfa_values
-from ralp.bases import BasisSet, features
+from ralp.bases import BasisSet, features, fourier_frequencies  # noqa: F401  (perfbench/layers.py wraps policy.features)
 from ralp.mdp import (
     DiscountedMdp,
     batch_expected_costs,
-    batch_next_states,
+    expected_next_values,
+    expected_successor_phases,
     noise_from_uniforms,
     paired_next_states,
     split_rng,
@@ -68,58 +69,15 @@ def action_grid_points(mdp: DiscountedMdp, grid: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _expected_next_vfa_split(
+def _greedy_enumerated(
     mdp: DiscountedMdp,
     bases: BasisSet,
     w: VfaWeights,
     states: np.ndarray,
     grid_pts: np.ndarray,
 ) -> np.ndarray:
-    """E[V(s') | s, a] for all states x grid actions via the angle-addition identity.
-
-    Valid when one transition output coordinate carries the (scalar) action
-    and the rest are action-independent: the noise expectation of cos/sin can
-    then be reduced before expanding over the action grid.
-    """
-    from ralp.bases import fourier_angles, fourier_frequencies
-
-    slot = mdp.action_output_slot
-    a_ref = np.full((len(states), 1), mdp.action_lo[0])
-    nxt_ref = batch_next_states(mdp, states, a_ref)  # (m, k, d_s)
-    m, k, ds = nxt_ref.shape
-    freqs = fourier_frequencies(bases)  # (N, d_s)
-    w_slot = freqs[:, slot]
-    u = fourier_angles(bases, nxt_ref.reshape(m * k, ds)) - w_slot * mdp.action_lo[0]
-    weights = mdp.noise.weights
-    cu = weights @ np.cos(u).reshape(m, k, len(bases))  # (m, N)
-    su = weights @ np.sin(u).reshape(m, k, len(bases))
-    v = np.outer(grid_pts[:, 0], w_slot)  # (g, N)
-    return w.beta0 + cu @ (np.cos(v) * w.betas).T - su @ (np.sin(v) * w.betas).T
-
-
-def _greedy_batch(
-    mdp: DiscountedMdp,
-    bases: BasisSet,
-    w: VfaWeights,
-    states: np.ndarray,
-    grid_pts: np.ndarray,
-) -> np.ndarray:
-    """Greedy actions for each state row; ties go to the first (lexicographically
-    smallest) grid point."""
+    """Greedy actions with every grid action's successors enumerated."""
     m, g = len(states), len(grid_pts)
-    if (
-        mdp.action_output_slot is not None
-        and mdp.dim_action == 1
-        and mdp.feasible is None
-        and bases.kind == "fourier"
-        and len(bases) > 0
-    ):
-        cont = _expected_next_vfa_split(mdp, bases, w, states, grid_pts)  # (m, g)
-        s_rep = np.repeat(states, g, axis=0)
-        a_rep = np.tile(grid_pts, (m, 1))
-        costs = batch_expected_costs(mdp, s_rep, a_rep).reshape(m, g)
-        q = costs + mdp.gamma * cont
-        return grid_pts[np.argmin(q, axis=1)]
     s_rep = np.repeat(states, g, axis=0)
     a_rep = np.tile(grid_pts, (m, 1))
     if mdp.feasible is not None:
@@ -128,9 +86,7 @@ def _greedy_batch(
         feas = np.ones(m * g, dtype=bool)
     q = np.full(m * g, np.inf)
     if feas.any():
-        nxt = batch_next_states(mdp, s_rep[feas], a_rep[feas])  # (f, k, d_s)
-        f, k, ds = nxt.shape
-        cont = vfa_values(bases, w, nxt.reshape(f * k, ds)).reshape(f, k) @ mdp.noise.weights
+        cont = expected_next_values(mdp, s_rep[feas], a_rep[feas], lambda x: vfa_values(bases, w, x))
         q[feas] = batch_expected_costs(mdp, s_rep[feas], a_rep[feas]) + mdp.gamma * cont
     q = q.reshape(m, g)
     if np.isinf(q).all(axis=1).any():
@@ -138,16 +94,57 @@ def _greedy_batch(
     return grid_pts[np.argmin(q, axis=1)]
 
 
+def _greedy_policy(
+    mdp: DiscountedMdp, bases: BasisSet, w: VfaWeights, grid_pts: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Greedy action per state row; ties go to the first (lexicographically
+    smallest) grid point.
+
+    When one transition output coordinate carries the (scalar) action and
+    the rest are action-independent, E[V(s') | s, a] for every grid action
+    follows by angle addition from the successor-expectation kernel taken at
+    the lowest action.  Build once per rollout: the kernel and the grid's
+    trigonometric factors are prepared here for the whole basis set.
+    """
+    if not (
+        mdp.action_output_slot is not None
+        and mdp.dim_action == 1
+        and mdp.feasible is None
+        and bases.kind == "fourier"
+        and len(bases) > 0
+    ):
+        return lambda states: _greedy_enumerated(mdp, bases, w, states, grid_pts)
+    expect = expected_successor_phases(mdp, bases)
+    w_slot = fourier_frequencies(bases)[:, mdp.action_output_slot]
+    a_lo = mdp.action_lo[0]
+    shift = np.exp(-1j * w_slot * a_lo)  # removes the lowest action's angle
+    v = np.outer(grid_pts[:, 0], w_slot)  # (g, N)
+    cos_rows = (np.cos(v) * w.betas).T
+    sin_rows = (np.sin(v) * w.betas).T
+    g = len(grid_pts)
+
+    def act(states: np.ndarray) -> np.ndarray:
+        m = len(states)
+        z = expect(states, np.full((m, 1), a_lo)) * shift  # (m, N)
+        cont = w.beta0 + z.real @ cos_rows - z.imag @ sin_rows  # (m, g)
+        s_rep = np.repeat(states, g, axis=0)
+        a_rep = np.tile(grid_pts, (m, 1))
+        costs = batch_expected_costs(mdp, s_rep, a_rep).reshape(m, g)
+        return grid_pts[np.argmin(costs + mdp.gamma * cont, axis=1)]
+
+    return act
+
+
 def greedy_action(mdp: DiscountedMdp, bases: BasisSet, w: VfaWeights, s, grid: int) -> np.ndarray:
     """Grid minimizer of c(s,a) + gamma E[V(s') | s,a]."""
     s = mdp.check_state(s)
-    return _greedy_batch(mdp, bases, w, s[None, :], action_grid_points(mdp, grid))[0]
+    return _greedy_policy(mdp, bases, w, action_grid_points(mdp, grid))(s[None, :])[0]
 
 
 def _policy_fn(mdp, bases, w, grid_pts, policy: Optional[Callable]):
     if policy is not None:
         return policy
-    return lambda states: _greedy_batch(mdp, bases, w, states, grid_pts)
+    return _greedy_policy(mdp, bases, w, grid_pts)
 
 
 def simulate_policy_cost(

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ralp import cli
@@ -131,6 +132,58 @@ class TestRunToy:
         assert code == 0
         manifest = json.loads((Path(run_dir2) / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 19
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_toy_config_matches_golden_trace(tmp_path):
+    # configs/toy.json takes the noise-enumeration path for every
+    # expectation; its trace.csv is pinned byte-for-byte.
+    cfg = json.loads((REPO / "configs" / "toy.json").read_text())
+    cfg["output_dir"] = str(tmp_path / "runs")
+    code, run_dir = cli.run_experiment(_write(tmp_path, cfg))
+    assert code == 0
+    golden = (Path(__file__).parent / "golden" / "toy_trace.csv").read_bytes()
+    assert (Path(run_dir) / "trace.csv").read_bytes() == golden
+
+
+def test_artifacts_evaluate_incumbent_on_its_basis_prefix(tmp_path):
+    # the policy-cost incumbent holds 2 weights while the run ended with 4 bases
+    from ralp import toy
+    from ralp.alp import VfaWeights, vfa_values
+    from ralp.bases import fixed_fourier
+    from ralp.loop import IterationRecord, RunResult
+
+    mdp = toy.build_toy()
+    cfg = _toy_config(tmp_path, thetas=(2.0, -5.0, 3.0, 4.0))
+    cfg["sim"]["replications"] = 20
+    loop_config = cli._loop_config(cfg, mdp, cfg["seed"])
+    bases = fixed_fourier([2.0, -5.0, 3.0, 4.0])
+    incumbent = VfaWeights(beta0=0.3, betas=np.array([0.1, -0.2]))
+    final = VfaWeights(beta0=0.2, betas=np.array([0.1, -0.2, 0.05, 0.01]))
+
+    def record(num_bases, pc):
+        return IterationRecord(
+            num_bases=num_bases, lb=0.1, pc=pc, pc_stderr=0.01, tau_star=1.0 - 0.1 / 0.4,
+            lb_expectation=0.1, lb_saddle=None, lb_saddle_stderr=None, saddle_acceptance=None,
+            incumbent_lb_bases=num_bases, incumbent_pc_bases=2, incumbent_lb=0.1,
+            incumbent_pc=0.4, wallclock=0.0,
+        )
+
+    result = RunResult(
+        records=[record(2, 0.4), record(4, 0.5)], bases=bases, lb_weights=final,
+        pc_weights=incumbent, converged=False, plan=loop_config.plan,
+        iterate_weights=[incumbent, final],
+    )
+    run_dir = tmp_path / "artifacts"
+    run_dir.mkdir()
+    assert cli._write_discounted_artifacts(run_dir, cfg, mdp, loop_config, result) == 2
+    rows = (run_dir / "vfa_curve.csv").read_text().splitlines()[1:]
+    grid, _ = toy.toy_value_grid(1001)
+    expected = vfa_values(bases.prefix(2), incumbent, grid[:, None])
+    assert [float(r.split(",")[2]) for r in rows] == list(expected)
+    assert (run_dir / "visit_frequency.csv").exists()
 
 
 class TestRunFailures:

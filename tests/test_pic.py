@@ -1,10 +1,20 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ralp import pic
-from ralp.mdp import in_box, split_rng
+from ralp.bases import features, fourier_angles, sample_fourier
+from ralp.mdp import (
+    NoiseModel,
+    batch_expected_costs,
+    batch_next_states,
+    expected_successor_phases,
+    in_box,
+    split_rng,
+)
 
 
 class TestCatalog:
@@ -136,3 +146,71 @@ class TestSampling:
         b = pic.build_pic_mdp(p, demand_saa_size=100, demand_seed=9)
         assert np.array_equal(a.noise.values, b.noise.values)
         assert a.noise.probs is None
+
+
+def _box_value(lo, hi):
+    return st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+
+
+@st.composite
+def _closed_form_case(draw):
+    """An instance, a demand set with exact breakpoint ties, and in-box (s, a) rows."""
+    p = pic.instance_from_table(draw(st.sampled_from([1, 7, 16])))
+    k = draw(st.sampled_from([1, 2, 7, 500]))
+    demand = pic.sample_demand(p, split_rng(draw(st.integers(0, 1000)), 0), k)
+    rows = draw(
+        st.lists(
+            st.tuples(
+                _box_value(p.s_min, p.a_max),
+                _box_value(0.0, p.a_max),
+                _box_value(0.0, p.a_max),
+                _box_value(0.0, p.a_max),
+                st.sampled_from(["none", "s0", "t", "s1=0, s0=s_min"]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    states, actions = [], []
+    for i, (s0, s1, s2, a, tie) in enumerate(rows):
+        if tie == "s1=0, s0=s_min":
+            s0, s1 = p.s_min, 0.0
+        if tie == "s0":  # an atom at the first breakpoint
+            demand[i % k] = s0
+        if tie == "t":  # an atom at the second breakpoint s0 + s1 - s_min
+            demand[i % k] = s0 + s1 - p.s_min
+        states.append((s0, s1, s2))
+        actions.append((a,))
+    sigma_range = draw(st.sampled_from([(100.0, 1000.0), (0.5, 5.0)]))
+    bases = sample_fourier(draw(st.integers(1, 8)), 3, sigma_range, draw(st.integers(0, 1000)))
+    mdp = dataclasses.replace(pic.build_pic_mdp(p, demand_saa_size=1), noise=NoiseModel(values=demand))
+    return mdp, bases, np.array(states), np.array(actions)
+
+
+class TestClosedForm:
+    """The closed-form demand expectations against successor enumeration."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_closed_form_case())
+    def test_matches_enumeration(self, case):
+        mdp, bases, states, actions = case
+        m, k = len(states), len(mdp.noise.values)
+        w = mdp.noise.weights
+        nxt = batch_next_states(mdp, states, actions).reshape(m * k, 3)
+        exp_cos = w @ features(bases, nxt).reshape(m, k, len(bases))
+        exp_sin = w @ np.sin(fourier_angles(bases, nxt)).reshape(m, k, len(bases))
+        exp_cost = mdp.cost_nd(states[:, None, :], actions[:, None, :], mdp.noise.values[None, :]) @ w
+
+        z = expected_successor_phases(mdp, bases)(states, actions)
+        assert np.abs(z.real - exp_cos).max() <= 1e-12
+        assert np.abs(z.imag - exp_sin).max() <= 1e-12
+        cost = batch_expected_costs(mdp, states, actions)
+        assert np.all(np.abs(cost - exp_cost) <= 1e-12 * np.abs(exp_cost))
+
+    def test_noise_replacement_is_seen(self):
+        # the closed forms read the MDP's current noise model, not the one it was built with
+        p = pic.instance_from_table(1)
+        mdp = pic.build_pic_mdp(p, demand_saa_size=50)
+        single = dataclasses.replace(mdp, noise=NoiseModel(values=np.array([5.0])))
+        cost = batch_expected_costs(single, np.array([[5.0, 5.0, 5.0]]), np.array([[5.0]]))
+        assert cost[0] == pytest.approx(100.25, abs=1e-12)
