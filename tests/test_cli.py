@@ -135,6 +135,9 @@ class TestRunToy:
 
 
 REPO = Path(__file__).resolve().parent.parent
+# bounds.json of the shortened gjr2 run, pinned with the golden trace
+GJR_SHORT_LB = 91.65996878967823
+GJR_SHORT_PC = 91.65996878967778
 
 
 def test_toy_config_matches_golden_trace(tmp_path):
@@ -146,6 +149,36 @@ def test_toy_config_matches_golden_trace(tmp_path):
     assert code == 0
     golden = (Path(__file__).parent / "golden" / "toy_trace.csv").read_bytes()
     assert (Path(run_dir) / "trace.csv").read_bytes() == golden
+
+
+def test_short_pic_config_matches_golden_trace(tmp_path):
+    # configs/pic1.json shrunk to two FGLP iterations with the saddle bound:
+    # the closed-form expectations, rollouts and MH chains are all pinned.
+    cfg = json.loads((REPO / "configs" / "pic1.json").read_text())
+    cfg["output_dir"] = str(tmp_path / "runs")
+    cfg["demand_saa_size"] = 200
+    cfg["loop"].update({"batch": 5, "max_bases": 10, "num_constraints": 1000})
+    cfg["sim"] = {"horizon": 60, "replications": 4, "action_grid": 11}
+    cfg["lower_bound"] = {"chains": 4, "chain_length": 200, "burn_in": 100}
+    code, run_dir = cli.run_experiment(_write(tmp_path, cfg))
+    assert code == 0
+    golden = (Path(__file__).parent / "golden" / "pic_short_trace.csv").read_bytes()
+    assert (Path(run_dir) / "trace.csv").read_bytes() == golden
+
+
+def test_short_gjr_config_matches_golden_trace(tmp_path):
+    # configs/gjr2.json with 5 stumps, a 25-point grid and 500 stages:
+    # separation, the cut LPs and the simulated average cost are pinned.
+    cfg = json.loads((REPO / "configs" / "gjr2.json").read_text())
+    cfg["output_dir"] = str(tmp_path / "runs")
+    cfg["gjr"].update({"num_bases": 5, "grid_per_dim": 25, "stages": 500})
+    code, run_dir = cli.run_experiment(_write(tmp_path, cfg))
+    assert code == 0
+    golden = (Path(__file__).parent / "golden" / "gjr_short_trace.csv").read_bytes()
+    assert (Path(run_dir) / "trace.csv").read_bytes() == golden
+    bounds = json.loads((Path(run_dir) / "bounds.json").read_text())
+    assert bounds["lb"] == GJR_SHORT_LB
+    assert bounds["pc"] == GJR_SHORT_PC
 
 
 def test_artifacts_evaluate_incumbent_on_its_basis_prefix(tmp_path):
