@@ -202,24 +202,14 @@ class ConstraintSamplePlan:
         return len(self.states)
 
 
-def uniform_plan(
-    mdp: DiscountedMdp,
-    num_pairs: int,
-    rng: np.random.Generator,
-    pair_sampler=None,
-) -> ConstraintSamplePlan:
-    """Uniform state-action pairs over the instance boxes (or a custom sampler)."""
+def uniform_plan(mdp: DiscountedMdp, num_pairs: int, rng: np.random.Generator) -> ConstraintSamplePlan:
+    """Uniform state-action pairs over the instance boxes."""
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
-    if pair_sampler is None:
-        s_width = mdp.state_hi - mdp.state_lo
-        a_width = mdp.action_hi - mdp.action_lo
-        states = mdp.state_lo + s_width * rng.random((num_pairs, mdp.dim_state))
-        actions = mdp.action_lo + a_width * rng.random((num_pairs, mdp.dim_action))
-    else:
-        pairs = [pair_sampler(rng) for _ in range(num_pairs)]
-        states = np.stack([p[0] for p in pairs])
-        actions = np.stack([p[1] for p in pairs])
+    s_width = mdp.state_hi - mdp.state_lo
+    a_width = mdp.action_hi - mdp.action_lo
+    states = mdp.state_lo + s_width * rng.random((num_pairs, mdp.dim_state))
+    actions = mdp.action_lo + a_width * rng.random((num_pairs, mdp.dim_action))
     return ConstraintSamplePlan(states=states, actions=actions, guide_states=_unique_rows(states))
 
 
@@ -289,14 +279,8 @@ class BellmanRowCache:
         if self._count > len(bases):
             raise ValueError("cache already holds more columns than the basis set")
         if self._count < len(bases):
-            tail = BasisSet(
-                kind=bases.kind,
-                entries=bases.entries[self._count :],
-                seed=bases.seed,
-                sigma_range=bases.sigma_range,
-                dim_state=bases.dim_state,
-            )
-            self._cols = np.concatenate([self._cols, _basis_columns(self.mdp, tail, self.prepared.plan)], axis=2)
+            tail = _basis_columns(self.mdp, bases[self._count :], self.prepared.plan)
+            self._cols = np.concatenate([self._cols, tail], axis=2)
             self._count = len(bases)
         phi_s = self._cols[0, :, : len(bases)]
         exp_next = self._cols[1, :, : len(bases)]

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -25,66 +25,95 @@ import numpy as np
 DEFAULT_STUMP_EPS = 0.01
 
 
-@dataclass(frozen=True)
-class FourierBasis:
-    q: float
-    omega: tuple[float, ...]
-    sigma: Optional[float]  # bandwidth used at sampling time; None for hand-fixed bases
-
-    def __post_init__(self):
-        if not -math.pi - 1e-12 <= self.q <= math.pi + 1e-12:
-            raise ValueError(f"intercept {self.q} outside [-pi, pi]")
-        if not all(math.isfinite(w) for w in self.omega):
-            raise ValueError("non-finite frequency")
-
-
-@dataclass(frozen=True)
-class StumpBasis:
-    q_index: int  # coordinate selector, 1-based
-    omega: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.q_index < 1:
-            raise ValueError(f"q_index must be >= 1, got {self.q_index}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not -self.sigma - 1e-12 <= self.omega <= self.sigma + 1e-12:
-            raise ValueError(f"threshold {self.omega} outside [-sigma, sigma]")
-
-
-Basis = Union[FourierBasis, StumpBasis]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSet:
-    """Ordered, seed-reproducible collection of random basis parameters."""
+    """Ordered, seed-reproducible collection of random basis parameters.
+
+    Entry j is ``phi_j(s; q_j, omega_j)`` with parameters held once, as
+    read-only arrays:
+
+    - Fourier: ``cos(q_j + omega_j . s)`` with intercepts ``q`` (N,) in
+      [-pi, pi] and frequencies ``omega`` (N, d);
+    - stump: the surrogate sign of ``s[q_j - 1] - omega_j`` with 1-based
+      coordinate indexes ``q`` (N,) and thresholds ``omega`` (N,) in
+      [-sigma_j, sigma_j].
+
+    ``sigma`` (N,) is the bandwidth each entry was sampled with; hand-fixed
+    Fourier entries have none and hold NaN.
+    """
 
     kind: str  # "fourier" | "stump"
-    entries: tuple[Basis, ...]
+    q: np.ndarray
+    omega: np.ndarray
+    sigma: np.ndarray
     seed: int
     sigma_range: tuple[float, float]
     dim_state: int
 
+    def __post_init__(self):
+        if self.kind not in ("fourier", "stump"):
+            raise ValueError(f"unknown basis kind {self.kind!r}")
+        fourier = self.kind == "fourier"
+        q = np.array(self.q, dtype=float if fourier else int)
+        sigma = np.array(self.sigma, dtype=float)
+        try:
+            omega = np.array(self.omega, dtype=float)
+        except ValueError as err:  # ragged frequency rows
+            raise ValueError(f"every frequency needs dimension {self.dim_state}") from err
+        n = len(q)
+        shape = (n, self.dim_state) if fourier else (n,)
+        if n == 0:
+            omega = omega.reshape(shape)
+        if q.shape != (n,) or sigma.shape != (n,):
+            raise ValueError(f"need one q and one sigma per entry, got shapes {q.shape} and {sigma.shape}")
+        if omega.shape != shape:
+            raise ValueError(f"omega has shape {omega.shape}, expected {shape}")
+        if fourier:
+            if not np.all(np.abs(q) <= math.pi + 1e-12):
+                raise ValueError(f"intercept outside [-pi, pi] in {q}")
+            if not np.isfinite(omega).all():
+                raise ValueError("non-finite frequency")
+        else:
+            if np.any((q < 1) | (q > self.dim_state)):
+                raise ValueError(f"coordinate index outside 1..{self.dim_state} in {q}")
+            if not np.all(sigma > 0):
+                raise ValueError(f"sigma must be positive, got {sigma}")
+            if not np.all(np.abs(omega) <= sigma + 1e-12):
+                raise ValueError("threshold outside [-sigma, sigma]")
+        for name, arr in (("q", q), ("omega", omega), ("sigma", sigma)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.q)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BasisSet):
+            return NotImplemented
+        return (
+            (self.kind, self.seed, tuple(self.sigma_range), self.dim_state)
+            == (other.kind, other.seed, tuple(other.sigma_range), other.dim_state)
+            and np.array_equal(self.q, other.q)
+            and np.array_equal(self.omega, other.omega)
+            and np.array_equal(self.sigma, other.sigma, equal_nan=True)
+        )
+
+    def __getitem__(self, index: slice) -> "BasisSet":
+        """The entries selected by a slice, as a set with the same provenance."""
+        if not isinstance(index, slice):
+            raise TypeError("basis sets are sliced, not indexed")
+        return replace(self, q=self.q[index], omega=self.omega[index], sigma=self.sigma[index])
 
     @property
     def fixed(self) -> bool:
         """True for hand-specified sets that cannot be re-derived from the seed."""
-        return self.kind == "fourier" and any(b.sigma is None for b in self.entries)
+        return self.kind == "fourier" and bool(np.isnan(self.sigma).any())
 
     def prefix(self, count: int) -> "BasisSet":
         """The set restricted to its first ``count`` entries."""
-        if count > len(self.entries):
-            raise ValueError(f"prefix of {count} from a set of {len(self.entries)}")
-        return BasisSet(
-            kind=self.kind,
-            entries=self.entries[:count],
-            seed=self.seed,
-            sigma_range=self.sigma_range,
-            dim_state=self.dim_state,
-        )
+        if count > len(self):
+            raise ValueError(f"prefix of {count} from a set of {len(self)}")
+        return self[:count]
 
     def extend(self, count: int) -> "BasisSet":
         """Return a set with ``count`` additional sampled entries.
@@ -99,16 +128,16 @@ class BasisSet:
         return sample_stumps(len(self) + count, self.dim_state, self.sigma_range[0], self.seed)
 
     def to_json(self) -> str:
+        q_key = "q" if self.kind == "fourier" else "q_index"
+        sigma = [None if math.isnan(s) else s for s in self.sigma.tolist()]
         doc = {
             "kind": self.kind,
             "seed": self.seed,
             "sigma_range": list(self.sigma_range),
             "dim_state": self.dim_state,
             "entries": [
-                {"q": b.q, "omega": list(b.omega), "sigma": b.sigma}
-                if self.kind == "fourier"
-                else {"q_index": b.q_index, "omega": b.omega, "sigma": b.sigma}
-                for b in self.entries
+                {q_key: q, "omega": w, "sigma": s}
+                for q, w, s in zip(self.q.tolist(), self.omega.tolist(), sigma)
             ],
         }
         return json.dumps(doc, indent=1)
@@ -116,19 +145,13 @@ class BasisSet:
     @staticmethod
     def from_json(text: str) -> "BasisSet":
         doc = json.loads(text)
-        if doc["kind"] == "fourier":
-            entries = tuple(
-                FourierBasis(q=e["q"], omega=tuple(e["omega"]), sigma=e["sigma"])
-                for e in doc["entries"]
-            )
-        else:
-            entries = tuple(
-                StumpBasis(q_index=e["q_index"], omega=e["omega"], sigma=e["sigma"])
-                for e in doc["entries"]
-            )
+        q_key = "q" if doc["kind"] == "fourier" else "q_index"
+        entries = doc["entries"]
         return BasisSet(
             kind=doc["kind"],
-            entries=entries,
+            q=[e[q_key] for e in entries],
+            omega=[e["omega"] for e in entries],
+            sigma=[math.nan if e["sigma"] is None else e["sigma"] for e in entries],
             seed=doc["seed"],
             sigma_range=tuple(doc["sigma_range"]),
             dim_state=doc["dim_state"],
@@ -147,18 +170,15 @@ def sample_fourier(count: int, dim_state: int, sigma_range: Sequence[float], see
     if not 0.0 < lo <= hi:
         raise ValueError(f"sigma range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    entries = []
-    for _ in range(count):
-        sigma = rng.uniform(lo, hi)
-        q = rng.uniform(-math.pi, math.pi)
-        omega = rng.normal(0.0, 1.0 / sigma, size=dim_state)
-        entries.append(FourierBasis(q=float(q), omega=tuple(omega), sigma=float(sigma)))
+    sigma = np.empty(count)
+    q = np.empty(count)
+    omega = np.empty((count, dim_state))
+    for j in range(count):
+        sigma[j] = rng.uniform(lo, hi)
+        q[j] = rng.uniform(-math.pi, math.pi)
+        omega[j] = rng.normal(0.0, 1.0 / sigma[j], size=dim_state)
     return BasisSet(
-        kind="fourier",
-        entries=tuple(entries),
-        seed=seed,
-        sigma_range=(lo, hi),
-        dim_state=dim_state,
+        kind="fourier", q=q, omega=omega, sigma=sigma, seed=seed, sigma_range=(lo, hi), dim_state=dim_state
     )
 
 
@@ -169,88 +189,60 @@ def sample_stumps(count: int, dim_state: int, sigma: float, seed: int) -> BasisS
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    entries = []
-    for _ in range(count):
-        q_index = int(rng.integers(1, dim_state + 1))
-        omega = rng.uniform(-sigma, sigma)
-        entries.append(StumpBasis(q_index=q_index, omega=float(omega), sigma=float(sigma)))
+    q = np.empty(count, dtype=int)
+    omega = np.empty(count)
+    for j in range(count):
+        q[j] = rng.integers(1, dim_state + 1)
+        omega[j] = rng.uniform(-sigma, sigma)
+    sigma = float(sigma)
     return BasisSet(
         kind="stump",
-        entries=tuple(entries),
+        q=q,
+        omega=omega,
+        sigma=np.full(count, sigma),
         seed=seed,
-        sigma_range=(float(sigma), float(sigma)),
+        sigma_range=(sigma, sigma),
         dim_state=dim_state,
     )
 
 
 def empty_stumps(dim_state: int) -> BasisSet:
     """Zero-entry stump set; the affine bias approximation uses no random bases."""
-    return BasisSet(kind="stump", entries=(), seed=0, sigma_range=(1.0, 1.0), dim_state=dim_state)
+    return BasisSet(kind="stump", q=(), omega=(), sigma=(), seed=0, sigma_range=(1.0, 1.0), dim_state=dim_state)
 
 
 def fixed_fourier(omegas: Sequence[Sequence[float]] | Sequence[float], dim_state: int = 1) -> BasisSet:
     """Hand-specified Fourier set with zero intercepts, e.g. cos(theta * s) for scalar states."""
-    entries = []
-    for w in omegas:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
+    omega = [np.atleast_1d(np.asarray(w, dtype=float)) for w in omegas]
+    for w in omega:
         if len(w) != dim_state:
             raise ValueError(f"frequency dimension {len(w)} != {dim_state}")
-        entries.append(FourierBasis(q=0.0, omega=tuple(w), sigma=None))
+    n = len(omega)
     return BasisSet(
         kind="fourier",
-        entries=tuple(entries),
+        q=np.zeros(n),
+        omega=omega,
+        sigma=np.full(n, math.nan),
         seed=0,
         sigma_range=(1.0, 1.0),
         dim_state=dim_state,
     )
 
 
-def eval_fourier(b: FourierBasis, s) -> float:
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if len(s) != len(b.omega):
-        raise ValueError(f"state dimension {len(s)} != {len(b.omega)}")
-    return float(np.cos(b.q + np.dot(b.omega, s)))
-
-
-def eval_stump(b: StumpBasis, s, eps: float = DEFAULT_STUMP_EPS) -> float:
-    """Piecewise-linear sign surrogate: x/eps clipped to [-1, 1] for x = s_q - omega."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    x = float(s[b.q_index - 1]) - b.omega
-    return float(np.clip(x / eps, -1.0, 1.0))
-
-
 def features(basis_set: BasisSet, states: np.ndarray, eps: float = DEFAULT_STUMP_EPS) -> np.ndarray:
-    """Feature matrix Phi with Phi[i, j] = basis_j(states[i]); states shape (n, d) or (d,)."""
+    """Feature matrix Phi with Phi[i, j] = basis_j(states[i]); states shape (n, d) or (d,).
+
+    Stumps use the piecewise-linear sign surrogate: x/eps clipped to [-1, 1]
+    for x = s_q - omega.
+    """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.shape[1] != basis_set.dim_state:
         raise ValueError(f"state dimension {states.shape[1]} != {basis_set.dim_state}")
-    if len(basis_set) == 0:
-        return np.zeros((len(states), 0))
     if basis_set.kind == "fourier":
-        w = np.array([b.omega for b in basis_set.entries])  # (N, d)
-        q = np.array([b.q for b in basis_set.entries])
-        return np.cos(states @ w.T + q)
-    idx = np.array([b.q_index - 1 for b in basis_set.entries])
-    thr = np.array([b.omega for b in basis_set.entries])
-    return np.clip((states[:, idx] - thr) / eps, -1.0, 1.0)
-
-
-def fourier_angles(basis_set: BasisSet, states: np.ndarray) -> np.ndarray:
-    """Affine-map angles q + w . s per state row, (n, N); Fourier sets only."""
-    if basis_set.kind != "fourier":
-        raise ValueError("angles are only defined for Fourier sets")
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    w = np.array([b.omega for b in basis_set.entries])
-    q = np.array([b.q for b in basis_set.entries])
-    return states @ w.T + q
-
-
-def fourier_frequencies(basis_set: BasisSet) -> np.ndarray:
-    if basis_set.kind != "fourier":
-        raise ValueError("frequencies are only defined for Fourier sets")
-    return np.array([b.omega for b in basis_set.entries])
+        return np.cos(states @ basis_set.omega.T + basis_set.q)
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    return np.clip((states[:, basis_set.q - 1] - basis_set.omega) / eps, -1.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -30,7 +31,6 @@ from statistics import median
 import numpy as np
 
 from ralp import gjr as gjr_mod
-from ralp import lower_bound as lb_mod
 from ralp import pic as pic_mod
 from ralp import policy as policy_mod
 from ralp import toy as toy_mod
@@ -105,29 +105,6 @@ def _float_cell(v) -> str:
     if v is None:
         return ""
     return repr(float(v))
-
-
-def _trace_json(records) -> str:
-    rows = []
-    for i, r in enumerate(records, start=1):
-        rows.append(
-            {
-                "iteration": i,
-                "num_bases": r.num_bases,
-                "lb": r.lb,
-                "pc": r.pc,
-                "pc_stderr": r.pc_stderr,
-                "tau_star": r.tau_star,
-                "lb_expectation": r.lb_expectation,
-                "lb_saddle": r.lb_saddle,
-                "lb_saddle_stderr": r.lb_saddle_stderr,
-                "incumbent_lb": r.incumbent_lb,
-                "incumbent_pc": r.incumbent_pc,
-                "incumbent_lb_bases": r.incumbent_lb_bases,
-                "incumbent_pc_bases": r.incumbent_pc_bases,
-            }
-        )
-    return json.dumps({"schema": TRACE_SCHEMA, "records": rows}, indent=1)
 
 
 def _trace_csv(records) -> str:
@@ -218,13 +195,11 @@ def _loop_config(cfg: dict, mdp, seed: int) -> LoopConfig:
         lb_method=loop_cfg.get("lb_method", "saddle" if mdp.name == "pic" else "expectation"),
         saddle=saddle,
         nu_sample_size=int(loop_cfg.get("nu_sample_size", 10_000)),
-        redraw_plan_each_iteration=bool(loop_cfg.get("redraw_plan_each_iteration", False)),
     )
 
 
 def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) -> int:
     (run_dir / "trace.csv").write_text(_trace_csv(result.records))
-    (run_dir / "trace.json").write_text(_trace_json(result.records))
     last = result.records[-1]
     bounds = {
         "instance": cfg["problem"],
@@ -269,9 +244,7 @@ def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) ->
         "seed": cfg["seed"],
         "trace_columns": TRACE_COLUMNS,
         "num_constraints": int(result.plan.num_pairs),
-        "sigma_draws": [
-            b.sigma for b in result.bases.entries if getattr(b, "sigma", None) is not None
-        ],
+        "sigma_draws": [s for s in result.bases.sigma.tolist() if not math.isnan(s)],
         "fluctuation": fluct,
         "wallclock_s": [r.wallclock for r in result.records],
         "saddle_acceptance_rates": [

@@ -7,15 +7,14 @@ stops once the optimality gap 1 - LB/PC drops to the tolerance or the basis
 budget is exhausted.
 
 The constraint-sample plan is drawn once per run and reused across
-iterations so that iterates differ only through their basis sets; a redraw
-knob exists for studying sampling noise.  Rollout seeds are likewise fixed
-per run.
+iterations so that iterates differ only through their basis sets.  Rollout
+seeds are likewise fixed per run.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -70,7 +69,6 @@ class LoopConfig:
     lb_method: str = "expectation"  # "expectation" | "saddle"
     saddle: Optional[SaddleConfig] = None
     nu_sample_size: int = 10_000
-    redraw_plan_each_iteration: bool = False
 
     def __post_init__(self):
         if self.batch < 1:
@@ -159,10 +157,6 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
     while True:
         num_bases += config.batch
         bases = _basis_prefix(config, mdp, num_bases)
-        if config.redraw_plan_each_iteration:
-            plan = uniform_plan(mdp, config.num_constraints, rng_plan)
-            prepared = prepare_plan(mdp, plan)
-            row_cache = BellmanRowCache(mdp, prepared)
         if config.model_kind == MODEL_FGLP:
             model = build_fglp(mdp, bases, prepared, nu_samples, prev_weights, row_cache=row_cache)
         else:
@@ -236,9 +230,9 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
 
 
 def _saddle_constants(mdp: DiscountedMdp, weights: VfaWeights):
-    if mdp.name != "pic" or mdp.params is None:
+    if mdp.saddle_constants is None:
         raise ValueError("saddle lower bound constants are only defined for the inventory MDP")
-    return lb_mod.pic_constants(mdp.params, weights)
+    return mdp.saddle_constants(weights)
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,8 @@ from ralp.mdp import (
     expected_successor_phases,
     split_rng,
 )
-from ralp.pic import PicParams
 
 _CHAIN_STREAM = 211
-
-D_SA_PIC = 4
 
 
 @dataclass(frozen=True)
@@ -88,34 +85,6 @@ class LowerBoundEstimate:
     correction: float
     lam: float
     acceptance_rates: tuple[float, ...]
-
-
-def pic_constants(p: PicParams, w: VfaWeights) -> LipschitzConstants:
-    """Constants for an inventory instance.
-
-    l_c applies the printed formula 2(gamma^L c_o a + c_h a + c_b s_min
-    + c_d a + c_l a) verbatim; note the backlog term enters with the sign of
-    s_min (which is non-positive), shrinking the constant.
-    """
-    a, s_min = p.a_max, p.s_min
-    l_c = 2.0 * (p.gamma**p.lead * p.c_o * a + p.c_h * a + p.c_b * s_min + p.c_d * a + p.c_l * a)
-    beta_l1 = abs(w.beta0) + float(np.abs(w.betas).sum())
-    l_y = (4.0 * beta_l1 + l_c) / (1.0 - p.gamma)
-    radius = a / 2.0
-    diameter = 3.0 * a**2 + (s_min - a) ** 2
-    volume = (a - s_min) * a * a * a  # state box x action box
-    big_lambda = (
-        -math.log(math.gamma(1.0 + D_SA_PIC / 2.0) * (radius * math.sqrt(math.pi)) ** -D_SA_PIC * volume)
-        - l_y * (radius + diameter)
-    )
-    return LipschitzConstants(
-        l_c=l_c,
-        l_y=l_y,
-        big_lambda=big_lambda,
-        d_sa=D_SA_PIC,
-        radius=radius,
-        diameter=diameter,
-    )
 
 
 def _resolve_value_fn(bases, w, value_fn):
@@ -178,11 +147,6 @@ def y_value(
     e_chi = chi_value(mdp, bases, w, chi_samples, value_fn=value_fn)
     terms = _bellman_terms(mdp, bases, w, value_fn)
     return float(_y_batch(mdp, terms, s[None, :], a[None, :], e_chi)[0])
-
-
-def mh_acceptance(y_old: float, y_new: float, lam: float) -> float:
-    """min(1, exp((y_old - y_new) / lambda)); exponent capped to avoid overflow."""
-    return min(1.0, math.exp(min((y_old - y_new) / lam, 700.0)))
 
 
 def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Problem-definition contracts for discounted-cost MDPs and average-cost semi-MDPs.
+"""Problem-definition contract for discounted-cost MDPs, and the noise expectations.
 
-States and actions are plain 1-D float arrays in instance units.  All model
+States and actions are float arrays in instance units.  All model
 objects are immutable after construction and safe to share across threads;
 anything random takes an explicit ``numpy.random.Generator``.
 """
@@ -150,10 +150,12 @@ def uniform_box(lo, hi) -> StateDistribution:
 class DiscountedMdp:
     """Infinite-horizon discounted-cost MDP on a box state space.
 
-    ``cost(s, a, noise)`` and ``transition(s, a, noise)`` are vectorized over a
-    1-D array of noise realizations: cost returns shape ``(k,)`` and transition
-    shape ``(k, d_s)``.  Noise is an explicit argument so that LP construction
-    and simulation share one code path (and one SAA sample set).
+    ``cost(s, a, noise)`` and ``transition(s, a, noise)`` broadcast: states
+    ``(..., d_s)``, actions ``(..., d_a)`` and noise ``(...)`` combine under
+    numpy broadcasting; cost returns the broadcast shape and transition the
+    broadcast shape plus ``(d_s,)``.  Noise is an explicit argument so that
+    LP construction and simulation share one code path (and one SAA sample
+    set).
     """
 
     state_lo: np.ndarray
@@ -166,12 +168,6 @@ class DiscountedMdp:
     noise: NoiseModel
     initial_dist: StateDistribution
     state_relevance: StateDistribution
-    feasible: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None
-    # Optional fully-broadcast variants: states (..., d_s), actions (..., d_a)
-    # and noise (...) combine under numpy broadcasting.  Purely a fast path;
-    # semantics must match ``transition`` / ``cost``.
-    transition_nd: Optional[Callable] = None
-    cost_nd: Optional[Callable] = None
     # Vectorized inverse CDF of the true noise law, used for realized draws in
     # rollouts; defaults to the noise model's own (discrete) quantile.
     noise_quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -188,9 +184,9 @@ class DiscountedMdp:
     # complex (m, N).  Semantics must match ``transition`` / ``cost``.
     closed_form_costs: Optional[Callable] = None
     closed_form_phases: Optional[Callable] = None
-    # Instance parameter record (e.g. the inventory catalog row) for consumers
-    # that need instance-specific constants.
-    params: Optional[object] = None
+    # ``saddle_constants(weights)`` returns the problem's Lipschitz constants
+    # for the saddle-point lower bound of a VFA with those weights.
+    saddle_constants: Optional[Callable] = None
     name: str = "mdp"
 
     def __post_init__(self):
@@ -224,28 +220,7 @@ class DiscountedMdp:
             raise InfeasiblePairError(f"action dimension {len(a)} != {self.dim_action}")
         if not in_box(a, self.action_lo, self.action_hi):
             raise InfeasiblePairError(f"action {a} outside box")
-        if self.feasible is not None and not self.feasible(s, a):
-            raise InfeasiblePairError(f"pair ({s}, {a}) fails instance feasibility")
         return s, a
-
-    def next_states(self, s, a) -> np.ndarray:
-        """All successor states, one per noise realization, shape (k, d_s)."""
-        return self.transition(as_state(s), as_state(a), self.noise.values)
-
-    def expected_cost(self, s, a) -> float:
-        return float(self.noise.weights @ self.cost(as_state(s), as_state(a), self.noise.values))
-
-
-def expected_basis_value(mdp: DiscountedMdp, s, a, f: Callable[[np.ndarray], float]) -> float:
-    """E[f(s') | s, a]: exact for a finite noise law, SAA mean otherwise.
-
-    With an SAA noise model the expectation is taken over the fixed sample
-    set, so repeated calls with identical inputs are bit-identical.
-    """
-    s, a = mdp.check_pair(s, a)
-    nxt = mdp.next_states(s, a)
-    vals = np.array([f(nxt[i]) for i in range(len(nxt))], dtype=float)
-    return float(mdp.noise.weights @ vals)
 
 
 def sample_initial_state(mdp: DiscountedMdp, rng: np.random.Generator) -> np.ndarray:
@@ -262,20 +237,9 @@ def noise_from_uniforms(mdp: DiscountedMdp, u: np.ndarray) -> np.ndarray:
     return mdp.noise.values[idx]
 
 
-def sample_noise(mdp: DiscountedMdp, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Realized noise draws for simulation."""
-    return noise_from_uniforms(mdp, rng.random(n))
-
-
 def batch_next_states(mdp: DiscountedMdp, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Successors for every (state, action) row and every noise atom, (m, k, d_s)."""
-    xi = mdp.noise.values
-    if mdp.transition_nd is not None:
-        return mdp.transition_nd(states[:, None, :], actions[:, None, :], xi[None, :])
-    out = np.empty((len(states), len(xi), mdp.dim_state))
-    for j in range(len(states)):
-        out[j] = mdp.transition(states[j], actions[j], xi)
-    return out
+    return mdp.transition(states[:, None, :], actions[:, None, :], mdp.noise.values[None, :])
 
 
 def batch_expected_costs(mdp: DiscountedMdp, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -287,11 +251,8 @@ def batch_expected_costs(mdp: DiscountedMdp, states: np.ndarray, actions: np.nda
     if mdp.closed_form_costs is not None:
         return mdp.closed_form_costs(mdp.noise, states, actions)
     xi = mdp.noise.values
-    w = mdp.noise.weights
-    if mdp.cost_nd is not None:
-        c = mdp.cost_nd(states[:, None, :], actions[:, None, :], xi[None, :])
-        return np.broadcast_to(c, (len(states), len(xi))) @ w
-    return np.array([w @ mdp.cost(states[j], actions[j], xi) for j in range(len(states))])
+    c = mdp.cost(states[:, None, :], actions[:, None, :], xi[None, :])
+    return np.broadcast_to(c, (len(states), len(xi))) @ mdp.noise.weights
 
 
 def expected_next_values(mdp: DiscountedMdp, states: np.ndarray, actions: np.ndarray, value_fn) -> np.ndarray:
@@ -316,8 +277,8 @@ def expected_successor_phases(mdp: DiscountedMdp, bases: BasisSet) -> Callable[[
     """
     if bases.kind != "fourier" and len(bases) > 0:
         raise ValueError("successor expectations are implemented for Fourier sets")
-    omega = np.array([b.omega for b in bases.entries], dtype=float).reshape(len(bases), bases.dim_state)
-    q = np.array([b.q for b in bases.entries], dtype=float)
+    omega = bases.omega.reshape(len(bases), bases.dim_state)  # (N, d_s) for an empty stump set too
+    q = bases.q
     if mdp.closed_form_phases is not None:
         return mdp.closed_form_phases(mdp.noise, omega, q)
 
@@ -331,50 +292,3 @@ def expected_successor_phases(mdp: DiscountedMdp, bases: BasisSet) -> Callable[[
         return out
 
     return enumerate_successors
-
-
-def paired_next_states(mdp: DiscountedMdp, states: np.ndarray, actions: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Realized successor per row: one noise value per (state, action) pair."""
-    if mdp.transition_nd is not None:
-        return mdp.transition_nd(states, actions, xi)
-    return np.stack(
-        [mdp.transition(states[j], actions[j], np.atleast_1d(xi[j]))[0] for j in range(len(states))]
-    )
-
-
-@dataclass(frozen=True)
-class SemiMdp:
-    """Deterministic average-cost semi-MDP: action-dependent transition times.
-
-    ``transition_time`` must be strictly positive for feasible pairs; the
-    long-run performance measure is cost per unit time.
-    """
-
-    state_lo: np.ndarray
-    state_hi: np.ndarray
-    cost: Callable[[np.ndarray, np.ndarray], float]
-    transition_time: Callable[[np.ndarray, np.ndarray], float]
-    transition: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    feasible: Callable[[np.ndarray, np.ndarray], bool]
-    name: str = "semi-mdp"
-
-    def __post_init__(self):
-        for f in ("state_lo", "state_hi"):
-            arr = np.asarray(getattr(self, f), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, f, arr)
-
-    @property
-    def dim_state(self) -> int:
-        return len(self.state_lo)
-
-    def step(self, s, a) -> tuple[float, np.ndarray]:
-        if not self.feasible(s, a):
-            raise InfeasiblePairError(f"action {a} infeasible at state {s}")
-        t = float(self.transition_time(s, a))
-        if t <= 0.0:
-            raise InfeasiblePairError(f"non-positive transition time {t} at ({s}, {a})")
-        nxt = self.transition(s, a)
-        if not in_box(nxt, self.state_lo, self.state_hi):
-            raise ValueError(f"transition left the state box: {nxt}")
-        return t, nxt

@@ -11,13 +11,16 @@ backlog limit cost 100 per unit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from functools import partial
 
 import numpy as np
 from scipy.stats import truncnorm
 
-from ralp.mdp import DiscountedMdp, NoiseModel, StateDistribution, degenerate
+from ralp.alp import VfaWeights
+from ralp.lower_bound import LipschitzConstants
+from ralp.mdp import DiscountedMdp, NoiseModel, degenerate
 
 DEMAND_SAA_SIZE = 5000
 
@@ -99,60 +102,29 @@ def catalog_json() -> str:
 
 
 def pic_transition(p: PicParams, s, a, demand):
-    """Next state (max(s1 - (D - s0)+, s_min), p1, a); broadcasts over demand."""
-    s = np.asarray(s, dtype=float)
-    a_val = float(np.atleast_1d(a)[0])
-    d = np.asarray(demand, dtype=float)
-    shortfall = np.maximum(d - s[0], 0.0)
-    first = np.maximum(s[1] - shortfall, p.s_min)
-    out = np.empty(d.shape + (3,)) if d.shape else np.empty(3)
+    """Next state (max(s1 - (D - s0)+, s_min), p1, a); broadcasts like ``DiscountedMdp.transition``."""
+    shortfall = np.maximum(demand - s[..., 0], 0.0)
+    first = np.maximum(s[..., 1] - shortfall, p.s_min)
+    b = np.broadcast(first, s[..., 2], a[..., 0])
+    out = np.empty(b.shape + (3,))
     out[..., 0] = first
-    out[..., 1] = s[2]
-    out[..., 2] = a_val
+    out[..., 1] = np.broadcast_to(s[..., 2], b.shape)
+    out[..., 2] = np.broadcast_to(a[..., 0], b.shape)
     return out
 
 
-def _transition_nd(p: PicParams):
-    def f(s, a, d):
-        shortfall = np.maximum(d - s[..., 0], 0.0)
-        first = np.maximum(s[..., 1] - shortfall, p.s_min)
-        b = np.broadcast(first, s[..., 2], a[..., 0])
-        out = np.empty(b.shape + (3,))
-        out[..., 0] = first
-        out[..., 1] = np.broadcast_to(s[..., 2], b.shape)
-        out[..., 2] = np.broadcast_to(a[..., 0], b.shape)
-        return out
-
-    return f
-
-
-def pic_cost(p: PicParams, s, a, demand_samples) -> float:
-    """Ordering cost plus SAA mean of holding, disposal, backlog, lost-sales terms.
+def pic_cost(p: PicParams, s, a, demand):
+    """Ordering cost plus holding, disposal, backlog and lost-sales terms per demand draw.
 
     Ordering is charged at gamma^lead * c_o per unit since payment happens on
-    receipt.
+    receipt.  Broadcasts like ``DiscountedMdp.cost``.
     """
-    s = np.asarray(s, dtype=float)
-    a_val = float(np.atleast_1d(a)[0])
-    d = np.atleast_1d(np.asarray(demand_samples, dtype=float))
-    shortfall = np.maximum(d - s[0], 0.0)
-    holding = p.c_h * np.maximum(s[1] - shortfall, 0.0)
-    disposal = p.c_d * np.maximum(s[0] - d, 0.0)
-    backlog = p.c_b * np.maximum(d - s[0] - s[1], 0.0)
-    lost = p.c_l * np.maximum(p.s_min + d - s[0] - s[1], 0.0)
-    return float(p.gamma**p.lead * p.c_o * a_val + np.mean(holding + disposal + backlog + lost))
-
-
-def _cost_nd(p: PicParams):
-    def f(s, a, d):
-        shortfall = np.maximum(d - s[..., 0], 0.0)
-        holding = p.c_h * np.maximum(s[..., 1] - shortfall, 0.0)
-        disposal = p.c_d * np.maximum(s[..., 0] - d, 0.0)
-        backlog = p.c_b * np.maximum(d - s[..., 0] - s[..., 1], 0.0)
-        lost = p.c_l * np.maximum(p.s_min + d - s[..., 0] - s[..., 1], 0.0)
-        return p.gamma**p.lead * p.c_o * a[..., 0] + holding + disposal + backlog + lost
-
-    return f
+    shortfall = np.maximum(demand - s[..., 0], 0.0)
+    holding = p.c_h * np.maximum(s[..., 1] - shortfall, 0.0)
+    disposal = p.c_d * np.maximum(s[..., 0] - demand, 0.0)
+    backlog = p.c_b * np.maximum(demand - s[..., 0] - s[..., 1], 0.0)
+    lost = p.c_l * np.maximum(p.s_min + demand - s[..., 0] - s[..., 1], 0.0)
+    return p.gamma**p.lead * p.c_o * a[..., 0] + holding + disposal + backlog + lost
 
 
 # Closed-form demand expectations.  The successor (g(xi), s2, a) depends on
@@ -170,7 +142,7 @@ def _demand_tail(noise: NoiseModel, u: np.ndarray) -> np.ndarray:
 
 
 def pic_expected_costs(p: PicParams, noise: NoiseModel, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """E[c(s, a)] over the demand atoms per row, (m,); matches ``_cost_nd``.
+    """E[c(s, a)] over the demand atoms per row, (m,); matches ``pic_cost``.
 
     gamma^L c_o a + c_h (s1 - H(s0) + H(s0 + s1)) + c_d (s0 - E xi + H(s0))
     + c_b H(s0 + s1) + c_l H(s0 + s1 - s_min).  The holding term uses
@@ -250,37 +222,59 @@ def sample_state_action(p: PicParams, rng: np.random.Generator) -> tuple[np.ndar
     return s, a
 
 
+# State-action dimension of the saddle bound: three state coordinates, one action.
+D_SA_PIC = 4
+
+
+def pic_constants(p: PicParams, w: VfaWeights) -> LipschitzConstants:
+    """Saddle-bound constants for an inventory instance and VFA weights.
+
+    l_c applies the printed formula 2(gamma^L c_o a + c_h a + c_b s_min
+    + c_d a + c_l a) verbatim; note the backlog term enters with the sign of
+    s_min (which is non-positive), shrinking the constant.
+    """
+    a, s_min = p.a_max, p.s_min
+    l_c = 2.0 * (p.gamma**p.lead * p.c_o * a + p.c_h * a + p.c_b * s_min + p.c_d * a + p.c_l * a)
+    beta_l1 = abs(w.beta0) + float(np.abs(w.betas).sum())
+    l_y = (4.0 * beta_l1 + l_c) / (1.0 - p.gamma)
+    radius = a / 2.0
+    diameter = 3.0 * a**2 + (s_min - a) ** 2
+    volume = (a - s_min) * a * a * a  # state box x action box
+    big_lambda = (
+        -math.log(math.gamma(1.0 + D_SA_PIC / 2.0) * (radius * math.sqrt(math.pi)) ** -D_SA_PIC * volume)
+        - l_y * (radius + diameter)
+    )
+    return LipschitzConstants(
+        l_c=l_c,
+        l_y=l_y,
+        big_lambda=big_lambda,
+        d_sa=D_SA_PIC,
+        radius=radius,
+        diameter=diameter,
+    )
+
+
 def build_pic_mdp(p: PicParams, demand_saa_size: int = DEMAND_SAA_SIZE, demand_seed: int = 0) -> DiscountedMdp:
     """Assemble the MDP with a fixed demand SAA set shared by every expectation."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((demand_seed, 7))))
     demand_set = sample_demand(p, rng, demand_saa_size)
     dist = _demand_dist(p)
     chi = degenerate(INITIAL_STATE)
-
-    def cost(s, a, noise):
-        d = np.atleast_1d(noise)
-        return _cost_nd(p)(s[None, :], np.atleast_1d(a)[None, :], d)
-
-    def transition(s, a, noise):
-        return pic_transition(p, s, a, np.atleast_1d(noise))
-
     return DiscountedMdp(
         state_lo=np.array([p.s_min, 0.0, 0.0]),
         state_hi=np.array([p.a_max, p.a_max, p.a_max]),
         action_lo=np.array([0.0]),
         action_hi=np.array([p.a_max]),
         gamma=p.gamma,
-        cost=cost,
-        transition=transition,
+        cost=partial(pic_cost, p),
+        transition=partial(pic_transition, p),
         noise=NoiseModel(values=demand_set),
         initial_dist=chi,
         state_relevance=chi,
-        transition_nd=_transition_nd(p),
-        cost_nd=_cost_nd(p),
         closed_form_costs=partial(pic_expected_costs, p),
         closed_form_phases=partial(pic_successor_phases, p),
         noise_quantile=dist.ppf,
         action_output_slot=2,
-        params=p,
+        saddle_constants=partial(pic_constants, p),
         name="pic",
     )

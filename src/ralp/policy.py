@@ -16,17 +16,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from ralp.alp import VfaWeights, vfa_values
-from ralp.bases import BasisSet, features, fourier_frequencies  # noqa: F401  (perfbench/layers.py wraps policy.features)
+from ralp.bases import BasisSet, features  # noqa: F401  (perfbench/layers.py wraps policy.features)
 from ralp.mdp import (
     DiscountedMdp,
     batch_expected_costs,
     expected_next_values,
     expected_successor_phases,
     noise_from_uniforms,
-    paired_next_states,
     split_rng,
 )
-from ralp import toy as toy_mod
 
 _ROLLOUT_STREAM = 101
 
@@ -80,18 +78,9 @@ def _greedy_enumerated(
     m, g = len(states), len(grid_pts)
     s_rep = np.repeat(states, g, axis=0)
     a_rep = np.tile(grid_pts, (m, 1))
-    if mdp.feasible is not None:
-        feas = np.array([mdp.feasible(s_rep[i], a_rep[i]) for i in range(m * g)])
-    else:
-        feas = np.ones(m * g, dtype=bool)
-    q = np.full(m * g, np.inf)
-    if feas.any():
-        cont = expected_next_values(mdp, s_rep[feas], a_rep[feas], lambda x: vfa_values(bases, w, x))
-        q[feas] = batch_expected_costs(mdp, s_rep[feas], a_rep[feas]) + mdp.gamma * cont
-    q = q.reshape(m, g)
-    if np.isinf(q).all(axis=1).any():
-        raise ValueError("no feasible grid action at some state")
-    return grid_pts[np.argmin(q, axis=1)]
+    cont = expected_next_values(mdp, s_rep, a_rep, lambda x: vfa_values(bases, w, x))
+    q = batch_expected_costs(mdp, s_rep, a_rep) + mdp.gamma * cont
+    return grid_pts[np.argmin(q.reshape(m, g), axis=1)]
 
 
 def _greedy_policy(
@@ -109,13 +98,12 @@ def _greedy_policy(
     if not (
         mdp.action_output_slot is not None
         and mdp.dim_action == 1
-        and mdp.feasible is None
         and bases.kind == "fourier"
         and len(bases) > 0
     ):
         return lambda states: _greedy_enumerated(mdp, bases, w, states, grid_pts)
     expect = expected_successor_phases(mdp, bases)
-    w_slot = fourier_frequencies(bases)[:, mdp.action_output_slot]
+    w_slot = bases.omega[:, mdp.action_output_slot]
     a_lo = mdp.action_lo[0]
     shift = np.exp(-1j * w_slot * a_lo)  # removes the lowest action's angle
     v = np.outer(grid_pts[:, 0], w_slot)  # (g, N)
@@ -178,7 +166,7 @@ def simulate_policy_cost(
             for r in range(reps):
                 dump_rows.append((r, t, states[r], actions[r], costs[r]))
         xi = noise_from_uniforms(mdp, np.array([rngs[r].random() for r in range(reps)]))
-        states = paired_next_states(mdp, states, actions, xi)
+        states = mdp.transition(states, actions, xi)
     if dump_rows is not None:
         _write_rollout_dump(dump_path, mdp, dump_rows)
     mean = float(totals.mean())
@@ -205,21 +193,6 @@ def _write_rollout_dump(path, mdp: DiscountedMdp, rows) -> None:
         writer.writerow(header)
         for r, t, s, a, c in rows:
             writer.writerow([r, t, *(repr(float(x)) for x in s), *(repr(float(x)) for x in a), repr(float(c))])
-
-
-def toy_constant_policy_cost(a_star: float) -> float:
-    """Exact uniform-start cost of always playing ``a_star`` on the 1-D benchmark.
-
-    From the two-point transition recursion: the cost-to-go at the action's
-    fixed point is |a*-0.5|/(1-gamma); averaging the one-step recursion over
-    the uniform start gives (1/4 + 0.9 gamma |a*-0.5|/(1-gamma)) / (1-0.1 gamma).
-    """
-    if not 0.0 <= a_star <= 1.0:
-        raise ValueError(f"action {a_star} outside [0,1]")
-    g = toy_mod.GAMMA
-    stay = toy_mod.STAY_PROB
-    dev = abs(a_star - toy_mod.TARGET)
-    return (0.25 + (1.0 - stay) * g * dev / (1.0 - g)) / (1.0 - stay * g)
 
 
 @dataclass(frozen=True)
@@ -277,7 +250,7 @@ def estimate_visit_frequency(
     for t in range(sim.horizon):
         actions = np.atleast_2d(act(states))
         xi = noise_from_uniforms(mdp, np.array([rngs[r].random() for r in range(reps)]))
-        states = paired_next_states(mdp, states, actions, xi)
+        states = mdp.transition(states, actions, xi)
         visit_mass += mdp.gamma ** (t + 1) * np.bincount(_bin(states[:, 0]), minlength=bins)
     chi_mass /= reps
     visit_mass /= reps

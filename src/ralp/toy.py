@@ -19,20 +19,11 @@ TARGET = 0.5
 
 
 def _toy_cost(s, a, noise):
-    return np.full(len(noise), abs(float(s[0]) - TARGET))
+    return np.abs(s[..., 0] - TARGET) + 0.0 * noise
 
 
 def _toy_transition(s, a, noise):
     # noise = 0 keeps the state, noise = 1 jumps to the action
-    out = np.where(noise[:, None] == 0.0, float(s[0]), float(a[0]))
-    return out
-
-
-def _toy_cost_nd(s, a, noise):
-    return np.abs(s[..., 0] - TARGET) + 0.0 * noise
-
-
-def _toy_transition_nd(s, a, noise):
     return np.where((noise == 0.0)[..., None], s, a)
 
 
@@ -50,8 +41,6 @@ def build_toy() -> DiscountedMdp:
         noise=NoiseModel(values=np.array([0.0, 1.0]), probs=np.array([STAY_PROB, 1.0 - STAY_PROB])),
         initial_dist=chi,
         state_relevance=chi,
-        transition_nd=_toy_transition_nd,
-        cost_nd=_toy_cost_nd,
         name="toy",
     )
 
@@ -68,3 +57,16 @@ def toy_value_grid(n: int = 1001) -> tuple[np.ndarray, np.ndarray]:
     """Grid of states with the exact value function evaluated on it."""
     grid = np.linspace(0.0, 1.0, n)
     return grid, np.abs(grid - TARGET) / (1.0 - STAY_PROB * GAMMA)
+
+
+def toy_constant_policy_cost(a_star: float) -> float:
+    """Exact uniform-start cost of always playing ``a_star``.
+
+    From the two-point transition recursion: the cost-to-go at the action's
+    fixed point is |a*-0.5|/(1-gamma); averaging the one-step recursion over
+    the uniform start gives (1/4 + 0.9 gamma |a*-0.5|/(1-gamma)) / (1-0.1 gamma).
+    """
+    if not 0.0 <= a_star <= 1.0:
+        raise ValueError(f"action {a_star} outside [0,1]")
+    dev = abs(a_star - TARGET)
+    return (0.25 + (1.0 - STAY_PROB) * GAMMA * dev / (1.0 - GAMMA)) / (1.0 - STAY_PROB * GAMMA)

@@ -57,15 +57,15 @@ def test_criterion_01_toy_reproduction(toy_setup):
     bases2 = fixed_fourier([2.0, -5.0])
     w2, lb2 = solve(build_falp(mdp, bases2, prepared, nu), backend)
     action2 = float(policy.greedy_action(mdp, bases2, w2, [0.3], grid=101)[0])
-    pc2 = policy.toy_constant_policy_cost(action2)
+    pc2 = toy.toy_constant_policy_cost(action2)
 
     bases3a = fixed_fourier([2.0, -5.0, 3.0])
     w3a, lb3a = solve(build_falp(mdp, bases3a, prepared, nu), backend)
-    pc3a = policy.toy_constant_policy_cost(float(policy.greedy_action(mdp, bases3a, w3a, [0.3], grid=101)[0]))
+    pc3a = toy.toy_constant_policy_cost(float(policy.greedy_action(mdp, bases3a, w3a, [0.3], grid=101)[0]))
 
     bases3b = fixed_fourier([2.0, -5.0, 40.0])
     w3b, lb3b = solve(build_falp(mdp, bases3b, prepared, nu), backend)
-    pc3b_raw = policy.toy_constant_policy_cost(float(policy.greedy_action(mdp, bases3b, w3b, [0.3], grid=101)[0]))
+    pc3b_raw = toy.toy_constant_policy_cost(float(policy.greedy_action(mdp, bases3b, w3b, [0.3], grid=101)[0]))
     incumbent_pc = min(pc2, pc3b_raw)
     elapsed = time.monotonic() - started
 
@@ -84,7 +84,7 @@ def test_criterion_01_toy_reproduction(toy_setup):
 
 
 def test_criterion_02_toy_optimal_cost():
-    val = policy.toy_constant_policy_cost(0.5)
+    val = toy.toy_constant_policy_cost(0.5)
     ok = abs(val - 0.25 / 0.91) <= 1e-12
     report(2, ok, f"constant-0.5 policy cost {val!r} vs exact 0.25/0.91 ({val:.2f} to 2 decimals)")
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,12 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ralp.bases import (
     BasisSet,
     BoundConstants,
-    FourierBasis,
-    StumpBasis,
     delta_const,
     empty_stumps,
-    eval_fourier,
-    eval_stump,
     falp_sample_bound,
     features,
     fixed_fourier,
@@ -22,11 +19,25 @@ from ralp.bases import (
 )
 
 
+def _fourier(q, omega, sigma=math.nan):
+    """One hand-built Fourier entry cos(q + omega . s)."""
+    return BasisSet(
+        kind="fourier", q=[q], omega=[omega], sigma=[sigma], seed=0, sigma_range=(1.0, 1.0), dim_state=len(omega)
+    )
+
+
+def _stump(q_index, omega, sigma, dim_state=1):
+    """One hand-built stump entry on coordinate ``q_index`` (1-based)."""
+    return BasisSet(
+        kind="stump", q=[q_index], omega=[omega], sigma=[sigma], seed=0, sigma_range=(sigma, sigma), dim_state=dim_state
+    )
+
+
 class TestSampling:
     def test_same_seed_identical(self):
         a = sample_fourier(10, 3, (1.0, 5.0), seed=9)
         b = sample_fourier(10, 3, (1.0, 5.0), seed=9)
-        assert a.entries == b.entries
+        assert a == b
 
     def test_count_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -44,16 +55,16 @@ class TestSampling:
         base = sample_fourier(6, 2, (0.5, 2.0), seed=4)
         longer = base.extend(5)
         assert len(longer) == 11
-        assert longer.entries[:6] == base.entries
+        assert longer.prefix(6) == base
         stumps = sample_stumps(4, 3, 2.5, seed=4)
-        assert stumps.extend(3).entries[:4] == stumps.entries
+        assert stumps.extend(3).prefix(4) == stumps
 
     def test_sampler_moments(self):
         # empirical mean |omega| against the closed form for sigma ~ U[100, 1000]:
         # E|w| = sqrt(2/pi) * ln(hi/lo) / (hi - lo)
         lo, hi = 100.0, 1000.0
         bs = sample_fourier(10_000, 3, (lo, hi), seed=13)
-        omegas = np.array([b.omega for b in bs.entries]).ravel()
+        omegas = bs.omega.ravel()
         expected = math.sqrt(2.0 / math.pi) * math.log(hi / lo) / (hi - lo)
         var = 1.0 / (lo * hi) - expected**2
         se = math.sqrt(var / omegas.size)
@@ -61,24 +72,24 @@ class TestSampling:
 
     def test_sigma_recorded_within_range(self):
         bs = sample_fourier(50, 1, (2.0, 4.0), seed=1)
-        assert all(2.0 <= b.sigma <= 4.0 for b in bs.entries)
+        assert np.all((2.0 <= bs.sigma) & (bs.sigma <= 4.0))
 
     def test_stump_fields(self):
         bs = sample_stumps(50, 4, 3.0, seed=2)
-        assert all(1 <= b.q_index <= 4 for b in bs.entries)
-        assert all(-3.0 <= b.omega <= 3.0 for b in bs.entries)
+        assert np.all((1 <= bs.q) & (bs.q <= 4))
+        assert np.all((-3.0 <= bs.omega) & (bs.omega <= 3.0))
 
 
 class TestEvaluation:
     def test_fourier_trivials(self):
-        assert eval_fourier(FourierBasis(0.0, (0.0,), 1.0), [0.3]) == 1.0
-        assert abs(eval_fourier(FourierBasis(math.pi / 2, (0.0,), 1.0), [0.3])) < 1e-12
+        assert features(_fourier(0.0, [0.0], 1.0), [0.3])[0, 0] == 1.0
+        assert abs(features(_fourier(math.pi / 2, [0.0], 1.0), [0.3])[0, 0]) < 1e-12
         # literal scalar form cos(theta * s) at s = 0
-        assert eval_fourier(FourierBasis(0.0, (2.0,), None), [0.0]) == 1.0
+        assert features(_fourier(0.0, [2.0]), [0.0])[0, 0] == 1.0
 
     def test_fourier_dim_mismatch(self):
         with pytest.raises(ValueError):
-            eval_fourier(FourierBasis(0.0, (1.0, 2.0), 1.0), [0.3])
+            features(_fourier(0.0, [1.0, 2.0], 1.0), [0.3])
 
     def test_fourier_bounded(self):
         bs = sample_fourier(20, 2, (0.5, 2.0), seed=3)
@@ -87,29 +98,34 @@ class TestEvaluation:
         assert np.all(phi >= -1.0) and np.all(phi <= 1.0)
 
     def test_stump_surrogate_values(self):
-        b = StumpBasis(q_index=1, omega=0.0, sigma=1.0)
-        assert eval_stump(b, [0.5], eps=0.01) == 1.0
-        assert eval_stump(b, [0.0], eps=0.01) == 0.0
-        assert eval_stump(b, [0.005], eps=0.01) == 0.5
-        assert eval_stump(b, [-0.5], eps=0.01) == -1.0
+        b = _stump(q_index=1, omega=0.0, sigma=1.0)
+        assert features(b, [0.5], eps=0.01)[0, 0] == 1.0
+        assert features(b, [0.0], eps=0.01)[0, 0] == 0.0
+        assert features(b, [0.005], eps=0.01)[0, 0] == 0.5
+        assert features(b, [-0.5], eps=0.01)[0, 0] == -1.0
 
     def test_stump_eps_validation(self):
         with pytest.raises(ValueError):
-            eval_stump(StumpBasis(1, 0.0, 1.0), [0.5], eps=0.0)
+            features(_stump(1, 0.0, 1.0), [0.5], eps=0.0)
 
     @given(st.floats(-5.0, 5.0))
     @settings(max_examples=200, deadline=None)
     def test_stump_matches_sign_outside_band(self, x):
-        b = StumpBasis(q_index=1, omega=0.0, sigma=5.0)
+        b = _stump(q_index=1, omega=0.0, sigma=5.0)
         if abs(x) > 0.01:
-            assert eval_stump(b, [x], eps=0.01) == np.sign(x)
+            assert features(b, [x], eps=0.01)[0, 0] == np.sign(x)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_fourier_unit_lipschitz_in_angle(self, x, y):
-        b = FourierBasis(0.3, (2.0,), 1.0)
-        lhs = abs(eval_fourier(b, [x]) - eval_fourier(b, [y]))
+        phi = features(_fourier(0.3, [2.0], 1.0), [[x], [y]])[:, 0]
+        lhs = abs(phi[0] - phi[1])
         assert lhs <= 2.0 * abs(x - y) + 1e-12  # |cos u - cos v| <= |u - v|, u - v = 2(x-y)
+
+    def test_stump_selects_its_coordinate(self):
+        # the second coordinate, 1-based, against threshold 0.5
+        phi = features(_stump(q_index=2, omega=0.5, sigma=1.0, dim_state=3), [[9.0, 0.505, -9.0]], eps=0.01)
+        assert phi[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_fixed_fourier_matches_scalar_form(self):
         bs = fixed_fourier([2.0, -5.0])
@@ -136,6 +152,67 @@ class TestSerialization:
     def test_fixed_round_trip(self):
         bs = fixed_fourier([2.0, -5.0, 40.0])
         assert BasisSet.from_json(bs.to_json()) == bs
+
+    def test_document_text(self):
+        # one entry per basis, keyed as the files written so far
+        doc = json.loads(fixed_fourier([2.0]).to_json())
+        assert doc == {
+            "kind": "fourier", "seed": 0, "sigma_range": [1.0, 1.0], "dim_state": 1,
+            "entries": [{"q": 0.0, "omega": [2.0], "sigma": None}],
+        }
+        doc = json.loads(sample_stumps(2, 3, 2.0, seed=22).to_json())
+        assert [sorted(e) for e in doc["entries"]] == [["omega", "q_index", "sigma"]] * 2
+        assert all(isinstance(e["q_index"], int) for e in doc["entries"])
+
+    def test_stump_index_beyond_state_dimension_rejected(self):
+        doc = json.loads(sample_stumps(3, 2, 2.0, seed=22).to_json())
+        doc["entries"][1]["q_index"] = 3
+        with pytest.raises(ValueError, match="coordinate index"):
+            BasisSet.from_json(json.dumps(doc))
+
+    def test_frequency_of_wrong_length_rejected(self):
+        doc = json.loads(sample_fourier(3, 2, (1.0, 3.0), seed=21).to_json())
+        doc["entries"][1]["omega"] = [0.5]
+        with pytest.raises(ValueError, match="dimension 2"):
+            BasisSet.from_json(json.dumps(doc))
+        for e in doc["entries"]:
+            e["omega"] = [0.5, 0.1, 0.2]
+        with pytest.raises(ValueError, match="omega has shape"):
+            BasisSet.from_json(json.dumps(doc))
+
+
+class TestValidation:
+    def test_intercept_outside_pi_rejected(self):
+        with pytest.raises(ValueError, match="intercept"):
+            _fourier(3.2, [1.0])
+        assert len(_fourier(-math.pi, [1.0])) == 1
+
+    def test_non_finite_frequency_rejected(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                _fourier(0.0, [bad])
+
+    def test_stump_entry_checks(self):
+        with pytest.raises(ValueError, match="coordinate index"):
+            _stump(0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="sigma"):
+            _stump(1, 0.0, 0.0)
+        with pytest.raises(ValueError, match="threshold"):
+            _stump(1, 1.5, 1.0)
+        assert len(_stump(1, -1.0, 1.0)) == 1
+
+    def test_parameters_read_only(self):
+        bs = sample_fourier(3, 2, (1.0, 3.0), seed=21)
+        with pytest.raises(ValueError):
+            bs.omega[0, 0] = 1.0
+
+    def test_slices_keep_provenance(self):
+        bs = sample_fourier(5, 2, (1.0, 3.0), seed=21)
+        tail = bs[2:]
+        assert len(tail) == 3 and tail.seed == 21
+        assert np.array_equal(tail.omega, bs.omega[2:])
+        with pytest.raises(ValueError):
+            bs.prefix(6)
 
 
 class TestBoundConstants:

@@ -79,7 +79,6 @@ class TestRunToy:
         for name in (
             "manifest.json",
             "trace.csv",
-            "trace.json",
             "bounds.json",
             "vfa_curve.csv",
             "visit_frequency.csv",
@@ -97,13 +96,6 @@ class TestRunToy:
         _, run_dir, _ = toy_run
         header = (run_dir / "trace.csv").read_text().splitlines()[0]
         assert header == ",".join(cli.TRACE_COLUMNS)
-
-    def test_trace_json_mirrors_csv(self, toy_run):
-        _, run_dir, _ = toy_run
-        doc = json.loads((run_dir / "trace.json").read_text())
-        csv_rows = (run_dir / "trace.csv").read_text().splitlines()[1:]
-        assert len(doc["records"]) == len(csv_rows)
-        assert doc["records"][-1]["num_bases"] == 3
 
     def test_rerun_is_byte_identical(self, toy_run):
         _, run_dir, tmp_path = toy_run

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,12 @@ class TestAlgorithmLoop:
         result = run(toy_mdp, cfg, backend)
         assert len(result.records) == 1
         assert result.converged
+
+    def test_saddle_bound_needs_problem_constants(self, toy_mdp, backend):
+        # the toy MDP defines no saddle_constants
+        cfg = dataclasses.replace(_toy_config((2.0,), reps=2), lb_method="saddle")
+        with pytest.raises(ValueError, match="saddle lower bound constants"):
+            run(toy_mdp, cfg, backend)
 
     def test_scenario1_iteration_records(self, scenario1):
         assert [r.num_bases for r in scenario1.records] == [1, 2, 3]

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
 
 from ralp import pic, policy, toy
 from ralp.alp import VfaWeights
@@ -12,11 +11,10 @@ from ralp.lower_bound import (
     LipschitzConstants,
     SaddleConfig,
     estimate_lower_bound,
-    mh_acceptance,
-    pic_constants,
     y_value,
 )
-from ralp.mdp import NoiseModel, split_rng
+from ralp.mdp import NoiseModel, batch_expected_costs
+from ralp.pic import pic_constants
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +27,7 @@ class TestYValue:
         w = VfaWeights.zero(0)
         bases = empty_stumps(3)
         s, a = np.array([2.0, 1.0, 4.0]), np.array([3.0])
-        expected = pic1_mdp.expected_cost(s, a) / (1.0 - pic1_mdp.gamma)
+        expected = batch_expected_costs(pic1_mdp, s[None, :], a[None, :])[0] / (1.0 - pic1_mdp.gamma)
         assert y_value(pic1_mdp, bases, w, s, a) == pytest.approx(expected, abs=1e-9)
 
     def test_toy_zero_cost_state(self, toy_mdp, toy_nu_samples):
@@ -90,8 +88,7 @@ class TestEstimator:
         # constant cost and zero VFA make y identically c/(1-gamma)
         const_mdp = dataclasses.replace(
             toy_mdp,
-            cost=lambda s, a, xi: np.full(len(xi), 0.7),
-            cost_nd=lambda s, a, xi: 0.7 + 0.0 * (s[..., 0] + xi),
+            cost=lambda s, a, xi: 0.7 + 0.0 * (s[..., 0] + xi),
         )
         consts = LipschitzConstants(l_c=1.0, l_y=1.0, big_lambda=-5.0, d_sa=2, radius=0.5, diameter=2.0)
         cfg = SaddleConfig(chains=3, chain_length=50, burn_in=10, lam=0.5, seed=1)
@@ -161,28 +158,21 @@ class TestEstimator:
             lb_mod.estimate_lower_bound(pic1_mdp, empty_stumps(3), w, cfg, consts)
 
 
-class TestMhAcceptance:
-    def test_rule_values(self):
-        assert mh_acceptance(1.0, 0.5, 1.0) == 1.0  # downhill always accepted
-        assert mh_acceptance(0.5, 1.0, 1.0) == pytest.approx(math.exp(-0.5))
-        assert mh_acceptance(0.0, 100.0, 1e-6) == 0.0
-
-    def test_detailed_balance_on_three_states(self):
-        # random-walk MH on {0,1,2} targeting exp(-y); thinned samples must
-        # match the normalized target frequencies (chi-square p > 0.01)
-        y = np.array([0.0, 0.7, 1.5])
-        lam = 1.0
-        rng = split_rng(10, 0)
-        state = 1
-        counts = np.zeros(3)
-        thin = 20  # decorrelate: the chi-square test assumes independent draws
-        for step in range(200_000):
-            proposal = state + (1 if rng.random() < 0.5 else -1)
-            if 0 <= proposal <= 2 and rng.random() < mh_acceptance(y[state], y[proposal], lam):
-                state = proposal
-            if step % thin == 0:
-                counts[state] += 1
-        target = np.exp(-y / lam)
-        target /= target.sum()
-        _, p_value = chisquare(counts, f_exp=target * counts.sum())
-        assert p_value > 0.01
+class TestChainStationarity:
+    def test_mean_y_matches_target_density(self, toy_mdp):
+        # Zero VFA and chi at 0.5 make y(s, a) = 10 |s - 0.5| on the unit
+        # square.  The chains target exp(-y / lambda), so with k = 10 / lambda
+        # |s - 0.5| has density proportional to exp(-k u) on [0, 1/2] and
+        # E_Y[y] = 10 (1/k - (1/2) e^{-k/2} / (1 - e^{-k/2})).  A rule that
+        # ignored lambda would give 0.966 and accepting every move 2.5.
+        lam = 0.5
+        k = 10.0 / lam
+        exact = 10.0 * (1.0 / k - 0.5 * math.exp(-k / 2) / (1.0 - math.exp(-k / 2)))
+        assert exact == pytest.approx(0.499773, abs=1e-6)
+        consts = LipschitzConstants(l_c=1.0, l_y=10.0, big_lambda=-5.0, d_sa=2, radius=0.5, diameter=2.0)
+        cfg = SaddleConfig(chains=8, chain_length=20_000, burn_in=1000, lam=lam, proposal_frac=0.2, seed=1)
+        est = estimate_lower_bound(
+            toy_mdp, empty_stumps(1), VfaWeights.zero(0), cfg, consts, chi_samples=np.array([[0.5]])
+        )
+        assert est.stderr > 0.0
+        assert abs(est.mean_y - exact) <= 4.0 * est.stderr

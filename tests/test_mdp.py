@@ -3,11 +3,11 @@ import pytest
 
 from ralp import pic, toy
 from ralp.mdp import (
-    DiscountedMdp,
     InfeasiblePairError,
     NoiseModel,
+    batch_next_states,
     degenerate,
-    expected_basis_value,
+    expected_next_values,
     in_box,
     noise_from_uniforms,
     sample_initial_state,
@@ -16,22 +16,28 @@ from ralp.mdp import (
 )
 
 
-def test_expected_basis_value_two_point_exact(toy_mdp):
+def _expected_value(mdp, s, a, f):
+    """E[f(s') | s, a] for one pair, f applied to each successor row."""
+    value_fn = lambda states: np.array([f(x) for x in states])
+    return float(expected_next_values(mdp, np.array([s], dtype=float), np.array([a], dtype=float), value_fn)[0])
+
+
+def test_expected_next_value_two_point_exact(toy_mdp):
     # 0.1 * 0.2 + 0.9 * 0.7
-    val = expected_basis_value(toy_mdp, [0.2], [0.7], lambda s: s[0])
+    val = _expected_value(toy_mdp, [0.2], [0.7], lambda s: s[0])
     assert val == pytest.approx(0.65, abs=1e-12)
 
 
-def test_expected_basis_value_constant_function(toy_mdp):
-    assert expected_basis_value(toy_mdp, [0.3], [0.9], lambda s: 1.0) == pytest.approx(1.0, abs=1e-15)
+def test_expected_next_value_constant_function(toy_mdp):
+    assert _expected_value(toy_mdp, [0.3], [0.9], lambda s: 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_expected_basis_value_pic_saa_hand_case():
+def test_expected_next_value_pic_saa_hand_case():
     # demand draws {3, 5, 7} from (5,5,5) with a=3: successors' first slots {5, 5, 3}
     p = pic.instance_from_table(1)
     mdp = pic.build_pic_mdp(p, demand_saa_size=3)
     mdp = _with_noise(mdp, NoiseModel(values=np.array([3.0, 5.0, 7.0])))
-    val = expected_basis_value(mdp, [5.0, 5.0, 5.0], [3.0], lambda s: s[0])
+    val = _expected_value(mdp, [5.0, 5.0, 5.0], [3.0], lambda s: s[0])
     assert val == pytest.approx(13.0 / 3.0, abs=1e-12)
 
 
@@ -47,14 +53,14 @@ def test_exact_noise_matches_weighted_sum(toy_mdp):
         s, a = rng.random(1), rng.random(1)
         f = lambda st: np.sin(3.0 * st[0])
         direct = 0.1 * f(s) + 0.9 * f(a)
-        assert expected_basis_value(toy_mdp, s, a, f) == pytest.approx(direct, abs=1e-12)
+        assert _expected_value(toy_mdp, s, a, f) == pytest.approx(direct, abs=1e-12)
 
 
 def test_saa_expectation_bit_identical():
     p = pic.instance_from_table(1)
     mdp = pic.build_pic_mdp(p, demand_saa_size=100, demand_seed=5)
-    a = expected_basis_value(mdp, [2.0, 1.0, 4.0], [3.0], lambda s: s[0] ** 2)
-    b = expected_basis_value(mdp, [2.0, 1.0, 4.0], [3.0], lambda s: s[0] ** 2)
+    a = _expected_value(mdp, [2.0, 1.0, 4.0], [3.0], lambda s: s[0] ** 2)
+    b = _expected_value(mdp, [2.0, 1.0, 4.0], [3.0], lambda s: s[0] ** 2)
     assert a == b
 
 
@@ -93,19 +99,22 @@ def test_degenerate_distribution_constant():
 
 def test_infeasible_pair_raises(toy_mdp):
     with pytest.raises(InfeasiblePairError):
-        expected_basis_value(toy_mdp, [0.5], [1.5], lambda s: s[0])
+        toy_mdp.check_pair([0.5], [1.5])
     with pytest.raises(ValueError):
-        expected_basis_value(toy_mdp, [1.7], [0.5], lambda s: s[0])
+        toy_mdp.check_pair([1.7], [0.5])
 
 
 def test_transition_stays_in_box_after_clamp():
     p = pic.instance_from_table(1)
     mdp = pic.build_pic_mdp(p, demand_saa_size=50, demand_seed=2)
     rng = split_rng(4, 2)
-    for _ in range(200):
-        s, a = pic.sample_state_action(p, rng)
-        for nxt in mdp.next_states(s, a):
-            assert in_box(nxt, mdp.state_lo, mdp.state_hi)
+    pairs = [pic.sample_state_action(p, rng) for _ in range(200)]
+    states = np.array([s for s, _ in pairs])
+    actions = np.array([a for _, a in pairs])
+    nxt = batch_next_states(mdp, states, actions)
+    assert nxt.shape == (200, 50, 3)
+    for row in nxt.reshape(-1, 3):
+        assert in_box(row, mdp.state_lo, mdp.state_hi)
 
 
 def test_split_rng_reproducible_and_distinct():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ralp import pic
-from ralp.bases import features, fourier_angles, sample_fourier
+from ralp.bases import features, sample_fourier
 from ralp.mdp import (
     NoiseModel,
     batch_expected_costs,
@@ -48,22 +48,34 @@ class TestCatalog:
         assert doc["15"]["c_d"] == 12.0
 
 
+def _pic_mdp(instance_id=1, demand=None):
+    """A pic MDP, optionally with its demand set replaced by ``demand``."""
+    mdp = pic.build_pic_mdp(pic.instance_from_table(instance_id), demand_saa_size=1)
+    if demand is None:
+        return mdp
+    return dataclasses.replace(mdp, noise=NoiseModel(values=np.asarray(demand, dtype=float)))
+
+
+def _expected_cost(mdp, s, a):
+    return float(batch_expected_costs(mdp, np.array([s], dtype=float), np.array([a], dtype=float))[0])
+
+
 class TestTransition:
     def test_shortfall_case(self):
-        p = pic.instance_from_table(1)
-        assert np.array_equal(pic.pic_transition(p, [5, 5, 5], [3], 7.0), [3.0, 5.0, 3.0])
+        mdp = _pic_mdp()
+        assert np.array_equal(mdp.transition(np.array([5.0, 5, 5]), np.array([3.0]), 7.0), [3.0, 5.0, 3.0])
 
     def test_no_shortfall(self):
-        p = pic.instance_from_table(1)
-        assert np.array_equal(pic.pic_transition(p, [5, 5, 5], [3], 0.0), [5.0, 5.0, 3.0])
+        mdp = _pic_mdp()
+        assert np.array_equal(mdp.transition(np.array([5.0, 5, 5]), np.array([3.0]), 0.0), [5.0, 5.0, 3.0])
 
     def test_backlog_clamped_at_limit(self):
-        p = pic.instance_from_table(1)
-        assert np.array_equal(pic.pic_transition(p, [-10, 0, 0], [0], 10.0), [-10.0, 0.0, 0.0])
+        mdp = _pic_mdp()
+        assert np.array_equal(mdp.transition(np.array([-10.0, 0, 0]), np.array([0.0]), 10.0), [-10.0, 0.0, 0.0])
 
     def test_vectorized_over_demand(self):
-        p = pic.instance_from_table(1)
-        out = pic.pic_transition(p, [5, 5, 5], [3], np.array([0.0, 7.0]))
+        mdp = _pic_mdp()
+        out = mdp.transition(np.array([5.0, 5, 5]), np.array([3.0]), np.array([0.0, 7.0]))
         assert out.shape == (2, 3)
         assert np.array_equal(out[0], [5.0, 5.0, 3.0])
         assert np.array_equal(out[1], [3.0, 5.0, 3.0])
@@ -74,7 +86,7 @@ class TestTransition:
         rng = split_rng(2, 0)
         for _ in range(300):
             s, a = pic.sample_state_action(p, rng)
-            nxt = pic.pic_transition(p, s, a, pic.sample_demand(p, rng, 5))
+            nxt = mdp.transition(s, a, pic.sample_demand(p, rng, 5))
             for row in nxt:
                 assert in_box(row, mdp.state_lo, mdp.state_hi)
                 assert row[0] >= p.s_min - 1e-9
@@ -82,34 +94,40 @@ class TestTransition:
 
 class TestCost:
     def test_order_and_holding_only(self):
-        p = pic.instance_from_table(1)
+        mdp = _pic_mdp(demand=[5.0])
         # 0.95^2 * 20 * 5 + 2 * 5
-        assert pic.pic_cost(p, [5, 5, 5], [5], [5.0]) == pytest.approx(100.25, abs=1e-12)
+        assert _expected_cost(mdp, [5, 5, 5], [5]) == pytest.approx(100.25, abs=1e-12)
+        assert mdp.cost(np.array([5.0, 5, 5]), np.array([5.0]), 5.0) == pytest.approx(100.25, abs=1e-12)
 
     def test_zero_state_zero_demand(self):
-        p = pic.instance_from_table(1)
-        assert pic.pic_cost(p, [0, 0, 0], [0], [0.0]) == 0.0
+        mdp = _pic_mdp(demand=[0.0])
+        assert _expected_cost(mdp, [0, 0, 0], [0]) == 0.0
+        assert mdp.cost(np.zeros(3), np.zeros(1), 0.0) == 0.0
 
     def test_backlog_at_limit_no_lost_sales(self):
-        p = pic.instance_from_table(1)
+        mdp = _pic_mdp(demand=[10.0])
         # backlog 10 units at c_b = 10; lost-sales bracket is exactly zero
-        assert pic.pic_cost(p, [0, 0, 0], [0], [10.0]) == pytest.approx(100.0, abs=1e-12)
+        assert _expected_cost(mdp, [0, 0, 0], [0]) == pytest.approx(100.0, abs=1e-12)
+        assert mdp.cost(np.zeros(3), np.zeros(1), 10.0) == pytest.approx(100.0, abs=1e-12)
 
     def test_nonnegative_on_random_inputs(self):
         p = pic.instance_from_table(16)
         rng = split_rng(3, 0)
         demands = pic.sample_demand(p, rng, 50)
-        for _ in range(200):
-            s, a = pic.sample_state_action(p, rng)
-            assert pic.pic_cost(p, s, a, demands) >= 0.0
+        mdp = _pic_mdp(16, demand=demands)
+        pairs = [pic.sample_state_action(p, rng) for _ in range(200)]
+        states = np.array([s for s, _ in pairs])
+        actions = np.array([a for _, a in pairs])
+        assert np.all(batch_expected_costs(mdp, states, actions) >= 0.0)
+        assert np.all(mdp.cost(states[:, None, :], actions[:, None, :], demands[None, :]) >= 0.0)
 
     def test_invariant_to_sample_order(self):
         p = pic.instance_from_table(1)
         rng = split_rng(4, 0)
         demands = pic.sample_demand(p, rng, 101)
         s, a = pic.sample_state_action(p, rng)
-        assert pic.pic_cost(p, s, a, demands) == pytest.approx(
-            pic.pic_cost(p, s, a, demands[::-1]), abs=1e-12
+        assert _expected_cost(_pic_mdp(demand=demands), s, a) == pytest.approx(
+            _expected_cost(_pic_mdp(demand=demands[::-1]), s, a), abs=1e-12
         )
 
 
@@ -198,8 +216,8 @@ class TestClosedForm:
         w = mdp.noise.weights
         nxt = batch_next_states(mdp, states, actions).reshape(m * k, 3)
         exp_cos = w @ features(bases, nxt).reshape(m, k, len(bases))
-        exp_sin = w @ np.sin(fourier_angles(bases, nxt)).reshape(m, k, len(bases))
-        exp_cost = mdp.cost_nd(states[:, None, :], actions[:, None, :], mdp.noise.values[None, :]) @ w
+        exp_sin = w @ np.sin(nxt @ bases.omega.T + bases.q).reshape(m, k, len(bases))
+        exp_cost = mdp.cost(states[:, None, :], actions[:, None, :], mdp.noise.values[None, :]) @ w
 
         z = expected_successor_phases(mdp, bases)(states, actions)
         assert np.abs(z.real - exp_cos).max() <= 1e-12

@@ -20,8 +20,8 @@ from ralp.policy import (
     estimate_visit_frequency,
     greedy_action,
     simulate_policy_cost,
-    toy_constant_policy_cost,
 )
+from ralp.toy import toy_constant_policy_cost
 from tests.conftest import toy_constant_action_shares
 
 
@@ -31,11 +31,13 @@ class TestGreedyAction:
         bases = fixed_fourier([2.0 * math.pi])
         w = VfaWeights(beta0=0.0, betas=[-1.0])
         # shift the basis phase by building the q=-pi variant by hand
-        from ralp.bases import BasisSet, FourierBasis
+        from ralp.bases import BasisSet
 
         bases = BasisSet(
             kind="fourier",
-            entries=(FourierBasis(q=-math.pi, omega=(2.0 * math.pi,), sigma=None),),
+            q=[-math.pi],
+            omega=[[2.0 * math.pi]],
+            sigma=[math.nan],
             seed=0,
             sigma_range=(1.0, 1.0),
             dim_state=1,
@@ -108,8 +110,8 @@ class TestSimulatePolicyCost:
             action_lo=np.array([0.0]),
             action_hi=np.array([1.0]),
             gamma=0.9,
-            cost=lambda s, a, xi: np.zeros(len(xi)),
-            transition=lambda s, a, xi: np.zeros((len(xi), 1)),
+            cost=lambda s, a, xi: 0.0 * (s[..., 0] + xi),
+            transition=lambda s, a, xi: 0.0 * (s + xi[..., None]),
             noise=NoiseModel(values=np.array([0.0]), probs=np.array([1.0])),
             initial_dist=chi,
             state_relevance=chi,
@@ -172,8 +174,8 @@ class TestVisitFrequency:
             action_lo=np.array([0.0]),
             action_hi=np.array([1.0]),
             gamma=0.9,
-            cost=lambda s, a, xi: np.zeros(len(xi)),
-            transition=lambda s, a, xi: np.full((len(xi), 1), float(s[0])),
+            cost=lambda s, a, xi: 0.0 * (s[..., 0] + xi),
+            transition=lambda s, a, xi: s + 0.0 * xi[..., None],
             noise=NoiseModel(values=np.array([0.0]), probs=np.array([1.0])),
             initial_dist=chi,
             state_relevance=chi,

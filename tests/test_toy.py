@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ralp import toy
+from ralp.mdp import batch_expected_costs, batch_next_states
 
 
 def test_value_function_anchor_points():
@@ -37,12 +38,13 @@ def test_optimal_greedy_action_is_half():
 
 
 def test_transition_support(toy_mdp):
-    nxt = toy_mdp.next_states([0.2], [0.7])
+    nxt = batch_next_states(toy_mdp, np.array([[0.2]]), np.array([[0.7]]))[0]
     assert nxt.shape == (2, 1)
     assert nxt[0, 0] == 0.2 and nxt[1, 0] == 0.7
     assert np.array_equal(toy_mdp.noise.weights, [0.1, 0.9])
 
 
 def test_cost_examples(toy_mdp):
-    assert toy_mdp.expected_cost([0.5], [0.9]) == 0.0
-    assert toy_mdp.expected_cost([0.0], [0.3]) == 0.5
+    costs = batch_expected_costs(toy_mdp, np.array([[0.5], [0.0]]), np.array([[0.9], [0.3]]))
+    assert costs[0] == 0.0
+    assert costs[1] == 0.5
