@@ -100,8 +100,6 @@ class BasisSet:
 
     def __getitem__(self, index: slice) -> "BasisSet":
         """The entries selected by a slice, as a set with the same provenance."""
-        if not isinstance(index, slice):
-            raise TypeError("basis sets are sliced, not indexed")
         return replace(self, q=self.q[index], omega=self.omega[index], sigma=self.sigma[index])
 
     @property
