@@ -374,10 +374,6 @@ def solve(model: LpModel, backend: SolverBackend) -> tuple[VfaWeights, float]:
     return VfaWeights(beta0=float(sol.x[0]), betas=sol.x[1:]), float(sol.objective)
 
 
-def vfa_value(bases: BasisSet, w: VfaWeights, s) -> float:
-    return float(vfa_values(bases, w, np.atleast_2d(np.asarray(s, dtype=float)))[0])
-
-
 def vfa_values(bases: BasisSet, w: VfaWeights, states: np.ndarray) -> np.ndarray:
     """V(s) = beta0 + betas . phi(s) for each row of ``states``."""
     if len(w) != len(bases):

@@ -12,7 +12,6 @@ and action grids.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict
 from itertools import combinations
 from typing import Optional

@@ -168,8 +168,10 @@ class DiscountedMdp:
     noise: NoiseModel
     initial_dist: StateDistribution
     state_relevance: StateDistribution
-    # Vectorized inverse CDF of the true noise law, used for realized draws in
-    # rollouts; defaults to the noise model's own (discrete) quantile.
+    # Inverse CDF of the true noise law, elementwise over any array shape, used
+    # for realized draws in rollouts: each rollout calls it once, on a
+    # (horizon, replications) array of uniforms.  Defaults to the noise
+    # model's own (discrete) quantile.
     noise_quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # Structure hint for scalar-action instances: the transition output
     # coordinate that simply carries the action while every other output
@@ -221,11 +223,6 @@ class DiscountedMdp:
         if not in_box(a, self.action_lo, self.action_hi):
             raise InfeasiblePairError(f"action {a} outside box")
         return s, a
-
-
-def sample_initial_state(mdp: DiscountedMdp, rng: np.random.Generator) -> np.ndarray:
-    """Draw s0 from the instance's initial-state distribution."""
-    return mdp.initial_dist.sample(rng)
 
 
 def noise_from_uniforms(mdp: DiscountedMdp, u: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 from functools import partial
 
 import numpy as np
-from scipy.stats import truncnorm
+from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
 from ralp.alp import VfaWeights
 from ralp.lower_bound import LipschitzConstants
@@ -70,6 +70,8 @@ class PicParams:
             raise ValueError("need s_min <= 0 <= a_max")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0,1)")
+        if not (self.demand_sd > 0.0 and self.demand_range[0] < self.demand_mean < self.demand_range[1]):
+            raise ValueError("need demand_sd > 0 and the demand mean strictly inside demand_range")
 
 
 def instance_from_table(instance_id: int) -> PicParams:
@@ -197,16 +199,29 @@ def pic_successor_phases(p: PicParams, noise: NoiseModel, omega: np.ndarray, q: 
     return expect
 
 
-def _demand_dist(p: PicParams):
-    lo, hi = p.demand_range
-    a_std = (lo - p.demand_mean) / p.demand_sd
-    b_std = (hi - p.demand_mean) / p.demand_sd
-    return truncnorm(a_std, b_std, loc=p.demand_mean, scale=p.demand_sd)
+def demand_quantile(p: PicParams, u) -> np.ndarray:
+    """Inverse CDF of the truncated-normal demand law, elementwise over ``u`` in [0, 1).
+
+    Repeats scipy's ``truncnorm.ppf`` operation for operation, so it returns
+    the same bits, using only ``scipy.special``.  The lower end lies below the
+    mean (checked by ``PicParams``), so only truncnorm's left-tail branch
+    applies: Phi(x) = Phi(a) + u (Phi(b) - Phi(a)) is formed in log space and
+    inverted by ``ndtri_exp``.  u = 0 returns the lower end of the range.
+    """
+    a = (p.demand_range[0] - p.demand_mean) / p.demand_sd
+    b = (p.demand_range[1] - p.demand_mean) / p.demand_sd
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u)
+    log_mass = log1p(-ndtr(a) - ndtr(-b))
+    log_phi = logsumexp(np.stack(np.broadcast_arrays(log_ndtr(a), log_u + log_mass)), axis=0)
+    x = ndtri_exp(log_phi) * p.demand_sd + p.demand_mean
+    return np.where(u == 0.0, a * p.demand_sd + p.demand_mean, x)
 
 
 def sample_demand(p: PicParams, rng: np.random.Generator, n: int) -> np.ndarray:
     """Inverse-CDF draws from the truncated normal, reproducible from the rng."""
-    return _demand_dist(p).ppf(rng.random(n))
+    return demand_quantile(p, rng.random(n))
 
 
 def sample_state_action(p: PicParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +273,6 @@ def build_pic_mdp(p: PicParams, demand_saa_size: int = DEMAND_SAA_SIZE, demand_s
     """Assemble the MDP with a fixed demand SAA set shared by every expectation."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((demand_seed, 7))))
     demand_set = sample_demand(p, rng, demand_saa_size)
-    dist = _demand_dist(p)
     chi = degenerate(INITIAL_STATE)
     return DiscountedMdp(
         state_lo=np.array([p.s_min, 0.0, 0.0]),
@@ -273,7 +287,7 @@ def build_pic_mdp(p: PicParams, demand_saa_size: int = DEMAND_SAA_SIZE, demand_s
         state_relevance=chi,
         closed_form_costs=partial(pic_expected_costs, p),
         closed_form_phases=partial(pic_successor_phases, p),
-        noise_quantile=dist.ppf,
+        noise_quantile=partial(demand_quantile, p),
         action_output_slot=2,
         saddle_constants=partial(pic_constants, p),
         name="pic",

@@ -135,6 +135,19 @@ def _policy_fn(mdp, bases, w, grid_pts, policy: Optional[Callable]):
     return _greedy_policy(mdp, bases, w, grid_pts)
 
 
+def _rollout_draws(mdp: DiscountedMdp, sim: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Start states (reps, d_s) and realized noise (horizon, reps) of every rollout.
+
+    Replication r draws its start and then one uniform per stage from its own
+    stream; the draws do not depend on the states visited, so the noise
+    quantile runs once on the whole array.
+    """
+    rngs = [split_rng(sim.rollout_seed, _ROLLOUT_STREAM, r) for r in range(sim.replications)]
+    states = np.stack([mdp.initial_dist.sample(rng) for rng in rngs])
+    u = np.stack([rng.random(sim.horizon) for rng in rngs], axis=1)
+    return states, noise_from_uniforms(mdp, u)
+
+
 def simulate_policy_cost(
     mdp: DiscountedMdp,
     bases: Optional[BasisSet],
@@ -154,8 +167,7 @@ def simulate_policy_cost(
     grid_pts = action_grid_points(mdp, sim.action_grid) if policy is None else None
     act = _policy_fn(mdp, bases, w, grid_pts, policy)
     reps = sim.replications
-    rngs = [split_rng(sim.rollout_seed, _ROLLOUT_STREAM, r) for r in range(reps)]
-    states = np.stack([mdp.initial_dist.sample(rngs[r]) for r in range(reps)])
+    states, noise = _rollout_draws(mdp, sim)
     totals = np.zeros(reps)
     dump_rows = [] if dump_path is not None else None
     for t in range(sim.horizon):
@@ -165,8 +177,7 @@ def simulate_policy_cost(
         if dump_rows is not None:
             for r in range(reps):
                 dump_rows.append((r, t, states[r], actions[r], costs[r]))
-        xi = noise_from_uniforms(mdp, np.array([rngs[r].random() for r in range(reps)]))
-        states = mdp.transition(states, actions, xi)
+        states = mdp.transition(states, actions, noise[t])
     if dump_rows is not None:
         _write_rollout_dump(dump_path, mdp, dump_rows)
     mean = float(totals.mean())
@@ -239,8 +250,7 @@ def estimate_visit_frequency(
     grid_pts = action_grid_points(mdp, sim.action_grid) if policy is None else None
     act = _policy_fn(mdp, bases, w, grid_pts, policy)
     reps = sim.replications
-    rngs = [split_rng(sim.rollout_seed, _ROLLOUT_STREAM, r) for r in range(reps)]
-    states = np.stack([mdp.initial_dist.sample(rngs[r]) for r in range(reps)])
+    states, noise = _rollout_draws(mdp, sim)
 
     def _bin(vals):  # right edge closes the last bin
         return np.clip(np.searchsorted(edges, vals, side="right") - 1, 0, bins - 1)
@@ -249,8 +259,7 @@ def estimate_visit_frequency(
     visit_mass = np.zeros(bins)
     for t in range(sim.horizon):
         actions = np.atleast_2d(act(states))
-        xi = noise_from_uniforms(mdp, np.array([rngs[r].random() for r in range(reps)]))
-        states = mdp.transition(states, actions, xi)
+        states = mdp.transition(states, actions, noise[t])
         visit_mass += mdp.gamma ** (t + 1) * np.bincount(_bin(states[:, 0]), minlength=bins)
     chi_mass /= reps
     visit_mass /= reps

@@ -20,7 +20,6 @@ from ralp.alp import (
     prepare_plan,
     solve,
     uniform_plan,
-    vfa_value,
     vfa_values,
 )
 from ralp.bases import fixed_fourier, sample_fourier
@@ -110,15 +109,15 @@ class TestSolve:
 class TestVfaValue:
     def test_zero_betas(self):
         bases = fixed_fourier([2.0])
-        assert vfa_value(bases, VfaWeights(beta0=7.0, betas=[0.0]), [0.3]) == 7.0
+        assert vfa_values(bases, VfaWeights(beta0=7.0, betas=[0.0]), np.array([[0.3]]))[0] == 7.0
 
     def test_single_flat_basis(self):
         bases = fixed_fourier([0.0])
-        assert vfa_value(bases, VfaWeights(beta0=0.0, betas=[3.0]), [0.7]) == pytest.approx(3.0)
+        assert vfa_values(bases, VfaWeights(beta0=0.0, betas=[3.0]), np.array([[0.7]]))[0] == pytest.approx(3.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            vfa_value(fixed_fourier([2.0, 3.0]), VfaWeights(0.0, [1.0]), [0.5])
+            vfa_values(fixed_fourier([2.0, 3.0]), VfaWeights(0.0, [1.0]), np.array([[0.5]]))
 
     def test_argmin_matches_reference_location(self, toy_mdp, toy_grid_prepared, toy_nu_samples, backend):
         bases = fixed_fourier([2.0, -5.0])

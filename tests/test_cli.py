@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ralp
 from ralp import cli
 
 
@@ -130,6 +134,14 @@ REPO = Path(__file__).resolve().parent.parent
 # bounds.json of the shortened gjr2 run, pinned with the golden trace
 GJR_SHORT_LB = 91.65996878967823
 GJR_SHORT_PC = 91.65996878967778
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(ralp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ralp.cli; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_toy_config_matches_golden_trace(tmp_path):

@@ -10,7 +10,6 @@ from ralp.mdp import (
     expected_next_values,
     in_box,
     noise_from_uniforms,
-    sample_initial_state,
     split_rng,
     uniform_box,
 )
@@ -81,12 +80,12 @@ def test_sample_initial_state_pic_atom():
     p = pic.instance_from_table(1)
     mdp = pic.build_pic_mdp(p, demand_saa_size=10)
     for seed in (0, 1, 99):
-        assert np.array_equal(sample_initial_state(mdp, split_rng(seed, 0)), [5.0, 5.0, 5.0])
+        assert np.array_equal(mdp.initial_dist.sample(split_rng(seed, 0)), [5.0, 5.0, 5.0])
 
 
 def test_sample_initial_state_toy_support(toy_mdp):
     rng = split_rng(11, 0)
-    draws = [sample_initial_state(toy_mdp, rng)[0] for _ in range(50)]
+    draws = [toy_mdp.initial_dist.sample(rng)[0] for _ in range(50)]
     assert all(0.0 <= d <= 1.0 for d in draws)
     assert len(set(draws)) > 1
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,49 @@ class TestSampling:
         b = pic.build_pic_mdp(p, demand_saa_size=100, demand_seed=9)
         assert np.array_equal(a.noise.values, b.noise.values)
         assert a.noise.probs is None
+
+
+class TestDemandQuantile:
+    """``demand_quantile`` returns the bits of scipy's truncnorm ppf, the reference here."""
+
+    EDGES = np.array([0.0, 5e-324, 0.5, 1.0 - 2.0**-53])
+
+    @staticmethod
+    def _reference(p):
+        from scipy.stats import truncnorm
+
+        lo, hi = p.demand_range
+        a, b = (lo - p.demand_mean) / p.demand_sd, (hi - p.demand_mean) / p.demand_sd
+        return truncnorm(a, b, loc=p.demand_mean, scale=p.demand_sd)
+
+    def test_matches_truncnorm_bits_in_any_shape(self):
+        p = pic.instance_from_table(1)
+        u = split_rng(21, 0).random(100_000)
+        ref = self._reference(p).ppf(u)
+        assert np.array_equal(pic.demand_quantile(p, u), ref)
+        got = pic.demand_quantile(p, u.reshape(500, 200))
+        assert got.shape == (500, 200)
+        assert np.array_equal(got, ref.reshape(500, 200))
+
+    def test_edge_values_without_warning(self):
+        p = pic.instance_from_table(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pic.demand_quantile(p, self.EDGES)
+        assert np.array_equal(got, self._reference(p).ppf(self.EDGES))
+        assert got[0] == p.demand_range[0] and got[2] == p.demand_mean
+
+    def test_every_catalog_instance(self):
+        for i in range(1, 17):
+            p = pic.instance_from_table(i)
+            u = np.concatenate([self.EDGES, split_rng(22, i).random(1000)])
+            assert np.array_equal(pic.demand_quantile(p, u), self._reference(p).ppf(u))
+
+    def test_params_need_mean_inside_range(self):
+        p = pic.instance_from_table(1)
+        for bad in ({"demand_range": (5.0, 10.0)}, {"demand_mean": 10.0}, {"demand_sd": 0.0}):
+            with pytest.raises(ValueError):
+                dataclasses.replace(p, **bad)
 
 
 def _box_value(lo, hi):

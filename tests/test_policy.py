@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from ralp.mdp import (
     NoiseModel,
     batch_expected_costs,
     degenerate,
+    noise_from_uniforms,
     split_rng,
 )
 from ralp.policy import (
@@ -212,6 +214,74 @@ class TestVisitFrequency:
         sim = SimConfig(horizon=5, replications=2, action_grid=11, rollout_seed=0)
         with pytest.raises(ValueError):
             estimate_visit_frequency(toy_mdp, None, None, bins=0, sim=sim)
+
+
+def _reference_rollouts(mdp, sim, policy_fn):
+    """States (horizon + 1 batches) and actions (horizon batches), drawing one uniform per replication as each stage runs."""
+    rngs = [split_rng(sim.rollout_seed, policy._ROLLOUT_STREAM, r) for r in range(sim.replications)]
+    states, actions = [np.stack([mdp.initial_dist.sample(rng) for rng in rngs])], []
+    for _ in range(sim.horizon):
+        actions.append(np.atleast_2d(policy_fn(states[-1])))
+        xi = noise_from_uniforms(mdp, np.array([rng.random() for rng in rngs]))
+        states.append(mdp.transition(states[-1], actions[-1], xi))
+    return states, actions
+
+
+def _reference_policy_cost(mdp, sim, policy_fn):
+    states, actions = _reference_rollouts(mdp, sim, policy_fn)
+    totals = np.zeros(sim.replications)
+    for t, (s, a) in enumerate(zip(states, actions)):
+        totals += mdp.gamma**t * batch_expected_costs(mdp, s, a)
+    stderr = float(totals.std(ddof=1) / math.sqrt(sim.replications)) if sim.replications > 1 else 0.0
+    return float(totals.mean()), stderr
+
+
+def _reference_visit_mass(mdp, sim, policy_fn, bins):
+    states, _ = _reference_rollouts(mdp, sim, policy_fn)
+    edges = np.linspace(mdp.state_lo[0], mdp.state_hi[0], bins + 1)
+    visit_mass = np.zeros(bins)
+    for t, s in enumerate(states[1:]):
+        b = np.clip(np.searchsorted(edges, s[:, 0], side="right") - 1, 0, bins - 1)
+        visit_mass += mdp.gamma ** (t + 1) * np.bincount(b, minlength=bins)
+    return visit_mass / sim.replications
+
+
+def _toy_policy(states):
+    return 1.0 - states
+
+
+def _pic_policy(states):
+    return np.clip(12.0 - states.sum(axis=1), 0.0, 10.0)[:, None]
+
+
+class TestRolloutNoise:
+    """Rollouts draw each replication's uniforms up front; results equal the per-stage loop exactly."""
+
+    @pytest.mark.parametrize("horizon", [0, 1, 25])
+    def test_policy_cost_toy_discrete_quantile(self, toy_mdp, horizon):
+        sim = SimConfig(horizon=horizon, replications=7, action_grid=3, rollout_seed=4)
+        est = simulate_policy_cost(toy_mdp, None, None, sim, policy=_toy_policy)
+        assert (est.mean, est.stderr) == _reference_policy_cost(toy_mdp, sim, _toy_policy)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 40])
+    def test_policy_cost_pic_noise_quantile(self, horizon):
+        mdp = pic.build_pic_mdp(pic.instance_from_table(1), demand_saa_size=50)
+        sim = SimConfig(horizon=horizon, replications=6, action_grid=3, rollout_seed=8)
+        est = simulate_policy_cost(mdp, None, None, sim, policy=_pic_policy)
+        assert (est.mean, est.stderr) == _reference_policy_cost(mdp, sim, _pic_policy)
+
+    @pytest.mark.parametrize("quantile", ["discrete", "pic_demand"])
+    @pytest.mark.parametrize("horizon", [0, 1, 30])
+    def test_visit_frequency(self, toy_mdp, horizon, quantile):
+        mdp = toy_mdp
+        if quantile == "pic_demand":  # stay when pic's demand draw falls below its mean
+            p = pic.instance_from_table(1)
+            mdp = dataclasses.replace(
+                toy_mdp, noise_quantile=lambda u: (pic.demand_quantile(p, u) >= 5.0).astype(float)
+            )
+        sim = SimConfig(horizon=horizon, replications=9, action_grid=3, rollout_seed=6)
+        hist = estimate_visit_frequency(mdp, None, None, bins=10, sim=sim, policy=_toy_policy)
+        assert np.array_equal(hist.visit_mass, _reference_visit_mass(mdp, sim, _toy_policy, bins=10))
 
 
 class TestSimConfig:
