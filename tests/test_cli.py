@@ -134,6 +134,9 @@ REPO = Path(__file__).resolve().parent.parent
 # bounds.json of the shortened gjr2 run, pinned with the golden trace
 GJR_SHORT_LB = 91.65996878967823
 GJR_SHORT_PC = 91.65996878967778
+# bounds.json of the FGLP run on drawn usage rates, pinned with its golden trace
+GJR_RANDOM_LB = 40.99895531232246
+GJR_RANDOM_PC = 41.03348999798985
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -183,6 +186,24 @@ def test_short_gjr_config_matches_golden_trace(tmp_path):
     bounds = json.loads((Path(run_dir) / "bounds.json").read_text())
     assert bounds["lb"] == GJR_SHORT_LB
     assert bounds["pc"] == GJR_SHORT_PC
+
+
+def test_short_gjr_fglp_random_rates_matches_golden_trace(tmp_path):
+    # drawn usage rates leave float dust in the successor, and the FGLP model
+    # adds the affine warm start, guide rows and sampled guide states.
+    cfg = json.loads((REPO / "configs" / "gjr2.json").read_text())
+    cfg["problem"] = "gjr:" + json.dumps({"items": 2, "scheme": "random", "z": 100})
+    cfg["model"] = "fglp"
+    cfg["seed"] = 1
+    cfg["output_dir"] = str(tmp_path / "runs")
+    cfg["gjr"].update({"num_bases": 5, "grid_per_dim": 25, "stages": 500})
+    code, run_dir = cli.run_experiment(_write(tmp_path, cfg))
+    assert code == 0
+    golden = (Path(__file__).parent / "golden" / "gjr_fglp_random_trace.csv").read_bytes()
+    assert (Path(run_dir) / "trace.csv").read_bytes() == golden
+    bounds = json.loads((Path(run_dir) / "bounds.json").read_text())
+    assert bounds["lb"] == GJR_RANDOM_LB
+    assert bounds["pc"] == GJR_RANDOM_PC
 
 
 def test_artifacts_evaluate_incumbent_on_its_basis_prefix(tmp_path):
