@@ -192,7 +192,7 @@ def _loop_config(cfg: dict, mdp, seed: int) -> LoopConfig:
         plan=plan,
         sigma_range=tuple(loop_cfg.get("sigma_range", (100.0, 1000.0))),
         fixed_omegas=tuple(fixed) if fixed is not None else None,
-        lb_method=loop_cfg.get("lb_method", "saddle" if mdp.name == "pic" else "expectation"),
+        lb_method=loop_cfg.get("lb_method", "saddle" if mdp.saddle_constants is not None else "expectation"),
         saddle=saddle,
         nu_sample_size=int(loop_cfg.get("nu_sample_size", 10_000)),
     )
@@ -256,20 +256,23 @@ def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) ->
     return 0 if result.converged else 2
 
 
-def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
-    spec = json.loads(cfg["problem"][4:])
-    g_cfg = cfg.get("gjr", {})
-    rng = split_rng(seed, 1)
-    params = gjr_mod.gjr_instance(
+def _gjr_params(spec: dict, seed: int) -> gjr_mod.GjrParams:
+    """The instance a ``gjr:`` spec names; unpinned draws come from the seed."""
+    return gjr_mod.gjr_instance(
         num_items=int(spec.get("items", 2)),
         scheme=spec.get("scheme", "constant"),
         z_pct=int(spec.get("z", 100)),
-        rng=rng,
+        rng=split_rng(seed, 1),
         usage_rates=spec.get("usage_rates"),
         u=spec.get("u"),
         alpha=spec.get("alpha"),
         item_fixed_costs=spec.get("item_fixed_costs"),
     )
+
+
+def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
+    g_cfg = cfg.get("gjr", {})
+    params = _gjr_params(json.loads(cfg["problem"][4:]), seed)
     num_bases = int(g_cfg.get("num_bases", 20))
     sigma_rng = split_rng(seed, _STUMP_SIGMA_STREAM)
     sigma = float(sigma_rng.uniform(1.0, params.s_bar.max()))
@@ -278,7 +281,9 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
         if num_bases > 0
         else empty_stumps(params.num_items)
     )
-    init_pairs = gjr_mod.sample_gjr_pairs(params, int(g_cfg.get("init_pairs", 200)), split_rng(seed, 2))
+    init_states, init_actions = gjr_mod.sample_gjr_pairs(
+        params, int(g_cfg.get("init_pairs", 200)), split_rng(seed, 2)
+    )
     search = gjr_mod.SearchPlan(
         grid_per_dim=int(g_cfg.get("grid_per_dim", 50)),
         beam_width=int(g_cfg.get("beam_width", 128)),
@@ -300,7 +305,7 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
     try:
         if cfg.get("model") == "fglp":
             affine = gjr_mod.constraint_generation(
-                params, empty_stumps(params.num_items), init_pairs, backend,
+                params, empty_stumps(params.num_items), init_states, init_actions, backend,
                 search=search, max_cuts=max_cuts, seed=seed,
             )
             prev = affine.solution
@@ -308,7 +313,7 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
                 params, int(g_cfg.get("guide_states", 5000)), split_rng(seed, 3)
             )
         result = gjr_mod.constraint_generation(
-            params, bases, init_pairs, backend,
+            params, bases, init_states, init_actions, backend,
             prev=prev, guide_states=guide_states,
             search=search, max_cuts=max_cuts, seed=seed,
         )
@@ -345,7 +350,7 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
         "trace_columns": GJR_TRACE_COLUMNS,
         "instance_params": json.loads(params.to_json()),
         "stump_sigma": sigma,
-        "num_constraints": len(result.pairs),
+        "num_constraints": len(result.states),
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return 0
@@ -414,18 +419,7 @@ def _cmd_print_instance(spec: str, seed: int) -> int:
         print(json.dumps(json.loads(pic_mod.catalog_json())[spec[4:]], indent=1))
         return 0
     if spec.startswith("gjr:"):
-        body = json.loads(spec[4:])
-        params = gjr_mod.gjr_instance(
-            num_items=int(body.get("items", 2)),
-            scheme=body.get("scheme", "constant"),
-            z_pct=int(body.get("z", 100)),
-            rng=split_rng(seed, 1),
-            usage_rates=body.get("usage_rates"),
-            u=body.get("u"),
-            alpha=body.get("alpha"),
-            item_fixed_costs=body.get("item_fixed_costs"),
-        )
-        print(params.to_json())
+        print(_gjr_params(json.loads(spec[4:]), seed).to_json())
         return 0
     if spec == "toy":
         mdp = toy_mod.build_toy()

@@ -27,6 +27,7 @@ _PAIR_STREAM = 31
 _GUIDE_STREAM = 32
 
 FEAS_TOL = 1e-9
+REFINE_SWEEPS = 3  # coordinate-descent sweeps from each branch's best grid point
 
 
 @dataclass(frozen=True)
@@ -126,49 +127,36 @@ def gjr_instance(
     )
 
 
-def is_feasible_action(p: GjrParams, s, a, require_positive_time: bool = True) -> bool:
-    s = np.asarray(s, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if np.any(a < -FEAS_TOL) or np.any(s + a > p.s_bar + FEAS_TOL) or a.sum() > p.a_bar + FEAS_TOL:
-        return False
-    if not np.any(a > FEAS_TOL):
-        return False  # an epoch must replenish something
-    if require_positive_time and np.any(s + a <= FEAS_TOL):
-        return False  # stocked-out items must be covered or time stalls
-    return True
+def feasible(p: GjrParams, states, actions) -> np.ndarray:
+    """Feasibility of (s, a) pairs, broadcast over the leading axes of ``(..., J)`` arrays.
+
+    An action is non-negative, keeps every item under its cap and the total
+    under the shared capacity, replenishes something, and leaves every item
+    stocked (otherwise the transition time is zero).
+    """
+    states = np.asarray(states, dtype=float)
+    actions = np.asarray(actions, dtype=float)
+    post = states + actions
+    ok = np.all((actions >= -FEAS_TOL) & (post <= p.s_bar + FEAS_TOL) & (post > FEAS_TOL), axis=-1)
+    return ok & (actions.sum(axis=-1) <= p.a_bar + FEAS_TOL) & np.any(actions > FEAS_TOL, axis=-1)
 
 
-def gjr_step(p: GjrParams, s, a) -> tuple[float, np.ndarray]:
-    """Transition time min_j (s_j + a_j) / rate_j and the post-consumption state."""
-    s = np.asarray(s, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if not is_feasible_action(p, s, a):
-        raise InfeasiblePairError(f"action {a} infeasible at state {s}")
-    t = float(np.min((s + a) / p.usage_rates))
-    nxt = s + a - t * p.usage_rates
-    nxt = np.maximum(nxt, 0.0)  # exact zero at the argmin, guard float dust
-    return t, nxt
+def gjr_step(p: GjrParams, states, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transition of (s, a) pairs over ``(..., J)``: (time, successor, cost).
 
-
-def gjr_cost(p: GjrParams, s, a) -> float:
-    """Fixed cost of the replenishment set plus the holding term."""
-    s = np.asarray(s, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if not is_feasible_action(p, s, a, require_positive_time=False):
-        raise InfeasiblePairError(f"action {a} infeasible at state {s}")
-    supp = a > FEAS_TOL
-    holding = np.sum((2.0 * s * a + a**2) * p.holding / (2.0 * p.usage_rates))
-    return float(p.fixed_cost + p.item_fixed_costs[supp].sum() + holding)
-
-
-def _cost_batch(p: GjrParams, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    supp = a > FEAS_TOL
-    holding = np.sum((2.0 * s * a + a**2) * p.holding / (2.0 * p.usage_rates), axis=-1)
-    return p.fixed_cost + supp @ p.item_fixed_costs + holding
-
-
-def _time_batch(p: GjrParams, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.min((s + a) / p.usage_rates, axis=-1)
+    The time is the first stockout min_j (s_j + a_j) / rate_j and the cost is
+    the fixed cost of the replenishment set plus the holding term.  The
+    successor (s + a) - time * rates is not clamped: at the argmin it can hold
+    float dust below zero.  Pairs are not checked; filter with ``feasible``.
+    """
+    states = np.asarray(states, dtype=float)
+    actions = np.asarray(actions, dtype=float)
+    post = states + actions
+    time = np.min(post / p.usage_rates, axis=-1)
+    successor = post - time[..., None] * p.usage_rates
+    holding = np.sum((2.0 * states * actions + actions**2) * p.holding / (2.0 * p.usage_rates), axis=-1)
+    cost = p.fixed_cost + (actions > FEAS_TOL) @ p.item_fixed_costs + holding
+    return time, successor, cost
 
 
 @dataclass(frozen=True)
@@ -198,7 +186,8 @@ class BiasApprox:
 def build_avg_alp(
     p: GjrParams,
     bases: BasisSet,
-    constraint_pairs: list[tuple[np.ndarray, np.ndarray]],
+    states: np.ndarray,
+    actions: np.ndarray,
     prev: Optional[BiasApprox] = None,
     guide_states: Optional[np.ndarray] = None,
     eps: float = DEFAULT_STUMP_EPS,
@@ -206,24 +195,21 @@ def build_avg_alp(
     """LP over (eta_hat, intercept, beta1, beta2) maximizing eta_hat + beta1 . rates.
 
     Standard rows bound eta_hat*T + beta1 . a + beta2 . (phi(s') - phi(s)) by
-    c(s, a); with a previous solution, each guide state contributes a row
+    c(s, a), one row per pair of the ``(n, J)`` arrays ``states`` and
+    ``actions``; with a previous solution, each guide state contributes a row
     forcing the new bias function to dominate the old one there.
     """
-    if not constraint_pairs:
+    if len(states) == 0:
         raise ValueError("need at least one constraint pair")
     j = p.num_items
     n_b = len(bases)
     num_vars = 2 + j + n_b
-    states = np.stack([np.asarray(s, dtype=float) for s, _ in constraint_pairs])
-    actions = np.stack([np.asarray(a, dtype=float) for _, a in constraint_pairs])
-    times = _time_batch(p, states, actions)
-    nxt = states + actions - times[:, None] * p.usage_rates
+    times, nxt, rhs = gjr_step(p, states, actions)
     dphi = features(bases, nxt, eps) - features(bases, states, eps)
     rows = np.zeros((len(states), num_vars))
     rows[:, 0] = times
     rows[:, 2 : 2 + j] = actions
     rows[:, 2 + j :] = dphi
-    rhs = _cost_batch(p, states, actions)
     tags = [TAG_STANDARD] * len(states)
 
     if prev is not None and guide_states is not None and len(guide_states) > 0:
@@ -255,7 +241,6 @@ class SearchPlan:
     """Grid-and-refine search used by the separation and lookahead problems."""
 
     grid_per_dim: int = 50
-    refine_sweeps: int = 3
     beam_width: int = 128
     action_grid: int = 21  # lookahead grid points per action dimension
 
@@ -287,15 +272,9 @@ def constraint_slack(
     """c(s,a) - eta_hat T - beta1 . a - beta2 . (phi(s') - phi(s)) per row."""
     states = np.atleast_2d(states)
     actions = np.atleast_2d(actions)
-    times = _time_batch(p, states, actions)
-    nxt = states + actions - times[:, None] * p.usage_rates
+    times, nxt, costs = gjr_step(p, states, actions)
     dphi = features(bases, nxt, eps) - features(bases, states, eps)
-    return (
-        _cost_batch(p, states, actions)
-        - sol.eta_hat * times
-        - actions @ sol.beta1
-        - dphi @ sol.beta2
-    )
+    return costs - sol.eta_hat * times - actions @ sol.beta1 - dphi @ sol.beta2
 
 
 def _branch_candidates(p: GjrParams, face: int, support: tuple[int, ...], g: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,28 +296,20 @@ def _branch_candidates(p: GjrParams, face: int, support: tuple[int, ...], g: int
     return states, actions
 
 
-def _feasible_mask(p: GjrParams, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    ok = np.all(states + actions <= p.s_bar + FEAS_TOL, axis=1)
-    ok &= actions.sum(axis=1) <= p.a_bar + FEAS_TOL
-    ok &= np.any(actions > FEAS_TOL, axis=1)
-    ok &= np.all(states + actions > FEAS_TOL, axis=1)  # positive transition time
-    return ok
-
-
-def _refine_point(p, bases, sol, state, action, face, eps, sweeps) -> tuple[np.ndarray, np.ndarray, float]:
+def _refine_point(p, bases, sol, state, action, face, eps) -> tuple[np.ndarray, np.ndarray, float]:
     """Coordinate descent on the slack from a grid point, staying in the branch."""
     s = state.copy()
     a = action.copy()
     best = float(constraint_slack(p, bases, sol, s[None, :], a[None, :], eps)[0])
     j = p.num_items
-    for _ in range(sweeps):
+    for _ in range(REFINE_SWEEPS):
         improved = False
         for k in range(j):
             if k != face:  # state coordinate
                 def f_s(x, k=k):
                     s2 = s.copy()
                     s2[k] = x
-                    if not _feasible_mask(p, s2[None, :], a[None, :])[0]:
+                    if not feasible(p, s2, a):
                         return best + 1.0
                     return float(constraint_slack(p, bases, sol, s2[None, :], a[None, :], eps)[0])
 
@@ -353,7 +324,7 @@ def _refine_point(p, bases, sol, state, action, face, eps, sweeps) -> tuple[np.n
             def f_a(x, k=k):
                 a2 = a.copy()
                 a2[k] = x
-                if not _feasible_mask(p, s[None, :], a2[None, :])[0]:
+                if not feasible(p, s, a2):
                     return best + 1.0
                 return float(constraint_slack(p, bases, sol, s[None, :], a2[None, :], eps)[0])
 
@@ -387,15 +358,13 @@ def separate(
             if face not in support:
                 continue  # the stocked-out item must be replenished for time to advance
             states, actions = _branch_candidates(p, face, support, search.grid_per_dim)
-            mask = _feasible_mask(p, states, actions)
+            mask = feasible(p, states, actions)
             if not mask.any():
                 continue
             states, actions = states[mask], actions[mask]
             slacks = constraint_slack(p, bases, sol, states, actions, eps)
             idx = int(np.argmin(slacks))
-            s_r, a_r, v_r = _refine_point(
-                p, bases, sol, states[idx], actions[idx], face, eps, search.refine_sweeps
-            )
+            s_r, a_r, v_r = _refine_point(p, bases, sol, states[idx], actions[idx], face, eps)
             if best is None or v_r < best[2]:
                 best = (s_r, a_r, v_r)
     assert best is not None
@@ -404,20 +373,24 @@ def separate(
     return SeparationResult(state=state, action=action, slack=slack, status=status)
 
 
-def sample_gjr_pairs(p: GjrParams, n: int, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Uniform feasible pairs: random stockout face, state in the box, scaled action."""
-    pairs = []
+def sample_gjr_pairs(p: GjrParams, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, J)`` states and actions of uniform feasible pairs: random stockout
+    face, state in the box, scaled action."""
     j = p.num_items
-    while len(pairs) < n:
+    states = np.empty((n, j))
+    actions = np.empty((n, j))
+    count = 0
+    while count < n:
         s = rng.uniform(0.0, p.s_bar)
         s[rng.integers(j)] = 0.0
         a = rng.uniform(0.0, p.s_bar - s)
         total = a.sum()
         if total > p.a_bar:
             a *= rng.uniform(0.0, 1.0) * p.a_bar / total
-        if is_feasible_action(p, s, a):
-            pairs.append((s, a))
-    return pairs
+        if feasible(p, s, a):
+            states[count], actions[count] = s, a
+            count += 1
+    return states, actions
 
 
 def sample_gjr_states(p: GjrParams, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -440,13 +413,15 @@ class CutLoopResult:
     solution: BiasApprox
     eta_lambda: float  # lower bound on the optimal average cost
     trace: list[tuple[int, float, float]]  # (iteration, LP optimum, min slack)
-    pairs: list[tuple[np.ndarray, np.ndarray]]
+    states: np.ndarray  # (n, J) states of the final constraint pairs
+    actions: np.ndarray  # (n, J) actions of the final constraint pairs
 
 
 def constraint_generation(
     p: GjrParams,
     bases: BasisSet,
-    init_pairs: list[tuple[np.ndarray, np.ndarray]],
+    init_states: np.ndarray,
+    init_actions: np.ndarray,
     backend: SolverBackend,
     prev: Optional[BiasApprox] = None,
     guide_states: Optional[np.ndarray] = None,
@@ -462,17 +437,20 @@ def constraint_generation(
     enforced at the guide states; they are never separated since their
     violation does not threaten the lower bound.
     """
-    if not init_pairs:
+    if len(init_states) == 0:
         raise ValueError("need at least one initial constraint pair")
-    pairs = list(init_pairs)
+    states = np.asarray(init_states, dtype=float)
+    actions = np.asarray(init_actions, dtype=float)
     rng = split_rng(seed, _PAIR_STREAM)
     trace: list[tuple[int, float, float]] = []
     for iteration in range(max_cuts):
-        model = build_avg_alp(p, bases, pairs, prev, guide_states, eps)
+        model = build_avg_alp(p, bases, states, actions, prev, guide_states, eps)
         lp_sol = backend.solve(model)
         while lp_sol.status == "unbounded":
-            pairs.extend(sample_gjr_pairs(p, 200, rng))
-            model = build_avg_alp(p, bases, pairs, prev, guide_states, eps)
+            more_states, more_actions = sample_gjr_pairs(p, 200, rng)
+            states = np.vstack([states, more_states])
+            actions = np.vstack([actions, more_actions])
+            model = build_avg_alp(p, bases, states, actions, prev, guide_states, eps)
             lp_sol = backend.solve(model)
         if lp_sol.status != "optimal":
             raise ConstraintGenerationError(f"LP status {lp_sol.status} at cut {iteration}", trace)
@@ -481,24 +459,13 @@ def constraint_generation(
         trace.append((iteration, float(lp_sol.objective), float(sep.slack)))
         if sep.status == "feasible":
             return CutLoopResult(
-                solution=sol, eta_lambda=sol.eta(p.usage_rates), trace=trace, pairs=pairs
+                solution=sol, eta_lambda=sol.eta(p.usage_rates), trace=trace, states=states, actions=actions
             )
-        pairs.append((sep.state, sep.action))
+        states = np.vstack([states, sep.state[None, :]])
+        actions = np.vstack([actions, sep.action[None, :]])
         if guide_states is not None:
             guide_states = np.vstack([guide_states, sep.state[None, :]])
     raise ConstraintGenerationError(f"no convergence within {max_cuts} cuts", trace)
-
-
-def _expand_actions(p: GjrParams, states: np.ndarray, fractions: np.ndarray):
-    """All grid actions for every state row: fraction grid scaled by per-state caps."""
-    caps = np.minimum(p.s_bar - states, p.a_bar)  # (m, J)
-    caps = np.maximum(caps, 0.0)
-    actions = fractions[None, :, :] * caps[:, None, :]  # (m, G, J)
-    m, g, j = actions.shape
-    s_rep = np.repeat(states, g, axis=0)
-    a_flat = actions.reshape(m * g, j)
-    mask = _feasible_mask(p, s_rep, a_flat)
-    return s_rep, a_flat, mask
 
 
 def _fraction_grid(j: int, points: int) -> np.ndarray:
@@ -531,23 +498,19 @@ def k_step_greedy(
     costs = np.zeros(1)
     firsts: Optional[np.ndarray] = None
     for step in range(k):
-        s_rep, a_flat, mask = _expand_actions(p, states, fractions)
+        # every grid action for every plan: fractions of the per-state caps, (m, G, J)
+        caps = np.maximum(np.minimum(p.s_bar - states, p.a_bar), 0.0)
+        actions = fractions[None, :, :] * caps[:, None, :]
+        s_rep = np.broadcast_to(states[:, None, :], actions.shape)
+        mask = feasible(p, s_rep, actions)
         if not mask.any():
             raise InfeasiblePairError(f"no feasible lookahead action at {states}")
-        g = len(fractions)
-        cost_rep = np.repeat(costs, g)
-        first_rep = np.repeat(firsts, g, axis=0) if firsts is not None else a_flat
-        s_rep, a_flat, cost_rep, first_rep = (
-            s_rep[mask],
-            a_flat[mask],
-            cost_rep[mask],
-            first_rep[mask],
-        )
-        times = _time_batch(p, s_rep, a_flat)
-        stage = _cost_batch(p, s_rep, a_flat) - eta * times
-        costs = cost_rep + stage
-        states = np.maximum(s_rep + a_flat - times[:, None] * p.usage_rates, 0.0)
-        firsts = first_rep
+        s_rep, a_flat = s_rep[mask], actions[mask]
+        cost_rep = np.broadcast_to(costs[:, None], mask.shape)[mask]
+        firsts = a_flat if firsts is None else np.broadcast_to(firsts[:, None, :], actions.shape)[mask]
+        times, nxt, stage = gjr_step(p, s_rep, a_flat)
+        costs = cost_rep + (stage - eta * times)
+        states = np.maximum(nxt, 0.0)
         if step < k - 1 and len(costs) > search.beam_width:
             keep = np.argpartition(costs, search.beam_width)[: search.beam_width]
             keep = keep[np.argsort(costs[keep], kind="stable")]
@@ -580,7 +543,10 @@ def simulate_average_cost(
         if a is None:
             a = k_step_greedy(p, bases, sol, s, k, search, eps)
             action_cache[key] = a
-        total_cost += gjr_cost(p, s, a)
-        t, s = gjr_step(p, s, a)
-        total_time += t
+        if not feasible(p, s, a):
+            raise InfeasiblePairError(f"action {a} infeasible at state {s}")
+        t, nxt, cost = gjr_step(p, s, a)
+        total_cost += float(cost)
+        total_time += float(t)
+        s = np.maximum(nxt, 0.0)  # exact zero at the argmin, guard float dust
     return total_cost / total_time

@@ -250,10 +250,10 @@ def gjr_desk(backend):
 def test_criterion_08_gjr_validity(gjr_desk, backend):
     params, bases, init = gjr_desk
     started = time.monotonic()
-    result = gjr.constraint_generation(params, bases, init, backend, max_cuts=500, seed=42)
+    result = gjr.constraint_generation(params, bases, *init, backend, max_cuts=500, seed=42)
 
     # oracle comparison at the un-cut initial solution, where violations exist
-    model = gjr.build_avg_alp(params, bases, init)
+    model = gjr.build_avg_alp(params, bases, *init)
     lp = backend.solve(model)
     mid = gjr.BiasApprox(eta_hat=lp.x[0], intercept=lp.x[1], beta1=lp.x[2:4], beta2=lp.x[4:])
     oracle_best = _gjr_grid_oracle(params, bases, mid, 50)
@@ -282,7 +282,7 @@ def _gjr_grid_oracle(p, bases, sol, g):
         flat = [m.ravel() for m in mesh]
         states = np.stack(flat[: p.num_items], axis=1)
         actions = np.stack(flat[p.num_items :], axis=1)
-        mask = gjr._feasible_mask(p, states, actions)
+        mask = gjr.feasible(p, states, actions)
         if mask.any():
             best = min(best, float(gjr.constraint_slack(p, bases, sol, states[mask], actions[mask]).min()))
     return best
@@ -290,7 +290,7 @@ def _gjr_grid_oracle(p, bases, sol, g):
 
 def test_criterion_09_kstep_matches_enumeration(gjr_desk, backend):
     params, bases, init = gjr_desk
-    result = gjr.constraint_generation(params, bases, init, backend, max_cuts=500, seed=42)
+    result = gjr.constraint_generation(params, bases, *init, backend, max_cuts=500, seed=42)
     sol = result.solution
     eta = sol.eta(params.usage_rates)
     search = gjr.SearchPlan(beam_width=512, action_grid=21)
@@ -304,17 +304,17 @@ def test_criterion_09_kstep_matches_enumeration(gjr_desk, backend):
         for f1 in fractions:
             for f2 in fractions:
                 a1 = np.array([f1, f2]) * caps0
-                if not gjr.is_feasible_action(params, s, a1):
+                if not gjr.feasible(params, s, a1):
                     continue
                 t1 = float(np.min((s + a1) / params.usage_rates))
                 s1 = np.maximum(s + a1 - t1 * params.usage_rates, 0.0)
-                c1 = gjr.gjr_cost(params, s, a1) - eta * t1
+                c1 = gjr.gjr_step(params, s, a1)[2] - eta * t1
                 caps1 = np.minimum(params.s_bar - s1, params.a_bar)
                 # second step vectorized over the 21 x 21 grid
                 g1, g2 = np.meshgrid(fractions, fractions, indexing="ij")
                 a2 = np.stack([g1.ravel() * caps1[0], g2.ravel() * caps1[1]], axis=1)
                 s1_rep = np.repeat(s1[None, :], len(a2), axis=0)
-                mask = gjr._feasible_mask(params, s1_rep, a2)
+                mask = gjr.feasible(params, s1_rep, a2)
                 if not mask.any():
                     continue
                 t2 = np.min((s1_rep[mask] + a2[mask]) / params.usage_rates, axis=1)

@@ -244,6 +244,16 @@ def test_artifacts_evaluate_incumbent_on_its_basis_prefix(tmp_path):
     assert (run_dir / "visit_frequency.csv").exists()
 
 
+def test_default_lb_method_follows_saddle_constants():
+    # the saddle bound is the default exactly where the problem supplies its constants
+    from ralp import pic, toy
+
+    pic_mdp = pic.build_pic_mdp(pic.instance_from_table(1), demand_saa_size=20, demand_seed=0)
+    assert cli._loop_config({}, toy.build_toy(), 0).lb_method == "expectation"
+    assert cli._loop_config({}, pic_mdp, 0).lb_method == "saddle"
+    assert cli._loop_config({"loop": {"lb_method": "expectation"}}, pic_mdp, 0).lb_method == "expectation"
+
+
 class TestRunFailures:
     def test_cap_hit_exit_two(self, tmp_path):
         cfg = _toy_config(tmp_path, tolerance=0.001, thetas=(2.0, -5.0), max_bases=2)

@@ -31,7 +31,7 @@ def desk_solution(desk_instance):
     sigma = float(split_rng(42, 41).uniform(1.0, desk_instance.s_bar.max()))
     bases = sample_stumps(10, 2, sigma, seed=42)
     init = gjr.sample_gjr_pairs(desk_instance, 150, split_rng(42, 2))
-    result = gjr.constraint_generation(desk_instance, bases, init, ScipyBackend(), seed=42)
+    result = gjr.constraint_generation(desk_instance, bases, *init, ScipyBackend(), seed=42)
     return bases, result
 
 
@@ -79,37 +79,34 @@ class TestInstanceGeneration:
 class TestDynamics:
     def test_step_example(self):
         p = _symmetric_params()
-        t, nxt = gjr.gjr_step(p, [0.0, 2.0], [3.0, 0.0])
+        t, nxt, _ = gjr.gjr_step(p, [0.0, 2.0], [3.0, 0.0])
         assert t == 2.0
         assert np.array_equal(nxt, [1.0, 0.0])
 
     def test_step_symmetric(self):
         p = _symmetric_params()
-        t, nxt = gjr.gjr_step(p, [0.0, 0.0], [1.0, 1.0])
+        t, nxt, _ = gjr.gjr_step(p, [0.0, 0.0], [1.0, 1.0])
         assert t == 1.0
         assert np.array_equal(nxt, [0.0, 0.0])
 
     def test_capacity_violation_rejected(self):
         p = _symmetric_params()
-        with pytest.raises(InfeasiblePairError):
-            gjr.gjr_step(p, [0.0, 2.0], [4.0, 3.0])
+        assert not gjr.feasible(p, [0.0, 2.0], [4.0, 3.0])
 
     def test_next_state_touches_zero(self):
         p = gjr.gjr_instance(3, "random", 100, split_rng(11, 1))
         rng = split_rng(12, 1)
-        for s, a in gjr.sample_gjr_pairs(p, 100, rng):
-            _, nxt = gjr.gjr_step(p, s, a)
-            assert abs(nxt.min()) <= 1e-9
+        _, nxt, _ = gjr.gjr_step(p, *gjr.sample_gjr_pairs(p, 100, rng))
+        assert np.all(np.abs(nxt.min(axis=-1)) <= 1e-9)
 
     def test_cost_pure_fixed(self):
         p = _symmetric_params(item_fixed_costs=np.array([7.0, 9.0]))
-        assert gjr.gjr_cost(p, [0.0, 1.0], [2.0, 0.0]) == 107.0
-        assert gjr.gjr_cost(p, [0.0, 1.0], [2.0, 1.0]) == 116.0
+        assert gjr.gjr_step(p, [0.0, 1.0], [2.0, 0.0])[2] == 107.0
+        assert gjr.gjr_step(p, [0.0, 1.0], [2.0, 1.0])[2] == 116.0
 
     def test_cost_zero_action_rejected(self):
         p = _symmetric_params()
-        with pytest.raises(InfeasiblePairError):
-            gjr.gjr_cost(p, [0.0, 0.0], [0.0, 0.0])
+        assert not gjr.feasible(p, [0.0, 0.0], [0.0, 0.0])
 
     def test_cost_holding_term(self):
         p = gjr.GjrParams(
@@ -120,22 +117,53 @@ class TestDynamics:
             item_fixed_costs=np.zeros(2),
             holding=np.array([1.0, 0.0]),
         )
-        # (2 * 1 * 2 + 2^2) * 1 / (2 * 2) = 2
-        assert gjr.gjr_cost(p, [1.0, 0.0], [2.0, 0.0]) == pytest.approx(2.0)
+        # (2 * 1 * 2 + 2^2) * 1 / (2 * 2) = 2; the pair has zero transition
+        # time, and the step prices it without a feasibility check
+        assert gjr.gjr_step(p, [1.0, 0.0], [2.0, 0.0])[2] == pytest.approx(2.0)
+
+    def test_broadcast_matches_row_by_row(self):
+        p = gjr.GjrParams(
+            usage_rates=np.array([2.0, 1.0, 0.5]),
+            s_bar=np.array([4.0, 5.0, 3.0]),
+            a_bar=6.0,
+            fixed_cost=100.0,
+            item_fixed_costs=np.array([7.0, 11.0, 13.0]),
+            holding=np.array([0.5, 1.0, 2.0]),
+        )
+        rng = split_rng(19, 1)
+        states = rng.uniform(0.0, 1.0, (3, 4, 3)) * p.s_bar
+        states[..., 0] = 0.0
+        actions = rng.uniform(-0.2, 1.0, (3, 4, 3)) * (p.s_bar - states)
+        time, nxt, cost = gjr.gjr_step(p, states, actions)
+        ok = gjr.feasible(p, states, actions)
+        assert time.shape == cost.shape == ok.shape == (3, 4) and nxt.shape == (3, 4, 3)
+        assert ok.any() and not ok.all()
+        for i in range(3):
+            for k in range(4):
+                t1, n1, c1 = gjr.gjr_step(p, states[i, k], actions[i, k])
+                assert t1 == time[i, k] and c1 == cost[i, k]
+                assert np.array_equal(n1, nxt[i, k])
+                assert gjr.feasible(p, states[i, k], actions[i, k]) == ok[i, k]
+        # a negative component is rejected although s + a stays positive and
+        # under the caps and the total fits the capacity
+        s = np.array([0.0, 2.0, 2.0])
+        assert gjr.feasible(p, s, [1.0, 0.5, 0.0])
+        assert not gjr.feasible(p, s, [1.0, -0.5, 0.0])
 
 
 class TestAverageCostLp:
     def test_affine_model_shape(self, desk_instance):
-        pairs = gjr.sample_gjr_pairs(desk_instance, 25, split_rng(13, 1))
-        model = gjr.build_avg_alp(desk_instance, empty_stumps(2), pairs)
+        states, actions = gjr.sample_gjr_pairs(desk_instance, 25, split_rng(13, 1))
+        assert states.shape == actions.shape == (25, 2)
+        model = gjr.build_avg_alp(desk_instance, empty_stumps(2), states, actions)
         assert model.num_vars == 2 + 2  # eta_hat, intercept, beta1 per item
         assert model.num_rows == 25
         assert set(model.tags) == {"standard"}
 
     def test_one_pair_lp_solves_to_cost_over_time(self):
         p = _symmetric_params()
-        pair = (np.array([0.0, 2.0]), np.array([3.0, 1.0]))
-        model = gjr.build_avg_alp(p, empty_stumps(2), [pair])
+        pair = (np.array([[0.0, 2.0]]), np.array([[3.0, 1.0]]))
+        model = gjr.build_avg_alp(p, empty_stumps(2), *pair)
         pin = np.zeros((4, model.num_vars))
         pin[0, 2], pin[1, 2], pin[2, 3], pin[3, 3] = 1.0, -1.0, 1.0, -1.0
         pinned = LpModel(
@@ -145,27 +173,29 @@ class TestAverageCostLp:
             tags=model.tags + ("standard",) * 4,
         )
         sol = ScipyBackend().solve(pinned)
-        t, _ = gjr.gjr_step(p, *pair)
-        assert sol.objective == pytest.approx(gjr.gjr_cost(p, *pair) / t, abs=1e-8)
+        t, _, cost = gjr.gjr_step(p, *pair)
+        assert sol.objective == pytest.approx(cost[0] / t[0], abs=1e-8)
 
     def test_guide_rows_counted(self, desk_instance, desk_solution):
         bases, result = desk_solution
-        pairs = gjr.sample_gjr_pairs(desk_instance, 30, split_rng(14, 1))
+        states, actions = gjr.sample_gjr_pairs(desk_instance, 30, split_rng(14, 1))
         guides = gjr.sample_gjr_states(desk_instance, 12, split_rng(15, 1))
-        model = gjr.build_avg_alp(desk_instance, bases, pairs, prev=result.solution, guide_states=guides)
+        model = gjr.build_avg_alp(
+            desk_instance, bases, states, actions, prev=result.solution, guide_states=guides
+        )
         assert model.num_rows == 30 + 12
         assert model.tags.count("self-guiding") == 12
 
     def test_empty_pairs_rejected(self, desk_instance):
         with pytest.raises(ValueError):
-            gjr.build_avg_alp(desk_instance, empty_stumps(2), [])
+            gjr.build_avg_alp(desk_instance, empty_stumps(2), np.empty((0, 2)), np.empty((0, 2)))
 
     def test_guide_rows_hold_at_solved_point(self, desk_instance, desk_solution):
         bases, result = desk_solution
-        pairs = gjr.sample_gjr_pairs(desk_instance, 60, split_rng(17, 1))
+        states, actions = gjr.sample_gjr_pairs(desk_instance, 60, split_rng(17, 1))
         guides = gjr.sample_gjr_states(desk_instance, 40, split_rng(18, 1))
         guided = gjr.constraint_generation(
-            desk_instance, bases, pairs, ScipyBackend(),
+            desk_instance, bases, states, actions, ScipyBackend(),
             prev=result.solution, guide_states=guides, seed=3,
         )
         new_bias = guided.solution.bias(bases, guides)
@@ -193,7 +223,7 @@ class TestSeparation:
         sigma = float(split_rng(42, 41).uniform(1.0, desk_instance.s_bar.max()))
         bases = sample_stumps(10, 2, sigma, seed=42)
         pairs = gjr.sample_gjr_pairs(desk_instance, 150, split_rng(42, 2))
-        model = gjr.build_avg_alp(desk_instance, bases, pairs)
+        model = gjr.build_avg_alp(desk_instance, bases, *pairs)
         lp = ScipyBackend().solve(model)
         sol = gjr.BiasApprox(eta_hat=lp.x[0], intercept=lp.x[1], beta1=lp.x[2:4], beta2=lp.x[4:])
         found = gjr.separate(desk_instance, bases, sol)
@@ -216,7 +246,7 @@ def _grid_oracle(p, bases, sol, g):
         flat = [m.ravel() for m in mesh]
         states = np.stack(flat[: p.num_items], axis=1)
         actions = np.stack(flat[p.num_items :], axis=1)
-        ok = gjr._feasible_mask(p, states, actions)
+        ok = gjr.feasible(p, states, actions)
         if not ok.any():
             continue
         slacks = gjr.constraint_slack(p, bases, sol, states[ok], actions[ok])
@@ -236,7 +266,9 @@ class TestConstraintGeneration:
 
     def test_covering_pairs_converges_in_one_solve(self, desk_instance, desk_solution):
         bases, result = desk_solution
-        rerun = gjr.constraint_generation(desk_instance, bases, result.pairs, ScipyBackend(), seed=1)
+        rerun = gjr.constraint_generation(
+            desk_instance, bases, result.states, result.actions, ScipyBackend(), seed=1
+        )
         assert len(rerun.trace) == 1
 
     def test_validity_against_simulation(self, desk_instance, desk_solution):
@@ -246,14 +278,16 @@ class TestConstraintGeneration:
 
     def test_empty_init_rejected(self, desk_instance):
         with pytest.raises(ValueError):
-            gjr.constraint_generation(desk_instance, empty_stumps(2), [], ScipyBackend())
+            gjr.constraint_generation(
+                desk_instance, empty_stumps(2), np.empty((0, 2)), np.empty((0, 2)), ScipyBackend()
+            )
 
     def test_cut_cap_raises_typed_error(self, desk_instance):
         sigma = float(split_rng(42, 41).uniform(1.0, desk_instance.s_bar.max()))
         bases = sample_stumps(10, 2, sigma, seed=42)
         init = gjr.sample_gjr_pairs(desk_instance, 150, split_rng(42, 2))
         with pytest.raises(gjr.ConstraintGenerationError) as err:
-            gjr.constraint_generation(desk_instance, bases, init, ScipyBackend(), max_cuts=2, seed=42)
+            gjr.constraint_generation(desk_instance, bases, *init, ScipyBackend(), max_cuts=2, seed=42)
         assert len(err.value.trace) == 2
 
 
@@ -270,14 +304,11 @@ class TestKStepPolicy:
             for f1 in np.linspace(0, 1, 11):
                 for f2 in np.linspace(0, 1, 11):
                     a = np.array([f1, f2]) * caps
-                    if not gjr.is_feasible_action(desk_instance, s, a):
+                    if not gjr.feasible(desk_instance, s, a):
                         continue
-                    t, nxt = gjr.gjr_step(desk_instance, s, a)
-                    val = (
-                        gjr.gjr_cost(desk_instance, s, a)
-                        - eta * t
-                        + float(result.solution.bias(bases, nxt[None, :])[0])
-                    )
+                    t, nxt, cost = gjr.gjr_step(desk_instance, s, a)
+                    nxt = np.maximum(nxt, 0.0)
+                    val = cost - eta * t + float(result.solution.bias(bases, nxt[None, :])[0])
                     if val < best_val - 1e-15:
                         best_val, best_a = val, a
             assert np.allclose(got, best_a, atol=1e-12)
@@ -314,8 +345,8 @@ class TestSimulateAverageCost:
         bases, result = desk_solution
         start = np.zeros(2)
         a = gjr.k_step_greedy(desk_instance, bases, result.solution, start, 4)
-        t, _ = gjr.gjr_step(desk_instance, start, a)
-        expected = gjr.gjr_cost(desk_instance, start, a) / t
+        t, _, cost = gjr.gjr_step(desk_instance, start, a)
+        expected = cost / t
         got = gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=1, k=4)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -324,6 +355,12 @@ class TestSimulateAverageCost:
         a = gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=50, k=2)
         b = gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=50, k=2)
         assert a == b
+
+    def test_infeasible_stage_action_raises(self, desk_instance, desk_solution, monkeypatch):
+        bases, result = desk_solution
+        monkeypatch.setattr(gjr, "k_step_greedy", lambda *args, **kwargs: np.array([-1.0, 2.0]))
+        with pytest.raises(InfeasiblePairError):
+            gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=3, k=1)
 
     def test_stages_validation(self, desk_instance, desk_solution):
         bases, result = desk_solution
