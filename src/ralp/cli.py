@@ -281,9 +281,7 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
         if num_bases > 0
         else empty_stumps(params.num_items)
     )
-    init_states, init_actions = gjr_mod.sample_gjr_pairs(
-        params, int(g_cfg.get("init_pairs", 200)), split_rng(seed, 2)
-    )
+    init_pairs = gjr_mod.sample_gjr_pairs(params, int(g_cfg.get("init_pairs", 200)), split_rng(seed, 2))
     search = gjr_mod.SearchPlan(
         grid_per_dim=int(g_cfg.get("grid_per_dim", 50)),
         beam_width=int(g_cfg.get("beam_width", 128)),
@@ -305,7 +303,7 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
     try:
         if cfg.get("model") == "fglp":
             affine = gjr_mod.constraint_generation(
-                params, empty_stumps(params.num_items), init_states, init_actions, backend,
+                params, empty_stumps(params.num_items), *init_pairs, backend,
                 search=search, max_cuts=max_cuts, seed=seed,
             )
             prev = affine.solution
@@ -313,7 +311,7 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
                 params, int(g_cfg.get("guide_states", 5000)), split_rng(seed, 3)
             )
         result = gjr_mod.constraint_generation(
-            params, bases, init_states, init_actions, backend,
+            params, bases, *init_pairs, backend,
             prev=prev, guide_states=guide_states,
             search=search, max_cuts=max_cuts, seed=seed,
         )

@@ -151,9 +151,9 @@ def gjr_step(p: GjrParams, states, actions) -> tuple[np.ndarray, np.ndarray, np.
     """
     states = np.asarray(states, dtype=float)
     actions = np.asarray(actions, dtype=float)
-    post = states + actions
-    time = np.min(post / p.usage_rates, axis=-1)
-    successor = post - time[..., None] * p.usage_rates
+    successor = states + actions  # post-replenishment levels, consumed in place
+    time = np.min(successor / p.usage_rates, axis=-1)
+    successor -= time[..., None] * p.usage_rates
     holding = np.sum((2.0 * states * actions + actions**2) * p.holding / (2.0 * p.usage_rates), axis=-1)
     cost = p.fixed_cost + (actions > FEAS_TOL) @ p.item_fixed_costs + holding
     return time, successor, cost
@@ -498,19 +498,16 @@ def k_step_greedy(
     costs = np.zeros(1)
     firsts: Optional[np.ndarray] = None
     for step in range(k):
-        # every grid action for every plan: fractions of the per-state caps, (m, G, J)
         caps = np.maximum(np.minimum(p.s_bar - states, p.a_bar), 0.0)
-        actions = fractions[None, :, :] * caps[:, None, :]
-        s_rep = np.broadcast_to(states[:, None, :], actions.shape)
-        mask = feasible(p, s_rep, actions)
-        if not mask.any():
+        # plan and grid point of every feasible action; an action is a fraction of its plan's caps
+        plan, point = np.nonzero(feasible(p, states[:, None, :], fractions * caps[:, None, :]))
+        if len(plan) == 0:
             raise InfeasiblePairError(f"no feasible lookahead action at {states}")
-        s_rep, a_flat = s_rep[mask], actions[mask]
-        cost_rep = np.broadcast_to(costs[:, None], mask.shape)[mask]
-        firsts = a_flat if firsts is None else np.broadcast_to(firsts[:, None, :], actions.shape)[mask]
-        times, nxt, stage = gjr_step(p, s_rep, a_flat)
-        costs = cost_rep + (stage - eta * times)
-        states = np.maximum(nxt, 0.0)
+        actions = fractions[point] * caps[plan]
+        firsts = actions if firsts is None else firsts[plan]
+        times, states, stage = gjr_step(p, states[plan], actions)
+        costs = costs[plan] + (stage - eta * times)
+        np.maximum(states, 0.0, out=states)
         if step < k - 1 and len(costs) > search.beam_width:
             keep = np.argpartition(costs, search.beam_width)[: search.beam_width]
             keep = keep[np.argsort(costs[keep], kind="stable")]
