@@ -513,7 +513,8 @@ def k_step_greedy(
             keep = keep[np.argsort(costs[keep], kind="stable")]
             costs, states, firsts = costs[keep], states[keep], firsts[keep]
     total = costs + sol.bias(bases, states, eps)
-    return firsts[int(np.argmin(total))]
+    # a copy: a view would keep every candidate alive in simulate_average_cost's action cache
+    return firsts[int(np.argmin(total))].copy()
 
 
 def simulate_average_cost(

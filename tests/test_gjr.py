@@ -322,6 +322,13 @@ class TestKStepPolicy:
         # cheapest plans replenish only the stocked-out item each epoch
         assert a[0] > 0.0 and a[1] == 0.0
 
+    def test_returned_action_owns_its_data(self, desk_instance, desk_solution):
+        # the simulation caches one action per state; a view into the
+        # candidate array would keep all candidates alive with it
+        bases, result = desk_solution
+        a = gjr.k_step_greedy(desk_instance, bases, result.solution, np.zeros(2), 2)
+        assert a.base is None
+
     def test_k_validation(self, desk_instance, desk_solution):
         bases, result = desk_solution
         with pytest.raises(ValueError):
