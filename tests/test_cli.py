@@ -254,6 +254,16 @@ def test_default_lb_method_follows_saddle_constants():
     assert cli._loop_config({"loop": {"lb_method": "expectation"}}, pic_mdp, 0).lb_method == "expectation"
 
 
+def test_default_action_grid_per_problem():
+    # without sim.action_grid the lookahead grid comes from the problem
+    from ralp import pic, toy
+
+    for instance, points in ((1, 11), (7, 31)):
+        mdp = pic.build_pic_mdp(pic.instance_from_table(instance), demand_saa_size=20, demand_seed=0)
+        assert cli._loop_config({}, mdp, 0).sim.action_grid == points
+    assert cli._loop_config({}, toy.build_toy(), 0).sim.action_grid == 101
+
+
 class TestRunFailures:
     def test_cap_hit_exit_two(self, tmp_path):
         cfg = _toy_config(tmp_path, tolerance=0.001, thetas=(2.0, -5.0), max_bases=2)
