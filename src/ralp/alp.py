@@ -99,6 +99,12 @@ class SolverBackend(Protocol):
     def solve(self, model: LpModel) -> LpSolution: ...
 
 
+# HiGHS primal and dual feasibility tolerance, and the number of rows the
+# preconditioner's QR samples.
+HIGHS_TOL = 1e-9
+PRECONDITION_ROWS = 4000
+
+
 class ScipyBackend:
     """HiGHS via scipy.optimize.linprog; variables are free.
 
@@ -114,14 +120,7 @@ class ScipyBackend:
     honored its own rows to well below the guide slack.
     """
 
-    def __init__(
-        self,
-        feas_tol: float = 1e-9,
-        precondition_rows: int = 4000,
-        var_bound: Optional[float] = None,
-    ):
-        self.feas_tol = feas_tol
-        self.precondition_rows = precondition_rows
+    def __init__(self, var_bound: Optional[float] = None):
         # Optional box |x_i| <= var_bound.  Nearly duplicated feature columns
         # admit optimal vertices with gigantic cancelling weights whose
         # function values cannot be evaluated to tight tolerances in double
@@ -134,7 +133,7 @@ class ScipyBackend:
         n, v = model.num_rows, model.num_vars
         if n < 2 * v or v < 2:
             return None
-        idx = np.linspace(0, n - 1, min(n, self.precondition_rows)).astype(int)
+        idx = np.linspace(0, n - 1, min(n, PRECONDITION_ROWS)).astype(int)
         _, r = np.linalg.qr(model.rows[idx])
         diag = np.abs(np.diag(r))
         floor = 1e-10 * max(float(diag.max()), 1.0)
@@ -160,8 +159,8 @@ class ScipyBackend:
             bounds=[(None, None)] * model.num_vars,
             method="highs",
             options={
-                "primal_feasibility_tolerance": self.feas_tol,
-                "dual_feasibility_tolerance": self.feas_tol,
+                "primal_feasibility_tolerance": HIGHS_TOL,
+                "dual_feasibility_tolerance": HIGHS_TOL,
             },
         )
         status = {0: "optimal", 1: "numeric", 2: "infeasible", 3: "unbounded", 4: "numeric"}.get(
@@ -217,10 +216,6 @@ def grid_plan(states: np.ndarray, actions: np.ndarray) -> ConstraintSamplePlan:
     """Full cartesian grid of the given states and actions."""
     states = np.atleast_2d(np.asarray(states, dtype=float).T).T
     actions = np.atleast_2d(np.asarray(actions, dtype=float).T).T
-    if states.ndim == 1:
-        states = states[:, None]
-    if actions.ndim == 1:
-        actions = actions[:, None]
     ns, na = len(states), len(actions)
     s_rep = np.repeat(states, na, axis=0)
     a_rep = np.tile(actions, (ns, 1))
@@ -231,22 +226,6 @@ def _unique_rows(arr: np.ndarray) -> np.ndarray:
     return np.unique(np.atleast_2d(arr), axis=0)
 
 
-@dataclass(frozen=True)
-class PreparedPlan:
-    """Plan with its SAA expected costs precomputed.
-
-    Preparing once and reusing across basis sets keeps repeated model builds
-    (nested basis extensions, multiple seeds on one grid) cheap.
-    """
-
-    plan: ConstraintSamplePlan
-    rhs: np.ndarray  # (n,) SAA expected costs
-
-
-def prepare_plan(mdp: DiscountedMdp, plan: ConstraintSamplePlan) -> PreparedPlan:
-    return PreparedPlan(plan=plan, rhs=batch_expected_costs(mdp, plan.states, plan.actions))
-
-
 def nu_sample_set(dist, size: int, rng: np.random.Generator) -> np.ndarray:
     """Sample set for objective expectations; a degenerate distribution yields its atom."""
     if dist.atom is not None:
@@ -254,41 +233,48 @@ def nu_sample_set(dist, size: int, rng: np.random.Generator) -> np.ndarray:
     return dist.sample_batch(size, rng)
 
 
-def _basis_columns(mdp: DiscountedMdp, bases: BasisSet, plan: ConstraintSamplePlan) -> np.ndarray:
-    """phi_i(s) - E[phi_i(s')] building blocks: returns (phi_s, exp_next), each (n, N)."""
-    phi_s = features(bases, plan.states)
-    exp_next = expected_successor_phases(mdp, bases)(plan.states, plan.actions).real
-    return np.stack([phi_s, exp_next])
+class PreparedPlan:
+    """A plan's Bellman rows for one MDP: expected costs and cached basis columns.
 
-
-class BellmanRowCache:
-    """Incrementally extended Bellman-row columns for one prepared plan.
-
-    Iterative runs grow the basis set by a batch per iteration; caching the
-    per-basis columns makes each rebuild cost only the new columns.
+    A run solves a sequence of models over one plan, each with the previous
+    basis set plus a new batch.  The expected costs ``rhs`` are computed
+    once, and the ``phi(s)`` / ``E[phi(s')]`` columns of each basis entry
+    are kept, so each rebuild computes only the new entries' columns.
     """
 
-    def __init__(self, mdp: DiscountedMdp, prepared: PreparedPlan):
+    def __init__(self, mdp: DiscountedMdp, plan: ConstraintSamplePlan):
         self.mdp = mdp
-        self.prepared = prepared
-        n = prepared.plan.num_pairs
-        self._cols = np.zeros((2, n, 0))
-        self._count = 0
+        self.plan = plan
+        self.rhs = batch_expected_costs(mdp, plan.states, plan.actions)  # (n,)
+        self._bases: Optional[BasisSet] = None  # the set whose columns are cached
+        self._cols = np.empty((2, plan.num_pairs, 0))  # phi(s), E[phi(s')]
 
     def rows(self, bases: BasisSet) -> np.ndarray:
-        if self._count > len(bases):
-            raise ValueError("cache already holds more columns than the basis set")
-        if self._count < len(bases):
-            tail = _basis_columns(self.mdp, bases[self._count :], self.prepared.plan)
-            self._cols = np.concatenate([self._cols, tail], axis=2)
-            self._count = len(bases)
-        phi_s = self._cols[0, :, : len(bases)]
-        exp_next = self._cols[1, :, : len(bases)]
-        n = self.prepared.plan.num_pairs
-        rows = np.empty((n, len(bases) + 1))
+        """Bellman-row coefficients (1 - gamma, phi(s) - gamma E[phi(s')]), (n, N + 1).
+
+        Reuses the cached columns on the prefix ``bases`` shares with the
+        cached set; a set that does not agree with it starts the cache over.
+        """
+        held = 0 if self._bases is None else min(len(self._bases), len(bases))
+        if held and self._bases[:held] != bases[:held]:
+            held = 0
+        if held < len(bases):
+            tail = bases[held:]
+            states, actions = self.plan.states, self.plan.actions
+            exp_next = expected_successor_phases(self.mdp, tail)(states, actions).real
+            tail_cols = np.stack([features(tail, states), exp_next])
+            self._cols = np.concatenate([self._cols[:, :, :held], tail_cols], axis=2)
+            self._bases = bases
+        phi_s, exp_next = self._cols[:, :, : len(bases)]
+        rows = np.empty((self.plan.num_pairs, len(bases) + 1))
         rows[:, 0] = 1.0 - self.mdp.gamma
         rows[:, 1:] = phi_s - self.mdp.gamma * exp_next
         return rows
+
+
+def prepare_plan(mdp: DiscountedMdp, plan: ConstraintSamplePlan) -> PreparedPlan:
+    """The plan's rows for ``mdp``, ready for ``build_falp`` / ``build_fglp``."""
+    return PreparedPlan(mdp, plan)
 
 
 def _objective(bases: BasisSet, nu_samples: np.ndarray) -> np.ndarray:
@@ -298,22 +284,11 @@ def _objective(bases: BasisSet, nu_samples: np.ndarray) -> np.ndarray:
     return obj
 
 
-def build_falp(
-    mdp: DiscountedMdp,
-    bases: BasisSet,
-    plan: ConstraintSamplePlan | PreparedPlan,
-    nu_samples: np.ndarray,
-    row_cache: Optional[BellmanRowCache] = None,
-) -> LpModel:
+def build_falp(prepared: PreparedPlan, bases: BasisSet, nu_samples: np.ndarray) -> LpModel:
     """Standard model: Bellman rows only."""
     if len(bases) == 0:
         raise ValueError("basis set is empty")
-    prepared = plan if isinstance(plan, PreparedPlan) else prepare_plan(mdp, plan)
-    if row_cache is None:
-        row_cache = BellmanRowCache(mdp, prepared)
-    elif row_cache.prepared is not prepared:
-        raise ValueError("row cache was built for a different prepared plan")
-    rows = row_cache.rows(bases)
+    rows = prepared.rows(bases)
     return LpModel(
         objective=_objective(bases, nu_samples),
         rows=rows,
@@ -331,13 +306,11 @@ GUIDE_TOL = 1e-7
 
 
 def build_fglp(
-    mdp: DiscountedMdp,
+    prepared: PreparedPlan,
     bases: BasisSet,
-    plan: ConstraintSamplePlan | PreparedPlan,
     nu_samples: np.ndarray,
     prev: Optional[VfaWeights],
     guide_tol: float = GUIDE_TOL,
-    row_cache: Optional[BellmanRowCache] = None,
 ) -> LpModel:
     """Self-guided model: Bellman rows plus V(s) >= V_prev(s) at each guide state.
 
@@ -345,13 +318,12 @@ def build_fglp(
     previous solution the rows coincide with the standard model (the first
     iteration's guide constraints are vacuous).
     """
-    falp = build_falp(mdp, bases, plan, nu_samples, row_cache=row_cache)
+    falp = build_falp(prepared, bases, nu_samples)
     if prev is None:
         return falp
     if len(prev) > len(bases):
         raise ValueError(f"previous solution has {len(prev)} bases, current set only {len(bases)}")
-    raw_plan = plan.plan if isinstance(plan, PreparedPlan) else plan
-    guide = raw_plan.guide_states
+    guide = prepared.plan.guide_states
     if len(guide) == 0:
         return falp
     prev_vals = vfa_values(bases.prefix(len(prev)), prev, guide)

@@ -101,35 +101,20 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _float_cell(v) -> str:
+def _cell(v) -> str:
+    """A CSV cell: blank for None, integers as they are, floats by repr (exact round trip)."""
     if v is None:
         return ""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
     return repr(float(v))
 
 
-def _trace_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for i, r in enumerate(records, start=1):
-        writer.writerow(
-            [
-                i,
-                r.num_bases,
-                _float_cell(r.lb),
-                _float_cell(r.pc),
-                _float_cell(r.pc_stderr),
-                _float_cell(r.tau_star),
-                _float_cell(r.lb_expectation),
-                _float_cell(r.lb_saddle),
-                _float_cell(r.lb_saddle_stderr),
-                _float_cell(r.incumbent_lb),
-                _float_cell(r.incumbent_pc),
-                r.incumbent_lb_bases,
-                r.incumbent_pc_bases,
-            ]
-        )
-    return buf.getvalue()
+def _write_csv(path: Path, columns: list[str], rows) -> None:
+    with path.open("w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def _make_run_dir(root: Path, label: str) -> Path:
@@ -164,11 +149,10 @@ def _loop_config(cfg: dict, mdp, seed: int) -> LoopConfig:
         states = np.linspace(mdp.state_lo[0], mdp.state_hi[0], int(grid["states"]))[:, None]
         actions = np.linspace(mdp.action_lo[0], mdp.action_hi[0], int(grid["actions"]))[:, None]
         plan = grid_plan(states, actions)
-    default_grid = int(round(mdp.action_hi[0] - mdp.action_lo[0])) + 1 if mdp.name == "pic" else 101
     sim = SimConfig(
         horizon=int(sim_cfg.get("horizon") or default_horizon(mdp.gamma)),
         replications=int(sim_cfg.get("replications", 200)),
-        action_grid=int(sim_cfg.get("action_grid") or default_grid),
+        action_grid=int(sim_cfg.get("action_grid") or mdp.action_grid),
         rollout_seed=seed,
     )
     lb_section = cfg.get("lower_bound", {})
@@ -199,7 +183,12 @@ def _loop_config(cfg: dict, mdp, seed: int) -> LoopConfig:
 
 
 def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) -> int:
-    (run_dir / "trace.csv").write_text(_trace_csv(result.records))
+    trace_rows = (
+        [i, r.num_bases, r.lb, r.pc, r.pc_stderr, r.tau_star, r.lb_expectation, r.lb_saddle,
+         r.lb_saddle_stderr, r.incumbent_lb, r.incumbent_pc, r.incumbent_lb_bases, r.incumbent_pc_bases]
+        for i, r in enumerate(result.records, start=1)
+    )
+    _write_csv(run_dir / "trace.csv", TRACE_COLUMNS, trace_rows)
     last = result.records[-1]
     bounds = {
         "instance": cfg["problem"],
@@ -212,27 +201,24 @@ def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) ->
     }
     (run_dir / "bounds.json").write_text(json.dumps(bounds, indent=1))
 
-    if mdp.name == "toy":
+    if mdp.exact_value is not None:
         # the policy-cost incumbent may predate the final basis set
         pc_bases = result.bases.prefix(len(result.pc_weights))
-        grid, vstar = toy_mod.toy_value_grid(1001)
-        vfa = vfa_values(pc_bases, result.pc_weights, grid[:, None])
-        with (run_dir / "vfa_curve.csv").open("w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["state", "optimal_value", "vfa_value"])
-            for i in range(len(grid)):
-                w.writerow([repr(grid[i]), repr(vstar[i]), repr(float(vfa[i]))])
+        states = np.linspace(mdp.state_lo[0], mdp.state_hi[0], 1001)[:, None]
+        vfa = vfa_values(pc_bases, result.pc_weights, states)
+        _write_csv(
+            run_dir / "vfa_curve.csv",
+            ["state", "optimal_value", "vfa_value"],
+            zip(states[:, 0], mdp.exact_value(states), vfa),
+        )
         hist = policy_mod.estimate_visit_frequency(
             mdp, pc_bases, result.pc_weights, bins=100, sim=loop_config.sim
         )
-        with (run_dir / "visit_frequency.csv").open("w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["bin_lo", "bin_hi", "mass", "normalized"])
-            norm = hist.normalized
-            for i in range(len(hist.mass)):
-                w.writerow(
-                    [repr(hist.edges[i]), repr(hist.edges[i + 1]), repr(hist.mass[i]), repr(norm[i])]
-                )
+        _write_csv(
+            run_dir / "visit_frequency.csv",
+            ["bin_lo", "bin_hi", "mass", "normalized"],
+            zip(hist.edges[:-1], hist.edges[1:], hist.mass, hist.normalized),
+        )
 
     fluct = None
     if len(result.records) >= 2:
@@ -291,13 +277,6 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
 
     max_cuts = int(g_cfg.get("max_cuts", 500))
 
-    def _write_trace(trace):
-        with (run_dir / "trace.csv").open("w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(GJR_TRACE_COLUMNS)
-            for it, obj, slack in trace:
-                w.writerow([it, repr(float(obj)), repr(float(slack))])
-
     prev = None
     guide_states = None
     try:
@@ -316,7 +295,7 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
             search=search, max_cuts=max_cuts, seed=seed,
         )
     except gjr_mod.ConstraintGenerationError as err:
-        _write_trace(err.trace)
+        _write_csv(run_dir / "trace.csv", GJR_TRACE_COLUMNS, err.trace)
         (run_dir / "bounds.json").write_text(
             json.dumps({"instance": cfg["problem"], "model": cfg.get("model", "falp"), "converged": False}, indent=1)
         )
@@ -330,7 +309,7 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
     )
     gap = 1.0 - result.eta_lambda / avg_cost if avg_cost > 0 else float("nan")
 
-    _write_trace(result.trace)
+    _write_csv(run_dir / "trace.csv", GJR_TRACE_COLUMNS, result.trace)
     bounds = {
         "instance": cfg["problem"],
         "model": cfg.get("model", "falp"),

@@ -24,7 +24,6 @@ from ralp.bases import BasisSet, DEFAULT_STUMP_EPS, features
 from ralp.mdp import InfeasiblePairError, split_rng
 
 _PAIR_STREAM = 31
-_GUIDE_STREAM = 32
 
 FEAS_TOL = 1e-9
 REFINE_SWEEPS = 3  # coordinate-descent sweeps from each branch's best grid point

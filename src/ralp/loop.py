@@ -21,7 +21,6 @@ import numpy as np
 
 from ralp import alp, lower_bound as lb_mod, policy as policy_mod
 from ralp.alp import (
-    BellmanRowCache,
     ConstraintSamplePlan,
     SolverBackend,
     VfaWeights,
@@ -139,7 +138,6 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
 
     plan = config.plan if config.plan is not None else uniform_plan(mdp, config.num_constraints, rng_plan)
     prepared = prepare_plan(mdp, plan)
-    row_cache = BellmanRowCache(mdp, prepared)
 
     records: list[IterationRecord] = []
     iterate_weights: list[VfaWeights] = []
@@ -158,9 +156,9 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
         num_bases += config.batch
         bases = _basis_prefix(config, mdp, num_bases)
         if config.model_kind == MODEL_FGLP:
-            model = build_fglp(mdp, bases, prepared, nu_samples, prev_weights, row_cache=row_cache)
+            model = build_fglp(prepared, bases, nu_samples, prev_weights)
         else:
-            model = build_falp(mdp, bases, prepared, nu_samples, row_cache=row_cache)
+            model = build_falp(prepared, bases, nu_samples)
         try:
             weights, _objective = solve(model, backend)
         except alp.SolverError as err:

@@ -189,7 +189,12 @@ class DiscountedMdp:
     # ``saddle_constants(weights)`` returns the problem's Lipschitz constants
     # for the saddle-point lower bound of a VFA with those weights.
     saddle_constants: Optional[Callable] = None
-    name: str = "mdp"
+    # Default number of points in the greedy lookahead's action grid.
+    action_grid: int = 101
+    # ``exact_value(states)`` returns the optimal value V*(s), (...) for
+    # states (..., d_s), where it is known in closed form.  The runner writes
+    # the VFA and visit-frequency curves of a scalar-state problem that sets it.
+    exact_value: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         for f in ("state_lo", "state_hi", "action_lo", "action_hi"):

@@ -290,5 +290,5 @@ def build_pic_mdp(p: PicParams, demand_saa_size: int = DEMAND_SAA_SIZE, demand_s
         noise_quantile=partial(demand_quantile, p),
         action_output_slot=2,
         saddle_constants=partial(pic_constants, p),
-        name="pic",
+        action_grid=int(round(p.a_max)) + 1,
     )

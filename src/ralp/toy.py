@@ -41,22 +41,16 @@ def build_toy() -> DiscountedMdp:
         noise=NoiseModel(values=np.array([0.0, 1.0]), probs=np.array([STAY_PROB, 1.0 - STAY_PROB])),
         initial_dist=chi,
         state_relevance=chi,
-        name="toy",
+        exact_value=optimal_value,
     )
 
 
-def toy_value_function(s) -> float:
-    """Optimal cost-to-go |s - 0.5| / (1 - 0.1 * gamma)."""
-    s = float(np.atleast_1d(s)[0])
-    if not -1e-12 <= s <= 1.0 + 1e-12:
-        raise ValueError(f"state {s} outside [0,1]")
-    return abs(s - TARGET) / (1.0 - STAY_PROB * GAMMA)
-
-
-def toy_value_grid(n: int = 1001) -> tuple[np.ndarray, np.ndarray]:
-    """Grid of states with the exact value function evaluated on it."""
-    grid = np.linspace(0.0, 1.0, n)
-    return grid, np.abs(grid - TARGET) / (1.0 - STAY_PROB * GAMMA)
+def optimal_value(states: np.ndarray) -> np.ndarray:
+    """Optimal cost-to-go |s - 0.5| / (1 - 0.1 * gamma), (...) for states (..., 1)."""
+    s = np.asarray(states, dtype=float)[..., 0]
+    if np.any((s < -1e-12) | (s > 1.0 + 1e-12)):
+        raise ValueError(f"state outside [0,1] in {s}")
+    return np.abs(s - TARGET) / (1.0 - STAY_PROB * GAMMA)
 
 
 def toy_constant_policy_cost(a_star: float) -> float:

@@ -55,16 +55,16 @@ def test_criterion_01_toy_reproduction(toy_setup):
     started = time.monotonic()
 
     bases2 = fixed_fourier([2.0, -5.0])
-    w2, lb2 = solve(build_falp(mdp, bases2, prepared, nu), backend)
+    w2, lb2 = solve(build_falp(prepared, bases2, nu), backend)
     action2 = float(policy.greedy_action(mdp, bases2, w2, [0.3], grid=101)[0])
     pc2 = toy.toy_constant_policy_cost(action2)
 
     bases3a = fixed_fourier([2.0, -5.0, 3.0])
-    w3a, lb3a = solve(build_falp(mdp, bases3a, prepared, nu), backend)
+    w3a, lb3a = solve(build_falp(prepared, bases3a, nu), backend)
     pc3a = toy.toy_constant_policy_cost(float(policy.greedy_action(mdp, bases3a, w3a, [0.3], grid=101)[0]))
 
     bases3b = fixed_fourier([2.0, -5.0, 40.0])
-    w3b, lb3b = solve(build_falp(mdp, bases3b, prepared, nu), backend)
+    w3b, lb3b = solve(build_falp(prepared, bases3b, nu), backend)
     pc3b_raw = toy.toy_constant_policy_cost(float(policy.greedy_action(mdp, bases3b, w3b, [0.3], grid=101)[0]))
     incumbent_pc = min(pc2, pc3b_raw)
     elapsed = time.monotonic() - started
@@ -91,11 +91,11 @@ def test_criterion_02_toy_optimal_cost():
 
 def test_criterion_03_pointwise_lower_bound(toy_setup):
     mdp, prepared, nu, backend = toy_setup
-    _, vstar = toy.toy_value_grid(1001)
+    vstar = toy.optimal_value(TOY_STATES)
     worst = -np.inf
     for seed in range(20):
         bases = sample_fourier(5, 1, (0.2, 1.0), seed=seed)
-        w, _ = solve(build_falp(mdp, bases, prepared, nu), backend)
+        w, _ = solve(build_falp(prepared, bases, nu), backend)
         worst = max(worst, float(np.max(vfa_values(bases, w, TOY_STATES) - vstar)))
     ok = worst <= 1e-6
     report(3, ok, f"max over 20 seeds of max_s (V - V*) = {worst:.3e} <= 1e-6")
@@ -147,7 +147,7 @@ def test_criterion_05_visit_frequency_concentration(toy_setup):
     # inside the same 0.002.
     mdp, prepared, nu, backend = toy_setup
     bases = fixed_fourier([2.0, -5.0])
-    w, _ = solve(build_falp(mdp, bases, prepared, nu), backend)
+    w, _ = solve(build_falp(prepared, bases, nu), backend)
     action = float(policy.greedy_action(mdp, bases, w, [0.3], grid=101)[0])
     sim = SimConfig(horizon=200, replications=4000, action_grid=101, rollout_seed=TOY_SEED)
     hist = policy.estimate_visit_frequency(

@@ -101,6 +101,15 @@ class TestRunToy:
         header = (run_dir / "trace.csv").read_text().splitlines()[0]
         assert header == ",".join(cli.TRACE_COLUMNS)
 
+    def test_curve_cells_parse_as_floats(self, toy_run):
+        _, run_dir, _ = toy_run
+        for name in ("vfa_curve.csv", "visit_frequency.csv"):
+            rows = (run_dir / name).read_text().splitlines()[1:]
+            assert rows, name
+            for row in rows:
+                for cell in row.split(","):
+                    float(cell)
+
     def test_rerun_is_byte_identical(self, toy_run):
         _, run_dir, tmp_path = toy_run
         path = _write(tmp_path, _toy_config(tmp_path), name="config2.json")
@@ -238,7 +247,7 @@ def test_artifacts_evaluate_incumbent_on_its_basis_prefix(tmp_path):
     run_dir.mkdir()
     assert cli._write_discounted_artifacts(run_dir, cfg, mdp, loop_config, result) == 2
     rows = (run_dir / "vfa_curve.csv").read_text().splitlines()[1:]
-    grid, _ = toy.toy_value_grid(1001)
+    grid = np.linspace(0.0, 1.0, 1001)
     expected = vfa_values(bases.prefix(2), incumbent, grid[:, None])
     assert [float(r.split(",")[2]) for r in rows] == list(expected)
     assert (run_dir / "visit_frequency.csv").exists()

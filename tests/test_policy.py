@@ -51,7 +51,7 @@ class TestGreedyAction:
         self, toy_mdp, toy_grid_prepared, toy_nu_samples, backend
     ):
         bases = fixed_fourier([2.0, -5.0])
-        w, _ = solve(build_falp(toy_mdp, bases, toy_grid_prepared, toy_nu_samples), backend)
+        w, _ = solve(build_falp(toy_grid_prepared, bases, toy_nu_samples), backend)
         actions = {float(greedy_action(toy_mdp, bases, w, [s], grid=101)[0]) for s in (0.0, 0.3, 0.9)}
         assert len(actions) == 1  # constant policy
         assert 0.50 <= actions.pop() <= 0.53  # reference action 0.513
@@ -71,7 +71,7 @@ class TestGreedyAction:
 
     def test_invariant_to_intercept_shift(self, toy_mdp, toy_grid_prepared, toy_nu_samples, backend):
         bases = fixed_fourier([2.0, -5.0])
-        w, _ = solve(build_falp(toy_mdp, bases, toy_grid_prepared, toy_nu_samples), backend)
+        w, _ = solve(build_falp(toy_grid_prepared, bases, toy_nu_samples), backend)
         shifted = VfaWeights(beta0=w.beta0 + 123.0, betas=w.betas)
         for s in (0.1, 0.4, 0.8):
             a = greedy_action(toy_mdp, bases, w, [s], grid=101)
