@@ -279,6 +279,7 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
 
     prev = None
     guide_states = None
+    loops = []
     try:
         if cfg.get("model") == "fglp":
             affine = gjr_mod.constraint_generation(
@@ -286,6 +287,7 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
                 search=search, max_cuts=max_cuts, seed=seed,
             )
             prev = affine.solution
+            loops.append(affine)
             guide_states = gjr_mod.sample_gjr_states(
                 params, int(g_cfg.get("guide_states", 5000)), split_rng(seed, 3)
             )
@@ -328,6 +330,9 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
         "instance_params": json.loads(params.to_json()),
         "stump_sigma": sigma,
         "num_constraints": len(result.states),
+        # wall times of every cut loop of the run (FGLP's affine warm start included)
+        "cut_loop_lp_s": sum(r.lp_s for r in loops + [result]),
+        "cut_loop_separate_s": sum(r.separate_s for r in loops + [result]),
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return 0

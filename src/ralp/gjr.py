@@ -12,12 +12,12 @@ and action grids.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, asdict
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ralp.alp import LpModel, SolverBackend, TAG_SELF_GUIDING, TAG_STANDARD
 from ralp.bases import BasisSet, DEFAULT_STUMP_EPS, features
@@ -230,7 +230,7 @@ def build_avg_alp(
     return LpModel(objective=objective, rows=rows, rhs=rhs, tags=tuple(tags))
 
 
-def _unpack(p: GjrParams, bases: BasisSet, x: np.ndarray) -> BiasApprox:
+def _unpack(p: GjrParams, x: np.ndarray) -> BiasApprox:
     j = p.num_items
     return BiasApprox(eta_hat=float(x[0]), intercept=float(x[1]), beta1=x[2 : 2 + j], beta2=x[2 + j :])
 
@@ -295,42 +295,88 @@ def _branch_candidates(p: GjrParams, face: int, support: tuple[int, ...], g: int
     return states, actions
 
 
-def _refine_point(p, bases, sol, state, action, face, eps) -> tuple[np.ndarray, np.ndarray, float]:
-    """Coordinate descent on the slack from a grid point, staying in the branch."""
-    s = state.copy()
-    a = action.copy()
-    best = float(constraint_slack(p, bases, sol, s[None, :], a[None, :], eps)[0])
-    j = p.num_items
+def _line_minimum(
+    p: GjrParams, bases: BasisSet, sol: BiasApprox, s: np.ndarray, a: np.ndarray, k: int, on_state: bool, eps: float
+) -> Optional[tuple[np.ndarray, np.ndarray, float]]:
+    """Exact minimum of the slack along coordinate ``k`` of the state (or of the action).
+
+    With x the moving coordinate, item k's post-replenishment level is
+    x + c0 and the transition time min(m, (x + c0) / r_k), m the first
+    stockout among the other items.  Stumps are clipped ramps and the fixed
+    cost is constant while a_k > 0, so the slack is piecewise linear in x,
+    plus the convex holding quadratic on an action line.  Its minimum over
+    the feasible interval sits at an end, at a kink (the stockout switch,
+    a successor stump crossing omega +- eps, or on a state line a stump of
+    s_k itself) or at the stationary point of a quadratic piece.  Returns
+    the best candidate as (state, action, slack), or None when none is
+    feasible.
+    """
+    r = p.usage_rates
+    post = s + a
+    others = np.arange(p.num_items) != k
+    m = float(np.min(post[others] / r[others]))
+    if on_state:
+        # with a_k = 0 the end x = 0 is dropped as infeasible and not chased:
+        # its limit is item k stocked out and not replenished, a zero-time
+        # pair that no branch enumerates
+        c0, lo, hi = a[k], 0.0, p.s_bar[k] - a[k]
+    else:  # a_k -> 0 leaves the branch's support: the nearest point inside it
+        c0, lo, hi = s[k], 2.0 * FEAS_TOL, min(p.s_bar[k] - s[k], p.a_bar - (a.sum() - a[k]))
+    kinks = np.concatenate([bases.omega - eps, bases.omega + eps])
+    item = np.concatenate([bases.q, bases.q]) - 1
+    own = item == k
+    x_stock = m * r[k] - c0  # item k stocks out first below this point
+    xs = [
+        [lo, hi, x_stock],
+        (post[item[~own]] - kinks[~own]) * r[k] / r[item[~own]] - c0,  # successor kinks below x_stock
+        kinks[own] - c0 + m * r[k],  # successor kinks above x_stock
+    ]
+    if on_state:
+        xs.append(kinks[own])  # kinks of phi(s)
+
+    def points(x):
+        states = np.repeat(s[None, :], len(x), axis=0)
+        actions = np.repeat(a[None, :], len(x), axis=0)
+        (states if on_state else actions)[:, k] = x
+        return states, actions
+
+    x = np.concatenate(xs)
+    x = np.unique(x[(x >= lo) & (x <= hi)])
+    states, actions = points(x)
+    ok = feasible(p, states, actions)
+    if not ok.any():
+        return None
+    states, actions, x = states[ok], actions[ok], x[ok]
+    slack = constraint_slack(p, bases, sol, states, actions, eps)
+    h = p.holding[k]
+    if not on_state and h > 0.0 and len(x) > 1:
+        # between candidates the slack is linear + h (2 s_k x + x^2) / (2 r_k)
+        linear = slack - h * (2.0 * s[k] * x + x**2) / (2.0 * r[k])
+        x_flat = -(np.diff(linear) / np.diff(x)) * r[k] / h - s[k]
+        inner = (x_flat > x[:-1]) & (x_flat < x[1:])
+        if inner.any():
+            more_states, more_actions = points(x_flat[inner])
+            slack = np.concatenate([slack, constraint_slack(p, bases, sol, more_states, more_actions, eps)])
+            states, actions = np.vstack([states, more_states]), np.vstack([actions, more_actions])
+    i = int(np.argmin(slack))
+    return states[i], actions[i], float(slack[i])
+
+
+def _refine_point(p, bases, sol, state, action, slack, face, eps) -> tuple[np.ndarray, np.ndarray, float]:
+    """Coordinate descent on the slack from a grid point, staying in the branch.
+
+    Each coordinate line is minimized exactly by ``_line_minimum``; a move is
+    taken only when it lowers the slack by more than 1e-12.
+    """
+    s, a, best = state.copy(), action.copy(), slack
     for _ in range(REFINE_SWEEPS):
         improved = False
-        for k in range(j):
-            if k != face:  # state coordinate
-                def f_s(x, k=k):
-                    s2 = s.copy()
-                    s2[k] = x
-                    if not feasible(p, s2, a):
-                        return best + 1.0
-                    return float(constraint_slack(p, bases, sol, s2[None, :], a[None, :], eps)[0])
-
-                res = minimize_scalar(f_s, bounds=(0.0, p.s_bar[k]), method="bounded")
-                if res.fun < best - 1e-12:
-                    best, improved = float(res.fun), True
-                    s[k] = float(res.x)
-            hi = min(p.s_bar[k] - s[k], p.a_bar - (a.sum() - a[k]))
-            if hi <= 0:
-                continue
-
-            def f_a(x, k=k):
-                a2 = a.copy()
-                a2[k] = x
-                if not feasible(p, s, a2):
-                    return best + 1.0
-                return float(constraint_slack(p, bases, sol, s[None, :], a2[None, :], eps)[0])
-
-            res = minimize_scalar(f_a, bounds=(0.0, hi), method="bounded")
-            if res.fun < best - 1e-12:
-                best, improved = float(res.fun), True
-                a[k] = float(res.x)
+        for k in range(p.num_items):
+            for on_state in (True, False) if k != face else (False,):
+                found = _line_minimum(p, bases, sol, s, a, k, on_state, eps)
+                if found is not None and found[2] < best - 1e-12:
+                    s, a, best = found
+                    improved = True
         if not improved:
             break
     return s, a, best
@@ -343,12 +389,16 @@ def separate(
     search: SearchPlan = SearchPlan(),
     eps: float = DEFAULT_STUMP_EPS,
 ) -> SeparationResult:
-    """Most violated constraint found by support enumeration + grid + refinement.
+    """Most violated constraint found by support enumeration, a grid and exact line search.
 
     Branches pair a stocked-out item (state face) with a replenishment
-    support; an exact mixed-integer search can be plugged in behind the same
-    result type for larger item counts.
+    support.  Each branch's best grid point is refined by coordinate descent
+    whose lines are minimized at their breakpoints, which are stump kinks, so
+    the bases must be stumps.  An exact mixed-integer search can be plugged in
+    behind the same result type for larger item counts.
     """
+    if bases.kind != "stump":
+        raise ValueError(f"separation needs stump bases, got {bases.kind!r}")
     j = p.num_items
     supports = [c for r in range(1, j + 1) for c in combinations(range(j), r)]
     best: Optional[tuple[np.ndarray, np.ndarray, float]] = None
@@ -363,10 +413,11 @@ def separate(
             states, actions = states[mask], actions[mask]
             slacks = constraint_slack(p, bases, sol, states, actions, eps)
             idx = int(np.argmin(slacks))
-            s_r, a_r, v_r = _refine_point(p, bases, sol, states[idx], actions[idx], face, eps)
+            s_r, a_r, v_r = _refine_point(p, bases, sol, states[idx], actions[idx], float(slacks[idx]), face, eps)
             if best is None or v_r < best[2]:
                 best = (s_r, a_r, v_r)
-    assert best is not None
+    if best is None:
+        raise ValueError("no branch has a feasible grid point")
     state, action, slack = best
     status = "violated" if slack < -sep_tol(p) else "feasible"
     return SeparationResult(state=state, action=action, slack=slack, status=status)
@@ -414,6 +465,8 @@ class CutLoopResult:
     trace: list[tuple[int, float, float]]  # (iteration, LP optimum, min slack)
     states: np.ndarray  # (n, J) states of the final constraint pairs
     actions: np.ndarray  # (n, J) actions of the final constraint pairs
+    lp_s: float  # wall time building and solving the cut LPs
+    separate_s: float  # wall time in separation
 
 
 def constraint_generation(
@@ -442,7 +495,9 @@ def constraint_generation(
     actions = np.asarray(init_actions, dtype=float)
     rng = split_rng(seed, _PAIR_STREAM)
     trace: list[tuple[int, float, float]] = []
+    lp_s = separate_s = 0.0
     for iteration in range(max_cuts):
+        start = time.perf_counter()
         model = build_avg_alp(p, bases, states, actions, prev, guide_states, eps)
         lp_sol = backend.solve(model)
         while lp_sol.status == "unbounded":
@@ -453,12 +508,16 @@ def constraint_generation(
             lp_sol = backend.solve(model)
         if lp_sol.status != "optimal":
             raise ConstraintGenerationError(f"LP status {lp_sol.status} at cut {iteration}", trace)
-        sol = _unpack(p, bases, lp_sol.x)
+        sol = _unpack(p, lp_sol.x)
+        lp_s += time.perf_counter() - start
+        start = time.perf_counter()
         sep = separate(p, bases, sol, search, eps)
+        separate_s += time.perf_counter() - start
         trace.append((iteration, float(lp_sol.objective), float(sep.slack)))
         if sep.status == "feasible":
             return CutLoopResult(
-                solution=sol, eta_lambda=sol.eta(p.usage_rates), trace=trace, states=states, actions=actions
+                solution=sol, eta_lambda=sol.eta(p.usage_rates), trace=trace, states=states, actions=actions,
+                lp_s=lp_s, separate_s=separate_s,
             )
         states = np.vstack([states, sep.state[None, :]])
         actions = np.vstack([actions, sep.action[None, :]])

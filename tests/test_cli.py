@@ -313,6 +313,10 @@ class TestRunGjr:
         assert bounds["lb"] <= bounds["pc"] + 1e-3
         header = (Path(run_dir) / "trace.csv").read_text().splitlines()[0]
         assert header == ",".join(cli.GJR_TRACE_COLUMNS)
+        # phase times go to the manifest only, where they cannot perturb trace.csv
+        manifest = json.loads((Path(run_dir) / "manifest.json").read_text())
+        for key in ("cut_loop_lp_s", "cut_loop_separate_s"):
+            assert isinstance(manifest[key], float) and manifest[key] >= 0.0
 
     def test_cut_cap_exit_two(self, tmp_path):
         cfg = {

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ralp import gjr
 from ralp.alp import LpModel, ScipyBackend
-from ralp.bases import empty_stumps, sample_stumps
+from ralp.bases import DEFAULT_STUMP_EPS, empty_stumps, sample_fourier, sample_stumps
 from ralp.mdp import InfeasiblePairError, split_rng
 
 
@@ -233,6 +235,76 @@ class TestSeparation:
     def test_after_convergence_feasible(self, desk_instance, desk_solution):
         bases, result = desk_solution
         assert gjr.separate(desk_instance, bases, result.solution).status == "feasible"
+
+    def test_non_stump_bases_rejected(self, desk_instance):
+        # the line search breaks at stump kinks
+        bases = sample_fourier(3, 2, (1.0, 2.0), seed=0)
+        sol = gjr.BiasApprox(eta_hat=0.0, intercept=0.0, beta1=np.zeros(2), beta2=np.zeros(3))
+        with pytest.raises(ValueError, match="stump"):
+            gjr.separate(desk_instance, bases, sol)
+
+    def test_no_feasible_grid_point_raises(self):
+        p = _symmetric_params(a_bar=0.0)  # no capacity: no action replenishes anything
+        zero = gjr.BiasApprox(eta_hat=0.0, intercept=0.0, beta1=np.zeros(2), beta2=np.zeros(0))
+        with pytest.raises(ValueError, match="feasible grid point"):
+            gjr.separate(p, empty_stumps(2), zero)
+
+
+def _line_instance(name):
+    if name == "constant":  # unit usage rates
+        return gjr.gjr_instance(2, "constant", 100, split_rng(42, 1), usage_rates=(1.0, 1.0))
+    if name == "random":  # drawn usage rates
+        return gjr.gjr_instance(2, "random", 100, split_rng(1, 1))
+    if name == "three":
+        return gjr.gjr_instance(3, "random", 67, split_rng(2, 1))
+    p = gjr.gjr_instance(2, "random", 100, split_rng(3, 1))
+    return replace(p, holding=np.array([8.0, 3.0]))
+
+
+def _scan_line(p, bases, sol, s, a, k, on_state, points=10_000):
+    """Smallest slack over a dense grid of the line's feasible interval."""
+    if on_state:
+        x = np.linspace(0.0, p.s_bar[k] - a[k], points)
+    else:  # the action line is open at a_k = 0, where item k leaves the support
+        x = np.linspace(2.0 * gjr.FEAS_TOL, min(p.s_bar[k] - s[k], p.a_bar - (a.sum() - a[k])), points)
+    states = np.repeat(s[None, :], points, axis=0)
+    actions = np.repeat(a[None, :], points, axis=0)
+    (states if on_state else actions)[:, k] = x
+    ok = gjr.feasible(p, states, actions)
+    return float(gjr.constraint_slack(p, bases, sol, states[ok], actions[ok]).min()) if ok.any() else np.inf
+
+
+class TestLineMinimum:
+    @pytest.mark.parametrize("name", ["constant", "random", "three", "holding"])
+    def test_exact_along_every_coordinate(self, name):
+        p = _line_instance(name)
+        j = p.num_items
+        rng = split_rng(23, 1)
+        bases = sample_stumps(10, j, float(p.s_bar.max()), seed=23)
+        starts = gjr.sample_gjr_pairs(p, 4, rng)
+        lines = 0
+        for _ in range(5):
+            sol = gjr.BiasApprox(
+                eta_hat=float(rng.uniform(0.0, 150.0)),
+                intercept=0.0,
+                beta1=rng.normal(0.0, 30.0, j),
+                beta2=rng.normal(0.0, 50.0, len(bases)),
+            )
+            for s, a in zip(*starts):
+                for k in range(j):
+                    for on_state in (True, False):
+                        found = gjr._line_minimum(p, bases, sol, s, a, k, on_state, DEFAULT_STUMP_EPS)
+                        scan = _scan_line(p, bases, sol, s, a, k, on_state)
+                        if found is None:
+                            assert scan == np.inf
+                            continue
+                        s2, a2, v = found
+                        assert v <= scan + 1e-9 * (1.0 + abs(scan))
+                        assert gjr.feasible(p, s2, a2)
+                        direct = gjr.constraint_slack(p, bases, sol, s2[None, :], a2[None, :])[0]
+                        assert direct == pytest.approx(v, abs=1e-9)
+                        lines += 1
+        assert lines >= 5 * 4 * j
 
 
 def _grid_oracle(p, bases, sol, g):
