@@ -301,8 +301,8 @@ def _line_minimum(
     """Exact minimum of the slack along coordinate ``k`` of the state (or of the action).
 
     With x the moving coordinate, item k's post-replenishment level is
-    x + c0 and the transition time min(m, (x + c0) / r_k), m the first
-    stockout among the other items.  Stumps are clipped ramps and the fixed
+    x + c0 and the transition time min(m, (x + c0) / r_k), with m the time
+    to the first stockout among the other items.  Stumps are clipped ramps and the fixed
     cost is constant while a_k > 0, so the slack is piecewise linear in x,
     plus the convex holding quadratic on an action line.  Its minimum over
     the feasible interval sits at an end, at a kink (the stockout switch,
@@ -362,13 +362,12 @@ def _line_minimum(
     return states[i], actions[i], float(slack[i])
 
 
-def _refine_point(p, bases, sol, state, action, slack, face, eps) -> tuple[np.ndarray, np.ndarray, float]:
-    """Coordinate descent on the slack from a grid point, staying in the branch.
+def _refine_point(p, bases, sol, s, a, best, face, eps) -> tuple[np.ndarray, np.ndarray, float]:
+    """Coordinate descent on the slack from a grid point with slack ``best``, staying in the branch.
 
     Each coordinate line is minimized exactly by ``_line_minimum``; a move is
     taken only when it lowers the slack by more than 1e-12.
     """
-    s, a, best = state.copy(), action.copy(), slack
     for _ in range(REFINE_SWEEPS):
         improved = False
         for k in range(p.num_items):
