@@ -14,7 +14,7 @@ seeds are likewise fixed per run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -98,6 +98,8 @@ class IterationRecord:
     incumbent_lb: float
     incumbent_pc: float
     wallclock: float
+    # seconds spent in this iteration's LP build, LP solve, rollouts and lower bound
+    phase_s: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -155,16 +157,20 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
     while True:
         num_bases += config.batch
         bases = _basis_prefix(config, mdp, num_bases)
+        t_build = time.monotonic()
         if config.model_kind == MODEL_FGLP:
             model = build_fglp(prepared, bases, nu_samples, prev_weights)
         else:
             model = build_falp(prepared, bases, nu_samples)
+        t_solve = time.monotonic()
         try:
             weights, _objective = solve(model, backend)
         except alp.SolverError as err:
             raise LoopError(f"iteration with {num_bases} bases: {err}", records) from err
 
+        t_rollout = time.monotonic()
         pc_est = policy_mod.simulate_policy_cost(mdp, bases, weights, config.sim)
+        t_lower_bound = time.monotonic()
         lb_exp = lb_expectation(bases, weights, chi_samples)
         lb_saddle = None
         lb_saddle_stderr = None
@@ -179,6 +185,13 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
             lb_val = lb_saddle
         else:
             lb_val = lb_exp
+        t_end = time.monotonic()
+        phase_s = {
+            "build": t_solve - t_build,
+            "solve": t_rollout - t_solve,
+            "rollout": t_lower_bound - t_rollout,
+            "lower_bound": t_end - t_lower_bound,
+        }
 
         if lb_val >= incumbent_lb:
             incumbent_lb = lb_val
@@ -206,6 +219,7 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
                 incumbent_lb=incumbent_lb,
                 incumbent_pc=incumbent_pc,
                 wallclock=time.monotonic() - started,
+                phase_s=phase_s,
             )
         )
         iterate_weights.append(weights)

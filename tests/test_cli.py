@@ -128,6 +128,18 @@ class TestRunToy:
         assert code == 0
         assert (run_dir / "trace.csv").read_bytes() == (Path(run_dir2) / "trace.csv").read_bytes()
 
+    def test_manifest_phase_seconds(self, toy_run):
+        # per-iteration build, solve, rollout and lower-bound seconds sit
+        # inside the iteration's wall-clock increment
+        _, run_dir, _ = toy_run
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        wallclock, phases = manifest["wallclock_s"], manifest["phase_s"]
+        assert len(phases) == len(wallclock) == 3
+        for before, after, phase in zip([0.0] + wallclock, wallclock, phases):
+            assert set(phase) == {"build", "solve", "rollout", "lower_bound"}
+            assert all(isinstance(v, float) and v >= 0.0 for v in phase.values())
+            assert sum(phase.values()) <= after - before + 1e-9  # rounding of the sums only
+
     def test_seed_override_changes_rollouts(self, toy_run, tmp_path_factory):
         _, run_dir, _ = toy_run
         fresh = tmp_path_factory.mktemp("override")

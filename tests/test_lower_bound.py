@@ -7,19 +7,73 @@ import pytest
 from ralp import pic, policy, toy
 from ralp.alp import VfaWeights
 from ralp.bases import empty_stumps, fixed_fourier, sample_fourier
+from ralp import lower_bound as lb_mod
 from ralp.lower_bound import (
     LipschitzConstants,
+    LowerBoundEstimate,
     SaddleConfig,
     estimate_lower_bound,
     y_value,
 )
-from ralp.mdp import NoiseModel, batch_expected_costs
+from ralp.mdp import NoiseModel, batch_expected_costs, split_rng
 from ralp.pic import pic_constants
 
 
 @pytest.fixture(scope="module")
 def pic1_mdp():
     return pic.build_pic_mdp(pic.instance_from_table(1), demand_saa_size=500, demand_seed=0)
+
+
+@pytest.fixture(scope="module")
+def pic1_vfa():
+    """20 Fourier bases and a nonzero VFA on pic:1, with its saddle constants."""
+    bases = sample_fourier(20, 3, (100.0, 1000.0), 4)
+    w = VfaWeights(beta0=150.0, betas=np.random.default_rng(9).normal(0.0, 40.0, 20))
+    return bases, w, pic_constants(pic.instance_from_table(1), w)
+
+
+def _reference_mh(mdp, bases, w, cfg, consts, chi_samples=None, value_fn=None):
+    """The step-by-step Metropolis-Hastings loop: one ``_y_batch`` call per step."""
+    lam = cfg.lam if cfg.lam is not None else consts.default_lam()
+    lo = np.concatenate([mdp.state_lo, mdp.action_lo])
+    hi = np.concatenate([mdp.state_hi, mdp.action_hi])
+    step = cfg.proposal_frac * (hi - lo)
+    d, ds = len(lo), mdp.dim_state
+    e_chi = lb_mod.chi_value(mdp, bases, w, chi_samples, value_fn=value_fn)
+    terms = lb_mod._bellman_terms(mdp, bases, w, value_fn)
+    rngs = [split_rng(cfg.seed, 211, c) for c in range(cfg.chains)]
+    x = np.stack([lo + (hi - lo) * rngs[c].random(d) for c in range(cfg.chains)])
+    y = lb_mod._y_batch(mdp, terms, x[:, :ds], x[:, ds:], e_chi)
+    kept_sums = np.zeros(cfg.chains)
+    kept_counts = np.zeros(cfg.chains, dtype=int)
+    accepts = np.zeros(cfg.chains, dtype=int)
+    for t in range(cfg.chain_length):
+        noise = np.stack([rngs[c].normal(0.0, 1.0, d) for c in range(cfg.chains)])
+        proposal = lb_mod._reflect(x + step * noise, lo, hi)
+        y_new = lb_mod._y_batch(mdp, terms, proposal[:, :ds], proposal[:, ds:], e_chi)
+        u = np.array([rngs[c].random() for c in range(cfg.chains)])
+        accept = np.log(u) * lam <= y - y_new
+        x[accept] = proposal[accept]
+        y[accept] = y_new[accept]
+        accepts += accept
+        if t >= cfg.burn_in:
+            kept_sums += y
+            kept_counts += 1
+    chain_means = kept_sums / kept_counts
+    mean_y = float(chain_means.mean())
+    stderr = float(chain_means.std(ddof=1) / math.sqrt(cfg.chains)) if cfg.chains > 1 else 0.0
+    correction = lam * (consts.big_lambda + consts.d_sa * math.log(lam))
+    return LowerBoundEstimate(
+        bound=mean_y + correction, stderr=stderr, mean_y=mean_y, correction=correction,
+        lam=lam, acceptance_rates=tuple(accepts / cfg.chain_length),
+    )
+
+
+def _toy_value_case():
+    """The toy optimal value function as a caller-supplied ``value_fn``, with constants."""
+    value_fn = lambda states: np.abs(np.atleast_2d(states)[:, 0] - 0.5) / 0.91
+    consts = LipschitzConstants(l_c=1.0, l_y=21.0, big_lambda=-30.0, d_sa=2, radius=0.5, diameter=math.sqrt(2.0))
+    return value_fn, consts
 
 
 class TestYValue:
@@ -156,6 +210,81 @@ class TestEstimator:
         cfg = SaddleConfig(chains=2, chain_length=20, burn_in=5, lam=1e-12, seed=8)
         with pytest.raises(RuntimeError, match="rejected"):
             lb_mod.estimate_lower_bound(pic1_mdp, empty_stumps(3), w, cfg, consts)
+
+
+class TestSpeculativeBlocks:
+    """The blocked chains against the step-by-step loop they replace."""
+
+    @pytest.mark.parametrize("chains", [4, 8])
+    @pytest.mark.parametrize("length, burn_in", [(37, 5), (600, 300)])
+    def test_pic_equals_step_by_step(self, pic1_mdp, pic1_vfa, chains, length, burn_in):
+        bases, w, consts = pic1_vfa
+        cfg = SaddleConfig(chains=chains, chain_length=length, burn_in=burn_in, seed=12)
+        est = estimate_lower_bound(pic1_mdp, bases, w, cfg, consts)
+        ref = _reference_mh(pic1_mdp, bases, w, cfg, consts)
+        assert 0.0 < sum(ref.acceptance_rates) < chains  # chains both stay and move
+        assert est == ref
+
+    @pytest.mark.parametrize("chains", [4, 8])
+    def test_toy_value_fn_equals_step_by_step(self, toy_mdp, toy_nu_samples, chains):
+        value_fn, consts = _toy_value_case()
+        cfg = SaddleConfig(chains=chains, chain_length=150, burn_in=70, lam=0.3, proposal_frac=0.1, seed=2)
+        args = (toy_mdp, fixed_fourier([2.0]), VfaWeights.zero(1), cfg, consts)
+        est = estimate_lower_bound(*args, chi_samples=toy_nu_samples, value_fn=value_fn)
+        assert est == _reference_mh(*args, chi_samples=toy_nu_samples, value_fn=value_fn)
+
+    @pytest.mark.parametrize("chains", [2, 3, 6])
+    def test_other_chain_counts_agree_to_the_last_bits(self, pic1_mdp, pic1_vfa, toy_mdp, toy_nu_samples, chains):
+        # a step batch of these sizes ends in a short BLAS block, whose rows
+        # differ from the blocked evaluation in the last bit
+        bases, w, consts = pic1_vfa
+        cfg = SaddleConfig(chains=chains, chain_length=200, burn_in=90, seed=3)
+        value_fn, toy_consts = _toy_value_case()
+        toy_cfg = SaddleConfig(chains=chains, chain_length=150, burn_in=70, lam=0.3, proposal_frac=0.1, seed=2)
+        toy_args = (toy_mdp, fixed_fourier([2.0]), VfaWeights.zero(1), toy_cfg, toy_consts)
+        for est, ref in (
+            (estimate_lower_bound(pic1_mdp, bases, w, cfg, consts), _reference_mh(pic1_mdp, bases, w, cfg, consts)),
+            (
+                estimate_lower_bound(*toy_args, chi_samples=toy_nu_samples, value_fn=value_fn),
+                _reference_mh(*toy_args, chi_samples=toy_nu_samples, value_fn=value_fn),
+            ),
+        ):
+            assert est.acceptance_rates == ref.acceptance_rates
+            for f in ("bound", "stderr", "mean_y"):
+                assert getattr(est, f) == pytest.approx(getattr(ref, f), rel=1e-12)
+
+    def test_padded_batches_match_eight_row_batches(self, pic1_mdp, pic1_vfa):
+        # Bit-identity of the blocked chains rests on this property of the
+        # BLAS: a row in a full block of 4 gets the same y whatever the batch
+        # size.  A numpy or OpenBLAS upgrade that changes the kernel blocking
+        # fails here first.
+        bases, w, _ = pic1_vfa
+        mdp = pic1_mdp
+        lo = np.concatenate([mdp.state_lo, mdp.action_lo])
+        hi = np.concatenate([mdp.state_hi, mdp.action_hi])
+        points = lo + (hi - lo) * np.random.default_rng(5).random((40, len(lo)))
+        e_chi = lb_mod.chi_value(mdp, bases, w)
+        terms = lb_mod._bellman_terms(mdp, bases, w, None)
+        ds = mdp.dim_state
+
+        def y_of(rows):
+            return lb_mod._y_batch(mdp, terms, rows[:, :ds], rows[:, ds:], e_chi)
+
+        eight_rows = np.concatenate([y_of(points[i : i + 8]) for i in range(0, 40, 8)])
+        for m in range(1, 41):
+            padded = lb_mod._padded(points[:m])
+            assert len(padded) % 4 == 0 and len(padded) - m < 4
+            assert list(y_of(padded)[:m]) == list(eight_rows[:m]), f"{m} rows"
+
+
+class TestSaddleConfigValidation:
+    @pytest.mark.parametrize("frac", [0.0, -0.05, math.nan, math.inf])
+    def test_bad_proposal_frac_rejected(self, frac):
+        with pytest.raises(ValueError, match="proposal_frac"):
+            SaddleConfig(proposal_frac=frac)
+
+    def test_positive_proposal_frac_accepted(self):
+        assert SaddleConfig(proposal_frac=1e-3).proposal_frac == 1e-3
 
 
 class TestChainStationarity:
