@@ -93,6 +93,8 @@ class LpSolution:
     x: Optional[np.ndarray]
     objective: Optional[float]
     max_violation: Optional[float]  # feasibility report: max(rows.x - rhs)
+    rounds: int = 0  # backend LP calls made for this model
+    rows_solved: int = 0  # model rows in the last call (box rows not counted)
 
 
 class SolverBackend(Protocol):
@@ -103,6 +105,10 @@ class SolverBackend(Protocol):
 # preconditioner's QR samples.
 HIGHS_TOL = 1e-9
 PRECONDITION_ROWS = 4000
+# Row generation: rows in the first subproblem, and the most violated rows
+# added per round.
+ROWGEN_START = 300
+ROWGEN_ADD = 150
 
 
 class ScipyBackend:
@@ -118,6 +124,17 @@ class ScipyBackend:
     Tight feasibility tolerances keep chained models consistent: guide rows
     built from a previous solution stay satisfiable only if that solution
     honored its own rows to well below the guide slack.
+
+    Sampled ALPs have thousands of rows but only about as many binding rows
+    as variables, so each model is solved by row generation.  The first
+    subproblem holds ``ROWGEN_START`` evenly spaced rows plus every box row.
+    After each solve, up to ``ROWGEN_ADD`` of the remaining rows violated by
+    more than ``HIGHS_TOL * (1 + |rhs|)`` join, the most violated first,
+    until no row outside the subproblem is violated.  A model of at most
+    ``ROWGEN_START`` rows is therefore one call over all of its rows.  An
+    infeasible subproblem proves the model infeasible; an unbounded or
+    numeric one that still lacks rows is solved once more over all rows,
+    whose status is the one reported.
     """
 
     def __init__(self, var_bound: Optional[float] = None):
@@ -152,25 +169,49 @@ class ScipyBackend:
         m = self._preconditioner(model)
         a_ub = rows if m is None else rows @ m
         c = model.objective if m is None else m.T @ model.objective
-        res = linprog(
-            c=-c,
-            A_ub=a_ub,
-            b_ub=rhs,
-            bounds=[(None, None)] * model.num_vars,
-            method="highs",
-            options={
-                "primal_feasibility_tolerance": HIGHS_TOL,
-                "dual_feasibility_tolerance": HIGHS_TOL,
-            },
-        )
-        status = {0: "optimal", 1: "numeric", 2: "infeasible", 3: "unbounded", 4: "numeric"}.get(
-            res.status, "numeric"
-        )
+        n = model.num_rows
+        active = np.ones(len(rhs), dtype=bool)
+        if n > ROWGEN_START:
+            active[:n] = False
+            active[np.linspace(0, n - 1, ROWGEN_START).astype(int)] = True
+        add_tol = HIGHS_TOL * (1.0 + np.abs(rhs))
+        rounds = 0
+        while True:
+            every = bool(active.all())
+            res = linprog(
+                c=-c,
+                A_ub=a_ub if every else a_ub[active],
+                b_ub=rhs if every else rhs[active],
+                bounds=[(None, None)] * model.num_vars,
+                method="highs",
+                options={
+                    "primal_feasibility_tolerance": HIGHS_TOL,
+                    "dual_feasibility_tolerance": HIGHS_TOL,
+                },
+            )
+            rounds += 1
+            status = {0: "optimal", 1: "numeric", 2: "infeasible", 3: "unbounded", 4: "numeric"}.get(
+                res.status, "numeric"
+            )
+            if every or status == "infeasible":
+                break
+            if status != "optimal":
+                active[:] = True  # unbounded or numeric is reported for the full model only
+                continue
+            # rows outside the subproblem that its solution violates, most violated first
+            viol = a_ub @ res.x - rhs
+            cand = np.flatnonzero(~active & (viol > add_tol))
+            if not len(cand):
+                break
+            active[cand[np.argsort(-viol[cand], kind="stable")[:ROWGEN_ADD]]] = True
+        rows_solved = int(active[:n].sum())
         if status != "optimal":
-            return LpSolution(status=status, x=None, objective=None, max_violation=None)
+            return LpSolution(status=status, x=None, objective=None, max_violation=None,
+                              rounds=rounds, rows_solved=rows_solved)
         x = np.asarray(res.x) if m is None else m @ np.asarray(res.x)
         viol = float(np.max(model.rows @ x - model.rhs)) if model.num_rows else 0.0
-        return LpSolution(status="optimal", x=x, objective=float(-res.fun), max_violation=viol)
+        return LpSolution(status="optimal", x=x, objective=float(-res.fun), max_violation=viol,
+                          rounds=rounds, rows_solved=rows_solved)
 
 
 @dataclass(frozen=True)
@@ -341,9 +382,14 @@ def build_fglp(
 def solve(model: LpModel, backend: SolverBackend) -> tuple[VfaWeights, float]:
     """Solve a VFA model; non-optimal statuses raise SolverError."""
     sol = backend.solve(model)
+    return vfa_weights(sol), float(sol.objective)
+
+
+def vfa_weights(sol: LpSolution) -> VfaWeights:
+    """The weights of an optimal VFA model solution; other statuses raise SolverError."""
     if sol.status != "optimal":
         raise SolverError(sol.status)
-    return VfaWeights(beta0=float(sol.x[0]), betas=sol.x[1:]), float(sol.objective)
+    return VfaWeights(beta0=float(sol.x[0]), betas=sol.x[1:])
 
 
 def vfa_values(bases: BasisSet, w: VfaWeights, states: np.ndarray) -> np.ndarray:

@@ -234,6 +234,7 @@ def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) ->
         "fluctuation": fluct,
         "wallclock_s": [r.wallclock for r in result.records],
         "phase_s": [r.phase_s for r in result.records],
+        "lp": [r.lp for r in result.records],
         "saddle_acceptance_rates": [
             list(r.saddle_acceptance) if r.saddle_acceptance is not None else None
             for r in result.records

@@ -29,8 +29,8 @@ from ralp.alp import (
     lb_expectation,
     nu_sample_set,
     prepare_plan,
-    solve,
     uniform_plan,
+    vfa_weights,
 )
 from ralp.bases import BasisSet, fixed_fourier, sample_fourier
 from ralp.lower_bound import SaddleConfig
@@ -100,6 +100,8 @@ class IterationRecord:
     wallclock: float
     # seconds spent in this iteration's LP build, LP solve, rollouts and lower bound
     phase_s: dict[str, float] = field(default_factory=dict)
+    # LP size, backend rounds and rows in the last round, worst row violation
+    lp: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -163,8 +165,9 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
         else:
             model = build_falp(prepared, bases, nu_samples)
         t_solve = time.monotonic()
+        sol = backend.solve(model)
         try:
-            weights, _objective = solve(model, backend)
+            weights = vfa_weights(sol)
         except alp.SolverError as err:
             raise LoopError(f"iteration with {num_bases} bases: {err}", records) from err
 
@@ -220,6 +223,13 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
                 incumbent_pc=incumbent_pc,
                 wallclock=time.monotonic() - started,
                 phase_s=phase_s,
+                lp={
+                    "rows": model.num_rows,
+                    "cols": model.num_vars,
+                    "rows_solved": sol.rows_solved,
+                    "rounds": sol.rounds,
+                    "max_violation": sol.max_violation,
+                },
             )
         )
         iterate_weights.append(weights)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from ralp import toy
+from ralp import pic, toy
 from ralp.alp import (
     ConstraintSamplePlan,
     GUIDE_TOL,
+    HIGHS_TOL,
+    ROWGEN_START,
     LpModel,
     ScipyBackend,
     SolverError,
@@ -115,6 +118,114 @@ class TestSolve:
         w, _ = solve(model, backend)
         x = np.concatenate([[w.beta0], w.betas])
         assert np.max(model.rows @ x - model.rhs) <= 1e-7
+
+
+def _full_solve(backend: ScipyBackend, model: LpModel) -> tuple[np.ndarray, float]:
+    """One HiGHS call over every preconditioned row: the backend before row generation."""
+    rows, rhs = model.rows, model.rhs
+    if backend.var_bound is not None:
+        eye = np.eye(model.num_vars)
+        rows = np.vstack([rows, eye, -eye])
+        rhs = np.concatenate([rhs, np.full(2 * model.num_vars, backend.var_bound)])
+    m = backend._preconditioner(model)
+    a_ub = rows if m is None else rows @ m
+    c = model.objective if m is None else m.T @ model.objective
+    res = linprog(
+        c=-c,
+        A_ub=a_ub,
+        b_ub=rhs,
+        bounds=[(None, None)] * model.num_vars,
+        method="highs",
+        options={"primal_feasibility_tolerance": HIGHS_TOL, "dual_feasibility_tolerance": HIGHS_TOL},
+    )
+    assert res.status == 0
+    x = np.asarray(res.x) if m is None else m @ np.asarray(res.x)
+    return x, float(-res.fun)
+
+
+@pytest.fixture(scope="module")
+def pic_model():
+    # the pic-saddle benchmark's second LP: pic:1, 5000 rows, 20 bases, sigma in [100, 1000]
+    mdp = pic.build_pic_mdp(pic.instance_from_table(1), demand_saa_size=500, demand_seed=0)
+    plan = uniform_plan(mdp, 5000, split_rng(3, 21))
+    nu = nu_sample_set(mdp.state_relevance, 1000, split_rng(3, 22))
+    return build_falp(prepare_plan(mdp, plan), sample_fourier(20, mdp.dim_state, (100.0, 1000.0), seed=3), nu)
+
+
+class TestRowGeneration:
+    def _assert_matches_full_solve(self, backend, model):
+        sol = backend.solve(model)
+        assert sol.status == "optimal"
+        _, ref = _full_solve(backend, model)
+        assert abs(sol.objective - ref) <= 1e-9 * abs(ref)
+        assert np.all(model.rows @ sol.x - model.rhs <= 1e-6 * (1.0 + np.abs(model.rhs)))
+        assert 1 <= sol.rows_solved <= model.num_rows
+        return sol
+
+    def test_pic_model(self, pic_model, backend):
+        sol = self._assert_matches_full_solve(backend, pic_model)
+        # the loop ran: more than one round, over a fraction of the rows
+        assert sol.rounds > 1
+        assert sol.rows_solved < pic_model.num_rows
+
+    def test_toy_grid(self, toy_grid_prepared, toy_nu_samples, backend):
+        model = build_falp(toy_grid_prepared, sample_fourier(5, 1, (0.2, 1.0), seed=2), toy_nu_samples)
+        assert model.num_rows == 101101
+        self._assert_matches_full_solve(backend, model)
+
+    def test_fglp_with_guide_rows(self, toy_mdp, toy_nu_samples, backend):
+        prepared = prepare_plan(toy_mdp, uniform_plan(toy_mdp, 3000, split_rng(4, 21)))
+        bases = sample_fourier(6, 1, (0.2, 1.0), seed=4)
+        prev, _ = solve(build_falp(prepared, bases.prefix(3), toy_nu_samples), backend)
+        model = build_fglp(prepared, bases, toy_nu_samples, prev)
+        assert model.tags.count("self-guiding") == 3000
+        self._assert_matches_full_solve(backend, model)
+
+    def test_binding_box(self, toy_mdp, toy_nu_samples):
+        boxed = ScipyBackend(var_bound=0.05)
+        prepared = prepare_plan(toy_mdp, uniform_plan(toy_mdp, 2000, split_rng(5, 21)))
+        model = build_falp(prepared, sample_fourier(5, 1, (0.2, 1.0), seed=5), toy_nu_samples)
+        sol = self._assert_matches_full_solve(boxed, model)
+        assert np.max(np.abs(sol.x)) == pytest.approx(0.05, rel=1e-9)  # the box binds
+        assert np.max(np.abs(sol.x)) <= 0.05 * (1.0 + 1e-6)
+
+    def test_small_model_is_one_call_with_the_same_bits(self, toy_mdp, toy_nu_samples, backend):
+        prepared = prepare_plan(toy_mdp, uniform_plan(toy_mdp, ROWGEN_START, split_rng(6, 21)))
+        model = build_falp(prepared, sample_fourier(5, 1, (0.2, 1.0), seed=6), toy_nu_samples)
+        sol = backend.solve(model)
+        x, ref = _full_solve(backend, model)
+        assert (sol.rounds, sol.rows_solved) == (1, ROWGEN_START)
+        assert np.array_equal(sol.x, x) and sol.objective == ref
+
+    def test_unbounded_start_falls_back_to_all_rows(self, backend):
+        # the start rows bound x1 only; x2 <= 1 sits in rows outside the start set
+        n = 1000
+        start = np.linspace(0, n - 1, ROWGEN_START).astype(int)
+        rows = np.tile([0.0, 1.0], (n, 1))
+        rows[start] = [1.0, 0.0]
+        model = LpModel(objective=[1.0, 1.0], rows=rows, rhs=np.ones(n), tags=("standard",) * n)
+        sol = backend.solve(model)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(2.0, abs=1e-9)
+        assert sol.objective == pytest.approx(_full_solve(backend, model)[1], abs=1e-12)
+        assert sol.rows_solved == n
+
+    def test_infeasible_model(self, backend):
+        # x1 <= 0 on the start rows; -x1 <= -1 (x1 >= 1) on the rows the first solution violates
+        n = 400
+        start = np.linspace(0, n - 1, ROWGEN_START).astype(int)
+        rows = np.tile([-1.0, 0.0], (n, 1))
+        rhs = np.full(n, -1.0)
+        rows[start], rhs[start] = [1.0, 0.0], 0.0
+        rows[:, 1] = np.linspace(-1.0, 1.0, n)  # keeps x2 bounded and the columns independent
+        model = LpModel(objective=[1.0, 0.0], rows=rows, rhs=rhs, tags=("standard",) * n)
+        sol = backend.solve(model)
+        assert sol.status == "infeasible" and sol.rounds > 1
+
+    def test_deterministic(self, pic_model, backend):
+        a, b = backend.solve(pic_model), backend.solve(pic_model)
+        assert np.array_equal(a.x, b.x) and a.objective == b.objective
+        assert (a.rounds, a.rows_solved) == (b.rounds, b.rows_solved)
 
 
 class TestVfaValue:
