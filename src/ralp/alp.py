@@ -20,6 +20,8 @@ from typing import Optional, Protocol
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
+from scipy.sparse import csc_array, csr_array
 
 from ralp.bases import BasisSet, features
 from ralp.mdp import DiscountedMdp, batch_expected_costs, expected_successor_phases
@@ -93,8 +95,9 @@ class LpSolution:
     x: Optional[np.ndarray]
     objective: Optional[float]
     max_violation: Optional[float]  # feasibility report: max(rows.x - rhs)
-    rounds: int = 0  # backend LP calls made for this model
+    rounds: int = 0  # HiGHS solves made for this model
     rows_solved: int = 0  # model rows in the last call (box rows not counted)
+    iterations: int = 0  # simplex iterations summed over the calls
 
 
 class SolverBackend(Protocol):
@@ -112,7 +115,7 @@ ROWGEN_ADD = 150
 
 
 class ScipyBackend:
-    """HiGHS via scipy.optimize.linprog; variables are free.
+    """HiGHS through scipy's bundled bindings; variables are free.
 
     Random cosine features can produce nearly collinear LP columns (tiny or
     nearly duplicated frequencies), on which the simplex breaks down.  The
@@ -126,15 +129,28 @@ class ScipyBackend:
     honored its own rows to well below the guide slack.
 
     Sampled ALPs have thousands of rows but only about as many binding rows
-    as variables, so each model is solved by row generation.  The first
-    subproblem holds ``ROWGEN_START`` evenly spaced rows plus every box row.
+    as variables, so each model is solved by row generation on one live
+    HiGHS model.  The model starts with ``ROWGEN_START`` evenly spaced rows
+    plus every box row, with the options ``linprog(method="highs")`` passes.
     After each solve, up to ``ROWGEN_ADD`` of the remaining rows violated by
-    more than ``HIGHS_TOL * (1 + |rhs|)`` join, the most violated first,
-    until no row outside the subproblem is violated.  A model of at most
-    ``ROWGEN_START`` rows is therefore one call over all of its rows.  An
-    infeasible subproblem proves the model infeasible; an unbounded or
-    numeric one that still lacks rows is solved once more over all rows,
-    whose status is the one reported.
+    more than ``HIGHS_TOL * (1 + |rhs|)`` are appended, the most violated
+    first, and the dual simplex continues from the kept basis (added rows
+    leave it dual feasible), until no row outside the model is violated.
+
+    A model of at most ``ROWGEN_START`` rows is therefore one solve over all
+    of its rows, with the same bits as ``linprog``.  A solve of more than
+    one round returns the vertex of its final basis: the nonbasic rows,
+    solved in model row order, so that the weights depend on the final
+    basis and not on the path the warm starts took.  When that basis is not
+    a vertex (some column is nonbasic, as a zero column can be), HiGHS's own
+    primal values are returned.
+
+    An infeasible subproblem proves the model infeasible; an unbounded or
+    numeric one that still lacks rows is solved once more over all rows by a
+    cold ``linprog`` call, whose status is the one reported.
+
+    The live model uses ``scipy.optimize._highspy``, a private module that
+    scipy has shipped since 1.15; ``linprog`` wraps the same bindings.
     """
 
     def __init__(self, var_bound: Optional[float] = None):
@@ -174,44 +190,128 @@ class ScipyBackend:
         if n > ROWGEN_START:
             active[:n] = False
             active[np.linspace(0, n - 1, ROWGEN_START).astype(int)] = True
+        order = np.flatnonzero(active)  # model row of each HiGHS row, in insertion order
+        highs = _highs_model(c, a_ub[order], rhs[order])
         add_tol = HIGHS_TOL * (1.0 + np.abs(rhs))
-        rounds = 0
+        rounds = iterations = 0
         while True:
-            every = bool(active.all())
-            res = linprog(
-                c=-c,
-                A_ub=a_ub if every else a_ub[active],
-                b_ub=rhs if every else rhs[active],
-                bounds=[(None, None)] * model.num_vars,
-                method="highs",
-                options={
-                    "primal_feasibility_tolerance": HIGHS_TOL,
-                    "dual_feasibility_tolerance": HIGHS_TOL,
-                },
-            )
+            status, y, fun, nit = _highs_run(highs, rhs[order])
             rounds += 1
-            status = {0: "optimal", 1: "numeric", 2: "infeasible", 3: "unbounded", 4: "numeric"}.get(
-                res.status, "numeric"
-            )
-            if every or status == "infeasible":
-                break
-            if status != "optimal":
-                active[:] = True  # unbounded or numeric is reported for the full model only
-                continue
-            # rows outside the subproblem that its solution violates, most violated first
-            viol = a_ub @ res.x - rhs
-            cand = np.flatnonzero(~active & (viol > add_tol))
-            if not len(cand):
-                break
-            active[cand[np.argsort(-viol[cand], kind="stable")[:ROWGEN_ADD]]] = True
+            iterations += nit
+            if status == "optimal":
+                # rows outside the subproblem that its solution violates, most violated first
+                viol = a_ub @ y - rhs
+                cand = np.flatnonzero(~active & (viol > add_tol))
+                if len(cand):
+                    new = np.sort(cand[np.argsort(-viol[cand], kind="stable")[:ROWGEN_ADD]])
+                    _highs_add_rows(highs, a_ub[new], rhs[new])
+                    active[new] = True
+                    order = np.concatenate([order, new])
+                    continue
+                if rounds > 1:
+                    y = _basis_vertex(highs, order, a_ub, rhs, y)
+                    fun = -float(c @ y)
+            elif status != "infeasible" and not active.all():
+                # unbounded or numeric is reported for the full model only
+                res = linprog(
+                    c=-c,
+                    A_ub=a_ub,
+                    b_ub=rhs,
+                    bounds=[(None, None)] * model.num_vars,
+                    method="highs",
+                    options={
+                        "primal_feasibility_tolerance": HIGHS_TOL,
+                        "dual_feasibility_tolerance": HIGHS_TOL,
+                    },
+                )
+                status, y, fun = _LINPROG_STATUS.get(res.status, "numeric"), res.x, res.fun
+                rounds += 1
+                iterations += res.nit
+                active[:] = True
+            break
         rows_solved = int(active[:n].sum())
         if status != "optimal":
             return LpSolution(status=status, x=None, objective=None, max_violation=None,
-                              rounds=rounds, rows_solved=rows_solved)
-        x = np.asarray(res.x) if m is None else m @ np.asarray(res.x)
+                              rounds=rounds, rows_solved=rows_solved, iterations=iterations)
+        x = np.asarray(y) if m is None else m @ np.asarray(y)
         viol = float(np.max(model.rows @ x - model.rhs)) if model.num_rows else 0.0
-        return LpSolution(status="optimal", x=x, objective=float(-res.fun), max_violation=viol,
-                          rounds=rounds, rows_solved=rows_solved)
+        return LpSolution(status="optimal", x=x, objective=float(-fun), max_violation=viol,
+                          rounds=rounds, rows_solved=rows_solved, iterations=iterations)
+
+
+# linprog's status codes, and the HiGHS model statuses it maps to them
+_LINPROG_STATUS = {0: "optimal", 1: "numeric", 2: "infeasible", 3: "unbounded", 4: "numeric"}
+_HIGHS_STATUS = {
+    _highs.HighsModelStatus.kOptimal: "optimal",
+    _highs.HighsModelStatus.kInfeasible: "infeasible",
+    _highs.HighsModelStatus.kModelError: "infeasible",
+    _highs.HighsModelStatus.kUnbounded: "unbounded",
+}
+# linprog turns an optimal status into "numeric" when a row's slack is below
+# minus this (10 sqrt(tol) with its default tol 1e-9)
+_LINPROG_SLACK_TOL = 10.0 * np.sqrt(1e-9)
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": 1,  # dual simplex
+    "primal_feasibility_tolerance": HIGHS_TOL,
+    "dual_feasibility_tolerance": HIGHS_TOL,
+    "output_flag": False,
+    "log_to_console": False,
+}
+
+
+def _highs_model(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray):
+    """A HiGHS model of min -c.y s.t. a_ub y <= b_ub, y free, loaded as linprog loads it."""
+    highs = _highs._Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(key, value)
+    num_row, num_col = a_ub.shape
+    a = csc_array(a_ub)
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = num_col
+    lp.num_row_ = lp.a_matrix_.num_row_ = num_row
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.col_cost_ = -c
+    lp.col_lower_, lp.col_upper_ = np.full(num_col, -np.inf), np.full(num_col, np.inf)
+    lp.row_lower_, lp.row_upper_ = np.full(num_row, -np.inf), b_ub
+    highs.passModel(lp)
+    return highs
+
+
+def _highs_add_rows(highs, a_ub: np.ndarray, b_ub: np.ndarray) -> None:
+    a = csr_array(a_ub)
+    highs.addRows(len(b_ub), np.full(len(b_ub), -np.inf), b_ub, a.nnz,
+                  a.indptr[:-1].astype(np.int32), a.indices.astype(np.int32), a.data)
+
+
+def _highs_run(highs, b_ub: np.ndarray) -> tuple[str, Optional[np.ndarray], Optional[float], int]:
+    """Solve from the kept basis: status, primal values, objective and simplex iterations."""
+    highs.run()
+    info = highs.getInfo()
+    nit = max(info.simplex_iteration_count, 0)  # -1 when HiGHS stopped before the simplex
+    status = _HIGHS_STATUS.get(highs.getModelStatus(), "numeric")
+    if status != "optimal":
+        return status, None, None, nit
+    sol = highs.getSolution()
+    y, fun = np.array(sol.col_value), info.objective_function_value
+    if not (np.isfinite(y).all() and np.isfinite(fun)) or np.any(np.array(sol.row_value) - b_ub > _LINPROG_SLACK_TOL):
+        status = "numeric"
+    return status, y, fun, nit
+
+
+def _basis_vertex(highs, order: np.ndarray, a_ub: np.ndarray, rhs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The vertex of the final basis: its nonbasic rows solved in model row order.
+
+    Returns ``y`` (HiGHS's primal values) unless every column is basic and
+    exactly one row per column is nonbasic.
+    """
+    basis = highs.getBasis()
+    basic = _highs.HighsBasisStatus.kBasic
+    tight = np.sort(order[np.array([s != basic for s in basis.row_status])])
+    if len(tight) != len(y) or any(s != basic for s in basis.col_status):
+        return y
+    return np.linalg.solve(a_ub[tight], rhs[tight])
 
 
 @dataclass(frozen=True)

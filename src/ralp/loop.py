@@ -100,7 +100,8 @@ class IterationRecord:
     wallclock: float
     # seconds spent in this iteration's LP build, LP solve, rollouts and lower bound
     phase_s: dict[str, float] = field(default_factory=dict)
-    # LP size, backend rounds and rows in the last round, worst row violation
+    # LP size, backend rounds and rows in the last round, simplex iterations,
+    # worst row violation
     lp: dict[str, float] = field(default_factory=dict)
 
 
@@ -228,6 +229,7 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
                     "cols": model.num_vars,
                     "rows_solved": sol.rows_solved,
                     "rounds": sol.rounds,
+                    "iterations": sol.iterations,
                     "max_violation": sol.max_violation,
                 },
             )

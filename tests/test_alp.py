@@ -7,6 +7,7 @@ from ralp.alp import (
     ConstraintSamplePlan,
     GUIDE_TOL,
     HIGHS_TOL,
+    ROWGEN_ADD,
     ROWGEN_START,
     LpModel,
     ScipyBackend,
@@ -143,6 +144,39 @@ def _full_solve(backend: ScipyBackend, model: LpModel) -> tuple[np.ndarray, floa
     return x, float(-res.fun)
 
 
+def _cold_round_iterations(backend: ScipyBackend, model: LpModel) -> int:
+    """Simplex iterations of row generation with a cold ``linprog`` call per round.
+
+    The same start set and add rule as the backend, each round re-solved from
+    scratch over its active rows; the summed ``nit`` is the reference a warm
+    start must beat.
+    """
+    m = backend._preconditioner(model)
+    a_ub = model.rows if m is None else model.rows @ m
+    c = model.objective if m is None else m.T @ model.objective
+    rhs = model.rhs
+    active = np.zeros(model.num_rows, dtype=bool)
+    active[np.linspace(0, model.num_rows - 1, ROWGEN_START).astype(int)] = True
+    add_tol = HIGHS_TOL * (1.0 + np.abs(rhs))
+    total = 0
+    while True:
+        res = linprog(
+            c=-c,
+            A_ub=a_ub[active],
+            b_ub=rhs[active],
+            bounds=[(None, None)] * model.num_vars,
+            method="highs",
+            options={"primal_feasibility_tolerance": HIGHS_TOL, "dual_feasibility_tolerance": HIGHS_TOL},
+        )
+        assert res.status == 0
+        total += res.nit
+        viol = a_ub @ res.x - rhs
+        cand = np.flatnonzero(~active & (viol > add_tol))
+        if not len(cand):
+            return total
+        active[cand[np.argsort(-viol[cand], kind="stable")[:ROWGEN_ADD]]] = True
+
+
 @pytest.fixture(scope="module")
 def pic_model():
     # the pic-saddle benchmark's second LP: pic:1, 5000 rows, 20 bases, sigma in [100, 1000]
@@ -167,6 +201,24 @@ class TestRowGeneration:
         # the loop ran: more than one round, over a fraction of the rows
         assert sol.rounds > 1
         assert sol.rows_solved < pic_model.num_rows
+
+    def test_warm_rounds_take_fewer_iterations_than_cold_rounds(self, pic_model, backend):
+        sol = backend.solve(pic_model)
+        assert sol.rounds > 1
+        assert 1 <= sol.iterations < _cold_round_iterations(backend, pic_model)
+
+    def test_zero_column(self, toy_mdp, toy_nu_samples, backend):
+        # an all-zero column stays nonbasic, so the final basis is not a vertex
+        prepared = prepare_plan(toy_mdp, uniform_plan(toy_mdp, 2000, split_rng(7, 21)))
+        falp = build_falp(prepared, sample_fourier(5, 1, (0.2, 1.0), seed=7), toy_nu_samples)
+        model = LpModel(
+            objective=np.insert(falp.objective, 3, 0.0),
+            rows=np.insert(falp.rows, 3, 0.0, axis=1),
+            rhs=falp.rhs,
+            tags=falp.tags,
+        )
+        sol = self._assert_matches_full_solve(backend, model)
+        assert sol.rounds > 1
 
     def test_toy_grid(self, toy_grid_prepared, toy_nu_samples, backend):
         model = build_falp(toy_grid_prepared, sample_fourier(5, 1, (0.2, 1.0), seed=2), toy_nu_samples)

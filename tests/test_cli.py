@@ -141,16 +141,17 @@ class TestRunToy:
             assert sum(phase.values()) <= after - before + 1e-9  # rounding of the sums only
 
     def test_manifest_lp_statistics(self, toy_run):
-        # per-iteration LP size, row-generation rounds and worst row violation
+        # per-iteration LP size, row-generation rounds, simplex iterations and worst row violation
         _, run_dir, _ = toy_run
         manifest = json.loads((run_dir / "manifest.json").read_text())
         lps = manifest["lp"]
         assert len(lps) == len(manifest["phase_s"]) == 3
         for num_bases, lp in enumerate(lps, start=1):
-            assert set(lp) == {"rows", "cols", "rows_solved", "rounds", "max_violation"}
+            assert set(lp) == {"rows", "cols", "rows_solved", "rounds", "iterations", "max_violation"}
             assert (lp["rows"], lp["cols"]) == (1001 * 101, num_bases + 1)
             assert 1 <= lp["rows_solved"] <= lp["rows"]
             assert lp["rounds"] >= 1
+            assert isinstance(lp["iterations"], int) and lp["iterations"] >= 1
             assert isinstance(lp["max_violation"], float)
 
     def test_seed_override_changes_rollouts(self, toy_run, tmp_path_factory):
