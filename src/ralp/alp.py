@@ -145,9 +145,12 @@ class ScipyBackend:
     a vertex (some column is nonbasic, as a zero column can be), HiGHS's own
     primal values are returned.
 
-    An infeasible subproblem proves the model infeasible; an unbounded or
-    numeric one that still lacks rows is solved once more over all rows by a
-    cold ``linprog`` call, whose status is the one reported.
+    An infeasible subproblem proves the model infeasible.  A warm round that
+    ends unbounded or numeric is solved again from scratch (rows added to a
+    bounded LP cannot unbound it, so such a status is a numerical failure of
+    the warm start).  An unbounded or numeric subproblem that still lacks
+    rows is solved once more over all rows by a cold ``linprog`` call, whose
+    status is the one reported.
 
     The live model uses ``scipy.optimize._highspy``, a private module that
     scipy has shipped since 1.15; ``linprog`` wraps the same bindings.
@@ -194,10 +197,17 @@ class ScipyBackend:
         highs = _highs_model(c, a_ub[order], rhs[order])
         add_tol = HIGHS_TOL * (1.0 + np.abs(rhs))
         rounds = iterations = 0
+        warm = False  # whether the next run starts from a kept basis
         while True:
             status, y, fun, nit = _highs_run(highs, rhs[order])
             rounds += 1
             iterations += nit
+            if warm and status in ("unbounded", "numeric"):
+                # added rows cannot unbound a bounded LP, so a warm start that
+                # fails failed numerically: solve the subproblem again from scratch
+                highs.clearSolver()
+                warm = False
+                continue
             if status == "optimal":
                 # rows outside the subproblem that its solution violates, most violated first
                 viol = a_ub @ y - rhs
@@ -207,6 +217,7 @@ class ScipyBackend:
                     _highs_add_rows(highs, a_ub[new], rhs[new])
                     active[new] = True
                     order = np.concatenate([order, new])
+                    warm = True
                     continue
                 if rounds > 1:
                     y = _basis_vertex(highs, order, a_ub, rhs, y)

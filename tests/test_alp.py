@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ralp import pic, toy
+from ralp import alp, pic, toy
 from ralp.alp import (
     ConstraintSamplePlan,
     GUIDE_TOL,
@@ -206,6 +206,22 @@ class TestRowGeneration:
         sol = backend.solve(pic_model)
         assert sol.rounds > 1
         assert 1 <= sol.iterations < _cold_round_iterations(backend, pic_model)
+
+    def test_failed_warm_round_is_solved_again_from_scratch(self, pic_model, backend, monkeypatch):
+        # a warm round that ends numeric is re-run cold on the same rows, not
+        # sent to the all-rows fallback
+        rows = []
+        highs_run = alp._highs_run
+
+        def fail_second_run(highs, b_ub):
+            rows.append(highs.getNumRow())
+            status, y, fun, nit = highs_run(highs, b_ub)
+            return ("numeric", None, None, nit) if len(rows) == 2 else (status, y, fun, nit)
+
+        monkeypatch.setattr(alp, "_highs_run", fail_second_run)
+        sol = self._assert_matches_full_solve(backend, pic_model)
+        assert rows[1] == rows[2] > rows[0]
+        assert sol.rows_solved < pic_model.num_rows
 
     def test_zero_column(self, toy_mdp, toy_nu_samples, backend):
         # an all-zero column stays nonbasic, so the final basis is not a vertex
