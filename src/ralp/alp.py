@@ -146,7 +146,7 @@ class ScipyBackend:
     primal values are returned.
 
     An infeasible subproblem proves the model infeasible.  A warm round that
-    ends unbounded or numeric is solved again from scratch (rows added to a
+    ends unbounded or numeric is solved again cold (rows added to a
     bounded LP cannot unbound it, so such a status is a numerical failure of
     the warm start).  An unbounded or numeric subproblem that still lacks
     rows is solved once more over all rows by a cold ``linprog`` call, whose
@@ -204,7 +204,7 @@ class ScipyBackend:
             iterations += nit
             if warm and status in ("unbounded", "numeric"):
                 # added rows cannot unbound a bounded LP, so a warm start that
-                # fails failed numerically: solve the subproblem again from scratch
+                # fails failed numerically: solve the subproblem again from a cleared basis
                 highs.clearSolver()
                 warm = False
                 continue
@@ -306,7 +306,8 @@ def _highs_run(highs, b_ub: np.ndarray) -> tuple[str, Optional[np.ndarray], Opti
         return status, None, None, nit
     sol = highs.getSolution()
     y, fun = np.array(sol.col_value), info.objective_function_value
-    if not (np.isfinite(y).all() and np.isfinite(fun)) or np.any(np.array(sol.row_value) - b_ub > _LINPROG_SLACK_TOL):
+    slack_ok = not np.any(np.array(sol.row_value) - b_ub > _LINPROG_SLACK_TOL)
+    if not (np.isfinite(y).all() and np.isfinite(fun) and slack_ok):
         status = "numeric"
     return status, y, fun, nit
 

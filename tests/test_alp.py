@@ -147,9 +147,9 @@ def _full_solve(backend: ScipyBackend, model: LpModel) -> tuple[np.ndarray, floa
 def _cold_round_iterations(backend: ScipyBackend, model: LpModel) -> int:
     """Simplex iterations of row generation with a cold ``linprog`` call per round.
 
-    The same start set and add rule as the backend, each round re-solved from
-    scratch over its active rows; the summed ``nit`` is the reference a warm
-    start must beat.
+    The same start set and add rule as the backend, each round solved cold
+    over its active rows; the summed ``nit`` is the reference a warm start
+    must beat.
     """
     m = backend._preconditioner(model)
     a_ub = model.rows if m is None else model.rows @ m
@@ -207,7 +207,7 @@ class TestRowGeneration:
         assert sol.rounds > 1
         assert 1 <= sol.iterations < _cold_round_iterations(backend, pic_model)
 
-    def test_failed_warm_round_is_solved_again_from_scratch(self, pic_model, backend, monkeypatch):
+    def test_failed_warm_round_is_solved_again_cold(self, pic_model, backend, monkeypatch):
         # a warm round that ends numeric is re-run cold on the same rows, not
         # sent to the all-rows fallback
         rows = []
