@@ -7,7 +7,7 @@ refined with self-guiding constraints, and reports control policies together
 with valid lower bounds on the optimal cost.
 """
 
-from ralp import alp, bases, gjr, loop, lower_bound, mdp, pic, policy, toy
+from ralp import alp, bases, gjr, loop, lower_bound, mdp, policy, toy
 
 __all__ = [
     "alp",
@@ -22,3 +22,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # pic alone needs scipy.special, so it is imported on first use
+    if name == "pic":
+        import ralp.pic
+
+        return ralp.pic
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

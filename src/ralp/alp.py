@@ -15,13 +15,14 @@ default backend.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Protocol
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.optimize._highspy import _core as _highs
-from scipy.sparse import csc_array, csr_array
 
 from ralp.bases import BasisSet, features
 from ralp.mdp import DiscountedMdp, batch_expected_costs, expected_successor_phases
@@ -152,8 +153,11 @@ class ScipyBackend:
     rows is solved once more over all rows by a cold ``linprog`` call, whose
     status is the one reported.
 
-    The live model uses ``scipy.optimize._highspy``, a private module that
-    scipy has shipped since 1.15; ``linprog`` wraps the same bindings.
+    The live model uses ``scipy.optimize._highspy._core``, a private
+    extension module that scipy has shipped since 1.15 and that ``linprog``
+    wraps too.  It is loaded by file path, so solving does not import the
+    ``scipy.optimize`` package; the all-rows fall-back imports it on its
+    first call.
     """
 
     def __init__(self, var_bound: Optional[float] = None):
@@ -250,6 +254,40 @@ class ScipyBackend:
                           rounds=rounds, rows_solved=rows_solved, iterations=iterations)
 
 
+def _load_highs():
+    """scipy's compiled HiGHS binding, loaded from its file without importing ``scipy.optimize``.
+
+    The module is registered under its own name, so ``scipy.optimize``
+    imported before or after this one uses the same module object.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed")
+    folder = Path(scipy_spec.submodule_search_locations[0]) / "optimize" / "_highspy"
+    paths = [folder / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"no HiGHS extension module _core.* in {folder}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_highs = _load_highs()
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: only the all-rows fall-back solves with it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 # linprog's status codes, and the HiGHS model statuses it maps to them
 _LINPROG_STATUS = {0: "optimal", 1: "numeric", 2: "infeasible", 3: "unbounded", 4: "numeric"}
 _HIGHS_STATUS = {
@@ -277,12 +315,11 @@ def _highs_model(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray):
     for key, value in _HIGHS_OPTIONS.items():
         highs.setOptionValue(key, value)
     num_row, num_col = a_ub.shape
-    a = csc_array(a_ub)
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = num_col
     lp.num_row_ = lp.a_matrix_.num_row_ = num_row
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _compressed(a_ub.T)
     lp.col_cost_ = -c
     lp.col_lower_, lp.col_upper_ = np.full(num_col, -np.inf), np.full(num_col, np.inf)
     lp.row_lower_, lp.row_upper_ = np.full(num_row, -np.inf), b_ub
@@ -291,9 +328,18 @@ def _highs_model(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray):
 
 
 def _highs_add_rows(highs, a_ub: np.ndarray, b_ub: np.ndarray) -> None:
-    a = csr_array(a_ub)
-    highs.addRows(len(b_ub), np.full(len(b_ub), -np.inf), b_ub, a.nnz,
-                  a.indptr[:-1].astype(np.int32), a.indices.astype(np.int32), a.data)
+    start, index, value = _compressed(a_ub)
+    highs.addRows(len(b_ub), np.full(len(b_ub), -np.inf), b_ub, len(value), start[:-1], index, value)
+
+
+def _compressed(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of a dense block by rows: row starts (with the end), column indices and values.
+
+    The arrays of ``csr_array(a)``; ``_compressed(a.T)`` gives those of ``csc_array(a)``.
+    """
+    nz = a != 0
+    start = np.concatenate(([0], np.cumsum(nz.sum(axis=1)))).astype(np.int32)
+    return start, np.nonzero(nz)[1].astype(np.int32), a[nz]
 
 
 def _highs_run(highs, b_ub: np.ndarray) -> tuple[str, Optional[np.ndarray], Optional[float], int]:
@@ -514,49 +560,3 @@ def vfa_values(bases: BasisSet, w: VfaWeights, states: np.ndarray) -> np.ndarray
 def lb_expectation(bases: BasisSet, w: VfaWeights, chi_samples: np.ndarray) -> float:
     """E_chi[V(s)] over a fixed sample set (exact for a degenerate chi atom)."""
     return float(vfa_values(bases, w, chi_samples).mean())
-
-
-# --- plain-text interchange format -----------------------------------------
-#
-#   ralp-lp 1
-#   vars <num_vars>
-#   maximize <c_0> ... <c_{v-1}>
-#   row <tag> <a_0> ... <a_{v-1}> <= <rhs>      (one line per row)
-#
-# Floats are written with repr so a round trip is exact.
-
-
-def lp_to_text(model: LpModel) -> str:
-    lines = [
-        "ralp-lp 1",
-        f"vars {model.num_vars}",
-        "maximize " + " ".join(repr(float(c)) for c in model.objective),
-    ]
-    for i in range(model.num_rows):
-        coeffs = " ".join(repr(float(c)) for c in model.rows[i])
-        lines.append(f"row {model.tags[i]} {coeffs} <= {float(model.rhs[i])!r}")
-    return "\n".join(lines) + "\n"
-
-
-def lp_from_text(text: str) -> LpModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0].strip() != "ralp-lp 1":
-        raise ValueError(f"unknown LP format header: {lines[0]!r}")
-    num_vars = int(lines[1].split()[1])
-    obj = np.array([float(t) for t in lines[2].split()[1:]])
-    if len(obj) != num_vars:
-        raise ValueError("objective length does not match vars")
-    rows, rhs, tags = [], [], []
-    for ln in lines[3:]:
-        tokens = ln.split()
-        if tokens[0] != "row" or tokens[-2] != "<=":
-            raise ValueError(f"malformed row line: {ln!r}")
-        tags.append(tokens[1])
-        rows.append([float(t) for t in tokens[2:-2]])
-        rhs.append(float(tokens[-1]))
-    return LpModel(
-        objective=obj,
-        rows=np.array(rows).reshape(len(rhs), num_vars),
-        rhs=np.array(rhs),
-        tags=tuple(tags),
-    )

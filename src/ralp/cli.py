@@ -31,7 +31,6 @@ from statistics import median
 import numpy as np
 
 from ralp import gjr as gjr_mod
-from ralp import pic as pic_mod
 from ralp import policy as policy_mod
 from ralp import toy as toy_mod
 from ralp.alp import ScipyBackend, grid_plan, vfa_values
@@ -134,6 +133,8 @@ def _build_problem(cfg: dict, seed: int):
     if problem == "toy":
         return toy_mod.build_toy()
     if problem.startswith("pic:"):
+        from ralp import pic as pic_mod
+
         params = pic_mod.instance_from_table(int(problem[4:]))
         saa = int(cfg.get("demand_saa_size", pic_mod.DEMAND_SAA_SIZE))
         return pic_mod.build_pic_mdp(params, demand_saa_size=saa, demand_seed=seed)
@@ -396,6 +397,8 @@ def emit_table(run_dirs: list[str | Path]) -> str:
 
 
 def _cmd_print_instance(spec: str, seed: int) -> int:
+    from ralp import pic as pic_mod
+
     if spec == "pic:all":
         print(pic_mod.catalog_json())
         return 0

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import csc_array, csr_array
 
 from ralp import alp, pic, toy
 from ralp.alp import (
@@ -17,8 +23,6 @@ from ralp.alp import (
     build_fglp,
     grid_plan,
     lb_expectation,
-    lp_from_text,
-    lp_to_text,
     nu_sample_set,
     prepare_plan,
     solve,
@@ -387,16 +391,73 @@ class TestPlans:
         assert np.array_equal(a.states, b.states) and np.array_equal(a.actions, b.actions)
 
 
-class TestTextFormat:
-    def test_round_trip_exact(self, toy_mdp, toy_nu_samples):
-        plan = grid_plan(np.array([[0.0], [0.5]]), np.array([[0.25]]))
-        model = build_fglp(prepare_plan(toy_mdp, plan), fixed_fourier([2.0]), toy_nu_samples, VfaWeights.zero(1))
-        again = lp_from_text(lp_to_text(model))
-        assert np.array_equal(model.objective, again.objective)
-        assert np.array_equal(model.rows, again.rows)
-        assert np.array_equal(model.rhs, again.rhs)
-        assert model.tags == again.tags
 
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            lp_from_text("nonsense 2\nvars 1\nmaximize 1.0\n")
+class TestHighsBinding:
+    @staticmethod
+    def _block():
+        # exact zeros (both signs), an all-zero column and an all-zero row
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(40, 7))
+        a[rng.random(a.shape) < 0.3] = 0.0
+        a[rng.random(a.shape) < 0.05] = -0.0
+        a[:, 2] = 0.0
+        a[5] = 0.0
+        return a
+
+    def test_model_matrix_is_the_csc_arrays(self):
+        a = self._block()
+        matrix = alp._highs_model(np.ones(a.shape[1]), a, np.ones(len(a))).getLp().a_matrix_
+        ref = csc_array(a)
+        assert matrix.format_ == alp._highs.MatrixFormat.kColwise
+        assert np.array_equal(matrix.start_, ref.indptr)
+        assert np.array_equal(matrix.index_, ref.indices)
+        assert np.array_equal(matrix.value_, ref.data)
+
+    def test_added_rows_are_the_csr_arrays(self):
+        class Recorder:
+            def addRows(self, *args):
+                self.args = args
+
+        a, b = self._block(), np.arange(40.0)
+        highs = Recorder()
+        alp._highs_add_rows(highs, a, b)
+        num_row, lower, upper, nnz, start, index, value = highs.args
+        ref = csr_array(a)
+        assert (num_row, nnz) == (40, ref.nnz)
+        assert np.array_equal(lower, np.full(40, -np.inf)) and upper is b
+        assert np.array_equal(start, ref.indptr[:-1]) and start.dtype == np.int32
+        assert np.array_equal(index, ref.indices) and index.dtype == np.int32
+        assert np.array_equal(value, ref.data)
+
+
+_SAME_BINDING = """
+import sys
+import numpy as np
+{first}
+{second}
+from scipy.optimize import linprog
+from ralp.alp import HIGHS_TOL, LpModel, ScipyBackend, _highs
+assert sys.modules["scipy.optimize._highspy._core"] is _highs
+rng = np.random.default_rng(3)
+model = LpModel(objective=rng.normal(size=6), rows=rng.normal(size=(300, 6)),
+                rhs=1.0 + rng.random(300), tags=("standard",) * 300)
+backend = ScipyBackend()
+sol = backend.solve(model)
+m = backend._preconditioner(model)
+res = linprog(c=-(m.T @ model.objective), A_ub=model.rows @ m, b_ub=model.rhs,
+              bounds=[(None, None)] * 6, method="highs",
+              options={{"primal_feasibility_tolerance": HIGHS_TOL, "dual_feasibility_tolerance": HIGHS_TOL}})
+assert sol.status == "optimal" and res.status == 0
+assert np.array_equal(sol.x, m @ res.x) and sol.objective == -res.fun
+"""
+
+
+@pytest.mark.parametrize("first, second", [("import ralp.alp", "import scipy.optimize"),
+                                           ("import scipy.optimize", "import ralp.alp")])
+def test_scipy_optimize_shares_the_loaded_binding(first, second):
+    # ralp loads the HiGHS extension by file path; importing scipy.optimize
+    # before or after must give one module object and the same solutions
+    src = str(Path(alp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = _SAME_BINDING.format(first=first, second=second)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

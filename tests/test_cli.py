@@ -182,6 +182,38 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def _loaded_after(code: str) -> list[str]:
+    """The names in ``sys.modules`` after running ``code`` in a fresh interpreter."""
+    src = str(Path(ralp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_leaves_scipy_optimize_and_sparse_unloaded():
+    loaded = _loaded_after("import ralp.cli")
+    assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded
+
+
+def test_gjr_run_leaves_scipy_special_unloaded(tmp_path):
+    cfg = {
+        "problem": 'gjr:{"items": 2, "scheme": "constant", "z": 100, "usage_rates": [1.0, 1.0]}',
+        "model": "falp",
+        "seed": 42,
+        "output_dir": str(tmp_path / "runs"),
+        "gjr": {"num_bases": 5, "init_pairs": 80, "stages": 60, "k": 2, "grid_per_dim": 25},
+    }
+    path = _write(tmp_path, cfg)
+    loaded = _loaded_after(f"from ralp import cli; assert cli.run_experiment({str(path)!r})[0] == 0")
+    assert "scipy.special" not in loaded
+
+
+def test_pic_is_imported_on_use():
+    assert "scipy.special" in _loaded_after("import ralp; ralp.pic.demand_quantile")
+    assert "scipy.special" in _loaded_after("from ralp import *; pic.demand_quantile")
+
+
 def test_toy_config_matches_golden_trace(tmp_path):
     # configs/toy.json takes the noise-enumeration path for every
     # expectation; its trace.csv is pinned byte-for-byte.

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ralp import pic
 from ralp.bases import features, sample_fourier
@@ -249,11 +249,21 @@ def _closed_form_case(draw):
     return mdp, bases, np.array(states), np.array(actions)
 
 
+def _zero_cost_case():
+    # one demand atom xi = 6.6e-30 at s = (s_min, a_max, 0), a = 0: enumeration
+    # rounds the backlog xi - s0 - s1 to exactly 0, so the expected cost is 0,
+    # where the closed form gives 7.9e-29
+    p = pic.instance_from_table(1)
+    mdp = dataclasses.replace(pic.build_pic_mdp(p, demand_saa_size=1), noise=NoiseModel(values=np.array([6.60877544e-30])))
+    return mdp, sample_fourier(1, 3, (100.0, 1000.0), 0), np.array([[p.s_min, p.a_max, 0.0]]), np.array([[0.0]])
+
+
 class TestClosedForm:
     """The closed-form demand expectations against successor enumeration."""
 
     @settings(max_examples=300, deadline=None)
     @given(_closed_form_case())
+    @example(_zero_cost_case())
     def test_matches_enumeration(self, case):
         mdp, bases, states, actions = case
         m, k = len(states), len(mdp.noise.values)
@@ -267,7 +277,7 @@ class TestClosedForm:
         assert np.abs(z.real - exp_cos).max() <= 1e-12
         assert np.abs(z.imag - exp_sin).max() <= 1e-12
         cost = batch_expected_costs(mdp, states, actions)
-        assert np.all(np.abs(cost - exp_cost) <= 1e-12 * np.abs(exp_cost))
+        assert np.all(np.abs(cost - exp_cost) <= 1e-12 * np.maximum(np.abs(exp_cost), 1.0))
 
     def test_noise_replacement_is_seen(self):
         # the closed forms read the MDP's current noise model, not the one it was built with
