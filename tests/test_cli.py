@@ -166,6 +166,9 @@ class TestRunToy:
 
 
 REPO = Path(__file__).resolve().parent.parent
+# bounds.json of the full gjr2 run, pinned with its golden trace
+GJR2_LB = 91.65996878967822
+GJR2_PC = 91.65996878968302
 # bounds.json of the shortened gjr2 run, pinned with the golden trace
 GJR_SHORT_LB = 91.65996878967826
 GJR_SHORT_PC = 91.65996878967778
@@ -238,6 +241,20 @@ def test_short_pic_config_matches_golden_trace(tmp_path):
     assert code == 0
     golden = (Path(__file__).parent / "golden" / "pic_short_trace.csv").read_bytes()
     assert (Path(run_dir) / "trace.csv").read_bytes() == golden
+
+
+def test_gjr2_config_matches_golden_trace(tmp_path):
+    # configs/gjr2.json as shipped: 20 stumps, the 50-point separation grid
+    # and 4000 simulated stages.
+    cfg = json.loads((REPO / "configs" / "gjr2.json").read_text())
+    cfg["output_dir"] = str(tmp_path / "runs")
+    code, run_dir = cli.run_experiment(_write(tmp_path, cfg))
+    assert code == 0
+    golden = (Path(__file__).parent / "golden" / "gjr2_trace.csv").read_bytes()
+    assert (Path(run_dir) / "trace.csv").read_bytes() == golden
+    bounds = json.loads((Path(run_dir) / "bounds.json").read_text())
+    assert bounds["lb"] == GJR2_LB
+    assert bounds["pc"] == GJR2_PC
 
 
 def test_short_gjr_config_matches_golden_trace(tmp_path):
