@@ -336,6 +336,8 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
         # wall times of every cut loop of the run (FGLP's affine warm start included)
         "cut_loop_lp_s": sum(r.lp_s for r in loops + [result]),
         "cut_loop_separate_s": sum(r.separate_s for r in loops + [result]),
+        "lp_iterations": sum(r.lp_iterations for r in loops + [result]),
+        "separation_grid_points": sum(r.separation_grid_points for r in loops + [result]),
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return 0

@@ -203,8 +203,7 @@ def build_avg_alp(
     j = p.num_items
     n_b = len(bases)
     num_vars = 2 + j + n_b
-    times, nxt, rhs = gjr_step(p, states, actions)
-    dphi = features(bases, nxt, eps) - features(bases, states, eps)
+    times, rhs, dphi = _step_terms(p, bases, states, actions, eps)
     rows = np.zeros((len(states), num_vars))
     rows[:, 0] = times
     rows[:, 2 : 2 + j] = actions
@@ -228,6 +227,14 @@ def build_avg_alp(
     objective[0] = 1.0
     objective[2 : 2 + j] = p.usage_rates
     return LpModel(objective=objective, rows=rows, rhs=rhs, tags=tuple(tags))
+
+
+def _step_terms(
+    p: GjrParams, bases: BasisSet, states: np.ndarray, actions: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solution-free terms of the rows of (s, a) pairs: time T, cost c and phi(s') - phi(s)."""
+    times, nxt, costs = gjr_step(p, states, actions)
+    return times, costs, features(bases, nxt, eps) - features(bases, states, eps)
 
 
 def _unpack(p: GjrParams, x: np.ndarray) -> BiasApprox:
@@ -271,8 +278,11 @@ def constraint_slack(
     """c(s,a) - eta_hat T - beta1 . a - beta2 . (phi(s') - phi(s)) per row."""
     states = np.atleast_2d(states)
     actions = np.atleast_2d(actions)
-    times, nxt, costs = gjr_step(p, states, actions)
-    dphi = features(bases, nxt, eps) - features(bases, states, eps)
+    times, costs, dphi = _step_terms(p, bases, states, actions, eps)
+    return _slack(sol, times, costs, actions, dphi)
+
+
+def _slack(sol: BiasApprox, times, costs, actions, dphi) -> np.ndarray:
     return costs - sol.eta_hat * times - actions @ sol.beta1 - dphi @ sol.beta2
 
 
@@ -293,6 +303,48 @@ def _branch_candidates(p: GjrParams, face: int, support: tuple[int, ...], g: int
     states = np.stack(flat[:j], axis=1)
     actions = np.stack(flat[j:], axis=1)
     return states, actions
+
+
+@dataclass(frozen=True)
+class GridBranch:
+    """Feasible grid points of one separation branch and their solution-free slack terms."""
+
+    face: int  # the stocked-out item
+    states: np.ndarray  # (n, J)
+    actions: np.ndarray  # (n, J)
+    times: np.ndarray  # (n,) transition times
+    costs: np.ndarray  # (n,) stage costs
+    dphi: np.ndarray  # (n, K) phi(s') - phi(s)
+
+    def __post_init__(self):
+        # one grid serves every cut, and separate may return one of its rows
+        for f in ("states", "actions", "times", "costs", "dphi"):
+            getattr(self, f).setflags(write=False)
+
+
+def separation_grid(
+    p: GjrParams, bases: BasisSet, search: SearchPlan = SearchPlan(), eps: float = DEFAULT_STUMP_EPS
+) -> list[GridBranch]:
+    """The branches of ``separate`` that have a feasible grid point, in search order.
+
+    Branches pair a stocked-out item (state face) with a replenishment
+    support that contains it.  Nothing here depends on the LP solution, whose
+    slack is linear in these terms, so one grid serves a whole cut loop.
+    """
+    j = p.num_items
+    supports = [c for r in range(1, j + 1) for c in combinations(range(j), r)]
+    grid = []
+    for face in range(j):
+        for support in supports:
+            if face not in support:
+                continue  # the stocked-out item must be replenished for time to advance
+            states, actions = _branch_candidates(p, face, support, search.grid_per_dim)
+            mask = feasible(p, states, actions)
+            if not mask.any():
+                continue
+            states, actions = states[mask], actions[mask]
+            grid.append(GridBranch(face, states, actions, *_step_terms(p, bases, states, actions, eps)))
+    return grid
 
 
 def _line_minimum(
@@ -387,34 +439,27 @@ def separate(
     sol: BiasApprox,
     search: SearchPlan = SearchPlan(),
     eps: float = DEFAULT_STUMP_EPS,
+    grid: Optional[list[GridBranch]] = None,
 ) -> SeparationResult:
     """Most violated constraint found by support enumeration, a grid and exact line search.
 
-    Branches pair a stocked-out item (state face) with a replenishment
-    support.  Each branch's best grid point is refined by coordinate descent
-    whose lines are minimized at their breakpoints, which are stump kinks, so
-    the bases must be stumps.  An exact mixed-integer search can be plugged in
-    behind the same result type for larger item counts.
+    Each branch of ``grid`` (built by ``separation_grid`` when not given)
+    has its best grid point refined by coordinate descent whose lines are
+    minimized at their breakpoints, which are stump kinks, so the bases must
+    be stumps.  An exact mixed-integer search can be plugged in behind the
+    same result type for larger item counts.
     """
     if bases.kind != "stump":
         raise ValueError(f"separation needs stump bases, got {bases.kind!r}")
-    j = p.num_items
-    supports = [c for r in range(1, j + 1) for c in combinations(range(j), r)]
+    if grid is None:
+        grid = separation_grid(p, bases, search, eps)
     best: Optional[tuple[np.ndarray, np.ndarray, float]] = None
-    for face in range(j):
-        for support in supports:
-            if face not in support:
-                continue  # the stocked-out item must be replenished for time to advance
-            states, actions = _branch_candidates(p, face, support, search.grid_per_dim)
-            mask = feasible(p, states, actions)
-            if not mask.any():
-                continue
-            states, actions = states[mask], actions[mask]
-            slacks = constraint_slack(p, bases, sol, states, actions, eps)
-            idx = int(np.argmin(slacks))
-            s_r, a_r, v_r = _refine_point(p, bases, sol, states[idx], actions[idx], float(slacks[idx]), face, eps)
-            if best is None or v_r < best[2]:
-                best = (s_r, a_r, v_r)
+    for b in grid:
+        slacks = _slack(sol, b.times, b.costs, b.actions, b.dphi)
+        idx = int(np.argmin(slacks))
+        s_r, a_r, v_r = _refine_point(p, bases, sol, b.states[idx], b.actions[idx], float(slacks[idx]), b.face, eps)
+        if best is None or v_r < best[2]:
+            best = (s_r, a_r, v_r)
     if best is None:
         raise ValueError("no branch has a feasible grid point")
     state, action, slack = best
@@ -465,7 +510,9 @@ class CutLoopResult:
     states: np.ndarray  # (n, J) states of the final constraint pairs
     actions: np.ndarray  # (n, J) actions of the final constraint pairs
     lp_s: float  # wall time building and solving the cut LPs
-    separate_s: float  # wall time in separation
+    separate_s: float  # wall time in separation, the grid build included
+    lp_iterations: int  # simplex iterations over the cut LPs, unbounded re-solves included
+    separation_grid_points: int  # feasible points of the separation grid
 
 
 def constraint_generation(
@@ -494,29 +541,36 @@ def constraint_generation(
     actions = np.asarray(init_actions, dtype=float)
     rng = split_rng(seed, _PAIR_STREAM)
     trace: list[tuple[int, float, float]] = []
-    lp_s = separate_s = 0.0
+    start = time.perf_counter()
+    grid = separation_grid(p, bases, search, eps)
+    separate_s = time.perf_counter() - start
+    lp_s = 0.0
+    lp_iterations = 0
     for iteration in range(max_cuts):
         start = time.perf_counter()
         model = build_avg_alp(p, bases, states, actions, prev, guide_states, eps)
         lp_sol = backend.solve(model)
+        lp_iterations += lp_sol.iterations
         while lp_sol.status == "unbounded":
             more_states, more_actions = sample_gjr_pairs(p, 200, rng)
             states = np.vstack([states, more_states])
             actions = np.vstack([actions, more_actions])
             model = build_avg_alp(p, bases, states, actions, prev, guide_states, eps)
             lp_sol = backend.solve(model)
+            lp_iterations += lp_sol.iterations
         if lp_sol.status != "optimal":
             raise ConstraintGenerationError(f"LP status {lp_sol.status} at cut {iteration}", trace)
         sol = _unpack(p, lp_sol.x)
         lp_s += time.perf_counter() - start
         start = time.perf_counter()
-        sep = separate(p, bases, sol, search, eps)
+        sep = separate(p, bases, sol, search, eps, grid)
         separate_s += time.perf_counter() - start
         trace.append((iteration, float(lp_sol.objective), float(sep.slack)))
         if sep.status == "feasible":
             return CutLoopResult(
                 solution=sol, eta_lambda=sol.eta(p.usage_rates), trace=trace, states=states, actions=actions,
-                lp_s=lp_s, separate_s=separate_s,
+                lp_s=lp_s, separate_s=separate_s, lp_iterations=lp_iterations,
+                separation_grid_points=sum(len(b.states) for b in grid),
             )
         states = np.vstack([states, sep.state[None, :]])
         actions = np.vstack([actions, sep.action[None, :]])
@@ -570,7 +624,7 @@ def k_step_greedy(
             keep = keep[np.argsort(costs[keep], kind="stable")]
             costs, states, firsts = costs[keep], states[keep], firsts[keep]
     total = costs + sol.bias(bases, states, eps)
-    # a copy: a view would keep every candidate alive in simulate_average_cost's action cache
+    # a copy: a view would keep every candidate alive for as long as the caller holds the action
     return firsts[int(np.argmin(total))].copy()
 
 
@@ -590,18 +644,20 @@ def simulate_average_cost(
     s = np.zeros(p.num_items) if start is None else np.asarray(start, dtype=float)
     total_cost = 0.0
     total_time = 0.0
-    # deterministic dynamics revisit states exactly, so lookahead results are memoizable
-    action_cache: dict[bytes, np.ndarray] = {}
+    # deterministic dynamics revisit states exactly, so whole steps are memoizable:
+    # state bytes -> (stage cost, transition time, successor)
+    steps: dict[bytes, tuple[float, float, np.ndarray]] = {}
     for _ in range(stages):
         key = s.tobytes()
-        a = action_cache.get(key)
-        if a is None:
+        step = steps.get(key)
+        if step is None:
             a = k_step_greedy(p, bases, sol, s, k, search, eps)
-            action_cache[key] = a
-        if not feasible(p, s, a):
-            raise InfeasiblePairError(f"action {a} infeasible at state {s}")
-        t, nxt, cost = gjr_step(p, s, a)
-        total_cost += float(cost)
-        total_time += float(t)
-        s = np.maximum(nxt, 0.0)  # exact zero at the argmin, guard float dust
+            if not feasible(p, s, a):
+                raise InfeasiblePairError(f"action {a} infeasible at state {s}")
+            t, nxt, cost = gjr_step(p, s, a)
+            # exact zero at the argmin, guard float dust
+            step = steps[key] = (float(cost), float(t), np.maximum(nxt, 0.0))
+        cost, t, s = step
+        total_cost += cost
+        total_time += t
     return total_cost / total_time

@@ -392,6 +392,11 @@ class TestRunGjr:
         manifest = json.loads((Path(run_dir) / "manifest.json").read_text())
         for key in ("cut_loop_lp_s", "cut_loop_separate_s"):
             assert isinstance(manifest[key], float) and manifest[key] >= 0.0
+        assert isinstance(manifest["lp_iterations"], int) and manifest["lp_iterations"] > 0
+        # feasible points of the 25-point grid, per stocked-out item: its 24
+        # positive orders times the other item's 24 positive levels (one item
+        # replenished) or its 324 nonzero (level, order) pairs within the cap
+        assert manifest["separation_grid_points"] == 2 * 24 * (24 + 324)
 
     def test_cut_cap_exit_two(self, tmp_path):
         cfg = {

@@ -243,6 +243,34 @@ class TestSeparation:
         with pytest.raises(ValueError, match="stump"):
             gjr.separate(desk_instance, bases, sol)
 
+    @pytest.mark.parametrize("stumps", [True, False], ids=["stumps", "affine"])
+    def test_grid_slack_matches_constraint_slack(self, desk_instance, desk_solution, stumps):
+        bases, result = desk_solution
+        sol = result.solution
+        if not stumps:
+            bases = empty_stumps(2)
+            sol = gjr.BiasApprox(eta_hat=sol.eta_hat, intercept=sol.intercept, beta1=sol.beta1, beta2=np.zeros(0))
+        grid = gjr.separation_grid(desk_instance, bases, gjr.SearchPlan(grid_per_dim=25))
+        assert [b.face for b in grid] == [0, 0, 1, 1]
+        for b in grid:
+            assert gjr.feasible(desk_instance, b.states, b.actions).all()
+            direct = gjr.constraint_slack(desk_instance, bases, sol, b.states, b.actions)
+            assert np.array_equal(gjr._slack(sol, b.times, b.costs, b.actions, b.dphi), direct)
+
+    def test_prebuilt_grid_matches_fresh_build(self, desk_instance, desk_solution):
+        bases, result = desk_solution
+        pairs = gjr.sample_gjr_pairs(desk_instance, 150, split_rng(42, 2))
+        lp = ScipyBackend().solve(gjr.build_avg_alp(desk_instance, bases, *pairs))
+        zero = gjr.BiasApprox(eta_hat=0.0, intercept=0.0, beta1=np.zeros(2), beta2=np.zeros(len(bases)))
+        # one grid for all three solutions, as in a cut loop
+        grid = gjr.separation_grid(desk_instance, bases)
+        for sol in (zero, gjr._unpack(desk_instance, lp.x), result.solution):
+            fresh = gjr.separate(desk_instance, bases, sol)
+            cached = gjr.separate(desk_instance, bases, sol, grid=grid)
+            assert np.array_equal(cached.state, fresh.state)
+            assert np.array_equal(cached.action, fresh.action)
+            assert (cached.slack, cached.status) == (fresh.slack, fresh.status)
+
     def test_no_feasible_grid_point_raises(self):
         p = _symmetric_params(a_bar=0.0)  # no capacity: no action replenishes anything
         zero = gjr.BiasApprox(eta_hat=0.0, intercept=0.0, beta1=np.zeros(2), beta2=np.zeros(0))
@@ -437,9 +465,32 @@ class TestSimulateAverageCost:
 
     def test_infeasible_stage_action_raises(self, desk_instance, desk_solution, monkeypatch):
         bases, result = desk_solution
-        monkeypatch.setattr(gjr, "k_step_greedy", lambda *args, **kwargs: np.array([-1.0, 2.0]))
+        calls = []
+        monkeypatch.setattr(gjr, "k_step_greedy", lambda *args, **kwargs: calls.append(1) or np.array([-1.0, 2.0]))
         with pytest.raises(InfeasiblePairError):
             gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=3, k=1)
+        assert len(calls) == 1  # raised at the first visit, before the step is cached
+
+    def test_step_once_per_distinct_state(self, desk_instance, desk_solution, monkeypatch):
+        bases, result = desk_solution
+        lookahead, step = gjr.k_step_greedy, gjr.gjr_step
+        visited, stepped = [], []
+
+        def counted_lookahead(p, bases, sol, s, *args):
+            visited.append(np.asarray(s).tobytes())
+            return lookahead(p, bases, sol, s, *args)
+
+        def counted_step(p, states, actions):
+            if np.ndim(states) == 1:  # the stage's own step, not the lookahead's batched ones
+                stepped.append(np.asarray(states).tobytes())
+            return step(p, states, actions)
+
+        monkeypatch.setattr(gjr, "k_step_greedy", counted_lookahead)
+        monkeypatch.setattr(gjr, "gjr_step", counted_step)
+        gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=500, k=2)
+        assert len(set(visited)) == len(visited)
+        assert stepped == visited
+        assert len(visited) < 500  # the policy cycles, so later stages are lookups
 
     def test_stages_validation(self, desk_instance, desk_solution):
         bases, result = desk_solution
