@@ -27,10 +27,6 @@ import numpy as np
 from ralp.bases import BasisSet, features
 from ralp.mdp import DiscountedMdp, batch_expected_costs, expected_successor_phases
 
-TAG_STANDARD = "standard"
-TAG_SELF_GUIDING = "self-guiding"
-
-
 class SolverError(RuntimeError):
     """LP backend failure with a machine-readable status."""
 
@@ -60,12 +56,11 @@ class VfaWeights:
 
 @dataclass(frozen=True)
 class LpModel:
-    """max objective . x  s.t.  rows . x <= rhs, x free type; one tag per row."""
+    """max objective . x  s.t.  rows . x <= rhs, x free."""
 
     objective: np.ndarray
     rows: np.ndarray
     rhs: np.ndarray
-    tags: tuple[str, ...]
 
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
@@ -73,8 +68,6 @@ class LpModel:
         rhs = np.asarray(self.rhs, dtype=float)
         if rows.ndim != 2 or rows.shape != (len(rhs), len(obj)):
             raise ValueError(f"inconsistent LP shapes: rows {rows.shape}, rhs {rhs.shape}, obj {obj.shape}")
-        if len(self.tags) != len(rhs):
-            raise ValueError("one tag per row required")
         if not (np.isfinite(obj).all() and np.isfinite(rows).all() and np.isfinite(rhs).all()):
             raise ValueError("non-finite LP coefficient")
         for arr, name in ((obj, "objective"), (rows, "rows"), (rhs, "rhs")):
@@ -487,13 +480,7 @@ def build_falp(prepared: PreparedPlan, bases: BasisSet, nu_samples: np.ndarray) 
     """Standard model: Bellman rows only."""
     if len(bases) == 0:
         raise ValueError("basis set is empty")
-    rows = prepared.rows(bases)
-    return LpModel(
-        objective=_objective(bases, nu_samples),
-        rows=rows,
-        rhs=prepared.rhs,
-        tags=(TAG_STANDARD,) * len(rows),
-    )
+    return LpModel(objective=_objective(bases, nu_samples), rows=prepared.rows(bases), rhs=prepared.rhs)
 
 
 # Slack on self-guiding rows.  The previous solution satisfies its Bellman
@@ -533,7 +520,6 @@ def build_fglp(
         objective=falp.objective,
         rows=np.vstack([falp.rows, guide_rows]),
         rhs=np.concatenate([falp.rhs, -(prev_vals - guide_tol)]),
-        tags=falp.tags + (TAG_SELF_GUIDING,) * len(guide),
     )
 
 

@@ -6,15 +6,14 @@ random affine map, ``cos(q + w . s)`` with ``q ~ U[-pi, pi]`` and
 ``sgn(s_q - w)``, smoothed by a piecewise-linear surrogate near the kink so
 they can live inside linear programs.
 
-Basis sets are reproducible from ``(seed, kind, sigma_range, count)`` and
-extending a set preserves the existing entries bit-for-bit (draws come
-sequentially from a single PCG64 stream), which nested-approximation
-arguments rely on.
+Basis sets are reproducible from ``(seed, kind, sigma_range, count)``, and
+the samplers draw entries sequentially from a single PCG64 stream, so a
+longer set drawn from the same seed starts with the same entries
+bit-for-bit, which nested-approximation arguments rely on.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -102,58 +101,11 @@ class BasisSet:
         """The entries selected by a slice, as a set with the same provenance."""
         return replace(self, q=self.q[index], omega=self.omega[index], sigma=self.sigma[index])
 
-    @property
-    def fixed(self) -> bool:
-        """True for hand-specified sets that cannot be re-derived from the seed."""
-        return self.kind == "fourier" and bool(np.isnan(self.sigma).any())
-
     def prefix(self, count: int) -> "BasisSet":
         """The set restricted to its first ``count`` entries."""
         if count > len(self):
             raise ValueError(f"prefix of {count} from a set of {len(self)}")
         return self[:count]
-
-    def extend(self, count: int) -> "BasisSet":
-        """Return a set with ``count`` additional sampled entries.
-
-        The first ``len(self)`` entries of the result are bit-identical to
-        this set's entries.
-        """
-        if self.fixed:
-            raise ValueError("cannot extend a hand-specified basis set")
-        if self.kind == "fourier":
-            return sample_fourier(len(self) + count, self.dim_state, self.sigma_range, self.seed)
-        return sample_stumps(len(self) + count, self.dim_state, self.sigma_range[0], self.seed)
-
-    def to_json(self) -> str:
-        q_key = "q" if self.kind == "fourier" else "q_index"
-        sigma = [None if math.isnan(s) else s for s in self.sigma.tolist()]
-        doc = {
-            "kind": self.kind,
-            "seed": self.seed,
-            "sigma_range": list(self.sigma_range),
-            "dim_state": self.dim_state,
-            "entries": [
-                {q_key: q, "omega": w, "sigma": s}
-                for q, w, s in zip(self.q.tolist(), self.omega.tolist(), sigma)
-            ],
-        }
-        return json.dumps(doc, indent=1)
-
-    @staticmethod
-    def from_json(text: str) -> "BasisSet":
-        doc = json.loads(text)
-        q_key = "q" if doc["kind"] == "fourier" else "q_index"
-        entries = doc["entries"]
-        return BasisSet(
-            kind=doc["kind"],
-            q=[e[q_key] for e in entries],
-            omega=[e["omega"] for e in entries],
-            sigma=[math.nan if e["sigma"] is None else e["sigma"] for e in entries],
-            seed=doc["seed"],
-            sigma_range=tuple(doc["sigma_range"]),
-            dim_state=doc["dim_state"],
-        )
 
 
 def sample_fourier(count: int, dim_state: int, sigma_range: Sequence[float], seed: int) -> BasisSet:

@@ -87,10 +87,7 @@ def load_config(path: str | Path) -> dict:
     ):
         raise ConfigError(f"problem: expected 'toy', 'pic:<1-16>' or 'gjr:<json>', got {problem!r}")
     if problem.startswith("gjr:"):
-        try:
-            json.loads(problem[4:])
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"problem: embedded gjr spec is not valid JSON: {err.msg}") from err
+        _gjr_spec(problem)
     else:
         model = cfg.get("model", "falp")
         if model not in ("falp", "fglp"):
@@ -98,6 +95,17 @@ def load_config(path: str | Path) -> dict:
     _require(cfg, "seed")
     _require(cfg, "output_dir")
     return cfg
+
+
+def _gjr_spec(problem: str) -> dict:
+    """The JSON object embedded in a ``gjr:<json>`` problem string."""
+    try:
+        spec = json.loads(problem[4:])
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"problem: embedded gjr spec is not valid JSON: {err.msg}") from err
+    if not isinstance(spec, dict):
+        raise ConfigError(f"problem: embedded gjr spec must be a JSON object, got {type(spec).__name__}")
+    return spec
 
 
 def _cell(v) -> str:
@@ -261,7 +269,7 @@ def _gjr_params(spec: dict, seed: int) -> gjr_mod.GjrParams:
 
 def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
     g_cfg = cfg.get("gjr", {})
-    params = _gjr_params(json.loads(cfg["problem"][4:]), seed)
+    params = _gjr_params(_gjr_spec(cfg["problem"]), seed)
     num_bases = int(g_cfg.get("num_bases", 20))
     sigma_rng = split_rng(seed, _STUMP_SIGMA_STREAM)
     sigma = float(sigma_rng.uniform(1.0, params.s_bar.max()))
@@ -369,7 +377,9 @@ def run_experiment(config_path: str | Path, seed_override: int | None = None) ->
             backend = ScipyBackend(var_bound=cfg.get("solver", {}).get("var_bound"))
             result = run_loop(mdp, loop_config, backend)
             code = _write_discounted_artifacts(run_dir, cfg, mdp, loop_config, result)
-    except (ConfigError, ValueError) as err:
+    except (ValueError, RuntimeError) as err:
+        # configuration errors, a failed LP (LoopError, SolverError) and an MH
+        # chain that rejected every proposal
         print(f"error: {err}", file=sys.stderr)
         return 1, run_dir
     print(run_dir)
@@ -408,7 +418,12 @@ def _cmd_print_instance(spec: str, seed: int) -> int:
         print(json.dumps(json.loads(pic_mod.catalog_json())[spec[4:]], indent=1))
         return 0
     if spec.startswith("gjr:"):
-        print(_gjr_params(json.loads(spec[4:]), seed).to_json())
+        try:
+            params = _gjr_params(_gjr_spec(spec), seed)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        print(params.to_json())
         return 0
     if spec == "toy":
         mdp = toy_mod.build_toy()

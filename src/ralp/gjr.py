@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ralp.alp import LpModel, SolverBackend, TAG_SELF_GUIDING, TAG_STANDARD
+from ralp.alp import LpModel, SolverBackend, SolverError
 from ralp.bases import BasisSet, DEFAULT_STUMP_EPS, features
 from ralp.mdp import InfeasiblePairError, split_rng
 
@@ -57,18 +57,6 @@ class GjrParams:
     def to_json(self) -> str:
         doc = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in asdict(self).items()}
         return json.dumps(doc, indent=1)
-
-    @staticmethod
-    def from_json(text: str) -> "GjrParams":
-        doc = json.loads(text)
-        return GjrParams(
-            usage_rates=np.array(doc["usage_rates"]),
-            s_bar=np.array(doc["s_bar"]),
-            a_bar=float(doc["a_bar"]),
-            fixed_cost=float(doc["fixed_cost"]),
-            item_fixed_costs=np.array(doc["item_fixed_costs"]),
-            holding=np.array(doc["holding"]),
-        )
 
 
 _SCHEMES = ("random", "constant", "discrete")
@@ -208,7 +196,6 @@ def build_avg_alp(
     rows[:, 0] = times
     rows[:, 2 : 2 + j] = actions
     rows[:, 2 + j :] = dphi
-    tags = [TAG_STANDARD] * len(states)
 
     if prev is not None and guide_states is not None and len(guide_states) > 0:
         guide_states = np.atleast_2d(np.asarray(guide_states, dtype=float))
@@ -221,12 +208,11 @@ def build_avg_alp(
         g_rows[:, 2 + j :] = features(bases, guide_states, eps)
         rows = np.vstack([rows, g_rows])
         rhs = np.concatenate([rhs, -prev_bias])
-        tags += [TAG_SELF_GUIDING] * len(guide_states)
 
     objective = np.zeros(num_vars)
     objective[0] = 1.0
     objective[2 : 2 + j] = p.usage_rates
-    return LpModel(objective=objective, rows=rows, rhs=rhs, tags=tuple(tags))
+    return LpModel(objective=objective, rows=rows, rhs=rhs)
 
 
 def _step_terms(
@@ -497,6 +483,8 @@ def sample_gjr_states(p: GjrParams, n: int, rng: np.random.Generator) -> np.ndar
 
 
 class ConstraintGenerationError(RuntimeError):
+    """The cut budget ran out before separation found no violated pair; carries the trace."""
+
     def __init__(self, message: str, trace: list):
         super().__init__(message)
         self.trace = trace
@@ -533,7 +521,9 @@ def constraint_generation(
     Unbounded intermediate programs pick up extra sampled pairs until the
     optimum is finite.  Self-guiding rows (when ``prev`` is given) are only
     enforced at the guide states; they are never separated since their
-    violation does not threaten the lower bound.
+    violation does not threaten the lower bound.  Any other non-optimal LP
+    status raises ``SolverError``; running out of ``max_cuts`` raises
+    ``ConstraintGenerationError``.
     """
     if len(init_states) == 0:
         raise ValueError("need at least one initial constraint pair")
@@ -559,7 +549,7 @@ def constraint_generation(
             lp_sol = backend.solve(model)
             lp_iterations += lp_sol.iterations
         if lp_sol.status != "optimal":
-            raise ConstraintGenerationError(f"LP status {lp_sol.status} at cut {iteration}", trace)
+            raise SolverError(lp_sol.status, f"cut {iteration}")
         sol = _unpack(p, lp_sol.x)
         lp_s += time.perf_counter() - start
         start = time.perf_counter()

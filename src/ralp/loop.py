@@ -109,15 +109,10 @@ class IterationRecord:
 class RunResult:
     records: list[IterationRecord]
     bases: BasisSet
-    lb_weights: VfaWeights
     pc_weights: VfaWeights
     converged: bool
     plan: ConstraintSamplePlan
     iterate_weights: list[VfaWeights]
-
-    @property
-    def final_gap(self) -> float:
-        return self.records[-1].tau_star
 
 
 def _basis_prefix(config: LoopConfig, mdp: DiscountedMdp, count: int) -> BasisSet:
@@ -151,7 +146,7 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
     incumbent_pc = np.inf
     incumbent_lb_bases = 0
     incumbent_pc_bases = 0
-    lb_weights = pc_weights = VfaWeights.zero(0)
+    pc_weights = VfaWeights.zero(0)
     bases: Optional[BasisSet] = None
     num_bases = 0
     converged = False
@@ -200,7 +195,6 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
         if lb_val >= incumbent_lb:
             incumbent_lb = lb_val
             incumbent_lb_bases = num_bases
-            lb_weights = weights
         if pc_est.mean <= incumbent_pc:
             incumbent_pc = pc_est.mean
             incumbent_pc_bases = num_bases
@@ -245,7 +239,6 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
     return RunResult(
         records=records,
         bases=bases,
-        lb_weights=lb_weights,
         pc_weights=pc_weights,
         converged=converged,
         plan=plan,

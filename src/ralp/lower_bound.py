@@ -136,22 +136,6 @@ def _y_batch(mdp, terms, states, actions, e_chi) -> np.ndarray:
     return e_chi + (costs + mdp.gamma * cont - v_here) / (1.0 - mdp.gamma)
 
 
-def y_value(
-    mdp: DiscountedMdp,
-    bases: BasisSet,
-    w: VfaWeights,
-    s,
-    a,
-    chi_samples: Optional[np.ndarray] = None,
-    value_fn=None,
-) -> float:
-    """Constraint-violation functional at one state-action pair."""
-    s, a = mdp.check_pair(s, a)
-    e_chi = chi_value(mdp, bases, w, chi_samples, value_fn=value_fn)
-    terms = _bellman_terms(mdp, bases, w, value_fn)
-    return float(_y_batch(mdp, terms, s[None, :], a[None, :], e_chi)[0])
-
-
 def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     width = hi - lo
     y = np.mod(x - lo, 2.0 * width)

@@ -15,9 +15,6 @@ import numpy as np
 
 from ralp.bases import BasisSet
 
-# Closed-interval membership tolerance, absorbs float drift in transitions.
-BOX_TOL = 1e-9
-
 
 class InfeasiblePairError(ValueError):
     """Raised when a state-action pair violates the instance feasibility rules."""
@@ -29,10 +26,6 @@ def as_state(x) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"state must be 1-D, got shape {arr.shape}")
     return arr
-
-
-def in_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float = BOX_TOL) -> bool:
-    return bool(np.all(x >= lo - tol) and np.all(x <= hi + tol))
 
 
 def split_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -83,10 +76,6 @@ class NoiseModel:
         self.values.setflags(write=False)
 
     @property
-    def exact(self) -> bool:
-        return self.probs is not None
-
-    @property
     def weights(self) -> np.ndarray:
         if self.probs is not None:
             return self.probs
@@ -109,7 +98,7 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class StateDistribution:
-    """A distribution over states: sampler plus optional degenerate atom / density.
+    """A distribution over states: a sampler plus an optional degenerate atom.
 
     When ``atom`` is set the distribution is a point mass and expectations are
     evaluated exactly at the atom instead of by sampling.
@@ -117,7 +106,6 @@ class StateDistribution:
 
     sampler: Callable[[np.random.Generator], np.ndarray]
     atom: Optional[np.ndarray] = None
-    density: Optional[Callable[[np.ndarray], float]] = None
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.atom is not None:
@@ -139,11 +127,7 @@ def uniform_box(lo, hi) -> StateDistribution:
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     width = hi - lo
-    vol = float(np.prod(width))
-    return StateDistribution(
-        sampler=lambda rng: lo + width * rng.random(len(lo)),
-        density=lambda s: 1.0 / vol,
-    )
+    return StateDistribution(sampler=lambda rng: lo + width * rng.random(len(lo)))
 
 
 @dataclass(frozen=True)
@@ -211,23 +195,6 @@ class DiscountedMdp:
     @property
     def dim_action(self) -> int:
         return len(self.action_lo)
-
-    def check_state(self, s: np.ndarray) -> np.ndarray:
-        s = as_state(s)
-        if len(s) != self.dim_state:
-            raise ValueError(f"state dimension {len(s)} != {self.dim_state}")
-        if not in_box(s, self.state_lo, self.state_hi):
-            raise ValueError(f"state {s} outside box [{self.state_lo}, {self.state_hi}]")
-        return s
-
-    def check_pair(self, s: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = self.check_state(s)
-        a = as_state(a)
-        if len(a) != self.dim_action:
-            raise InfeasiblePairError(f"action dimension {len(a)} != {self.dim_action}")
-        if not in_box(a, self.action_lo, self.action_hi):
-            raise InfeasiblePairError(f"action {a} outside box")
-        return s, a
 
 
 def noise_from_uniforms(mdp: DiscountedMdp, u: np.ndarray) -> np.ndarray:

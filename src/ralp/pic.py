@@ -224,19 +224,6 @@ def sample_demand(p: PicParams, rng: np.random.Generator, n: int) -> np.ndarray:
     return demand_quantile(p, rng.random(n))
 
 
-def sample_state_action(p: PicParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform draw over the state box [s_min, a_max] x [0, a_max]^2 and action [0, a_max]."""
-    s = np.array(
-        [
-            rng.uniform(p.s_min, p.a_max),
-            rng.uniform(0.0, p.a_max),
-            rng.uniform(0.0, p.a_max),
-        ]
-    )
-    a = np.array([rng.uniform(0.0, p.a_max)])
-    return s, a
-
-
 # State-action dimension of the saddle bound: three state coordinates, one action.
 D_SA_PIC = 4
 

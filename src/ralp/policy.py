@@ -123,18 +123,6 @@ def _greedy_policy(
     return act
 
 
-def greedy_action(mdp: DiscountedMdp, bases: BasisSet, w: VfaWeights, s, grid: int) -> np.ndarray:
-    """Grid minimizer of c(s,a) + gamma E[V(s') | s,a]."""
-    s = mdp.check_state(s)
-    return _greedy_policy(mdp, bases, w, action_grid_points(mdp, grid))(s[None, :])[0]
-
-
-def _policy_fn(mdp, bases, w, grid_pts, policy: Optional[Callable]):
-    if policy is not None:
-        return policy
-    return _greedy_policy(mdp, bases, w, grid_pts)
-
-
 def _rollout_draws(mdp: DiscountedMdp, sim: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Start states (reps, d_s) and realized noise (horizon, reps) of every rollout.
 
@@ -154,32 +142,21 @@ def simulate_policy_cost(
     w: Optional[VfaWeights],
     sim: SimConfig,
     policy: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    dump_path=None,
 ) -> PolicyCostEstimate:
     """Mean discounted rollout cost from chi-sampled starts.
 
     Stage costs are the instance's (SAA-)expected immediate costs; randomness
     enters through realized transitions only.  ``policy`` maps a batch of
     states to actions and defaults to the greedy policy of ``(bases, w)``.
-    ``dump_path`` writes the rollouts as a debugging CSV with one row per
-    (replication, stage).
     """
-    grid_pts = action_grid_points(mdp, sim.action_grid) if policy is None else None
-    act = _policy_fn(mdp, bases, w, grid_pts, policy)
+    act = policy or _greedy_policy(mdp, bases, w, action_grid_points(mdp, sim.action_grid))
     reps = sim.replications
     states, noise = _rollout_draws(mdp, sim)
     totals = np.zeros(reps)
-    dump_rows = [] if dump_path is not None else None
     for t in range(sim.horizon):
         actions = np.atleast_2d(act(states))
-        costs = batch_expected_costs(mdp, states, actions)
-        totals += mdp.gamma**t * costs
-        if dump_rows is not None:
-            for r in range(reps):
-                dump_rows.append((r, t, states[r], actions[r], costs[r]))
+        totals += mdp.gamma**t * batch_expected_costs(mdp, states, actions)
         states = mdp.transition(states, actions, noise[t])
-    if dump_rows is not None:
-        _write_rollout_dump(dump_path, mdp, dump_rows)
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return PolicyCostEstimate(
@@ -188,22 +165,6 @@ def simulate_policy_cost(
         replications=reps,
         tail_weight=mdp.gamma**sim.horizon / (1.0 - mdp.gamma),
     )
-
-
-def _write_rollout_dump(path, mdp: DiscountedMdp, rows) -> None:
-    import csv
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        header = (
-            ["replication", "stage"]
-            + [f"state_{i}" for i in range(mdp.dim_state)]
-            + [f"action_{i}" for i in range(mdp.dim_action)]
-            + ["cost"]
-        )
-        writer.writerow(header)
-        for r, t, s, a, c in rows:
-            writer.writerow([r, t, *(repr(float(x)) for x in s), *(repr(float(x)) for x in a), repr(float(c))])
 
 
 @dataclass(frozen=True)
@@ -228,10 +189,6 @@ class VisitHistogram:
     def normalized(self) -> np.ndarray:
         return self.mass / self.mass.sum()
 
-    def bin_of(self, x: float) -> int:
-        idx = int(np.searchsorted(self.edges, x, side="right") - 1)
-        return min(max(idx, 0), len(self.mass) - 1)
-
 
 def estimate_visit_frequency(
     mdp: DiscountedMdp,
@@ -247,8 +204,7 @@ def estimate_visit_frequency(
     if mdp.dim_state != 1:
         raise ValueError("visit-frequency histograms are implemented for 1-D state spaces")
     edges = np.linspace(mdp.state_lo[0], mdp.state_hi[0], bins + 1)
-    grid_pts = action_grid_points(mdp, sim.action_grid) if policy is None else None
-    act = _policy_fn(mdp, bases, w, grid_pts, policy)
+    act = policy or _greedy_policy(mdp, bases, w, action_grid_points(mdp, sim.action_grid))
     reps = sim.replications
     states, noise = _rollout_draws(mdp, sim)
 

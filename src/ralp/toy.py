@@ -52,15 +52,3 @@ def optimal_value(states: np.ndarray) -> np.ndarray:
         raise ValueError(f"state outside [0,1] in {s}")
     return np.abs(s - TARGET) / (1.0 - STAY_PROB * GAMMA)
 
-
-def toy_constant_policy_cost(a_star: float) -> float:
-    """Exact uniform-start cost of always playing ``a_star``.
-
-    From the two-point transition recursion: the cost-to-go at the action's
-    fixed point is |a*-0.5|/(1-gamma); averaging the one-step recursion over
-    the uniform start gives (1/4 + 0.9 gamma |a*-0.5|/(1-gamma)) / (1-0.1 gamma).
-    """
-    if not 0.0 <= a_star <= 1.0:
-        raise ValueError(f"action {a_star} outside [0,1]")
-    dev = abs(a_star - TARGET)
-    return (0.25 + (1.0 - STAY_PROB) * GAMMA * dev / (1.0 - GAMMA)) / (1.0 - STAY_PROB * GAMMA)

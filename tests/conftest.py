@@ -46,6 +46,19 @@ def toy_constant_action_shares(bins: int, horizon: int) -> ToyBinShares:
     )
 
 
+def toy_constant_policy_cost(a_star: float) -> float:
+    """Exact uniform-start cost of always playing ``a_star`` on the toy MDP.
+
+    From the two-point transition recursion: the cost-to-go at the action's
+    fixed point is |a*-0.5|/(1-gamma); averaging the one-step recursion over
+    the uniform start gives (1/4 + 0.9 gamma |a*-0.5|/(1-gamma)) / (1-0.1 gamma).
+    """
+    if not 0.0 <= a_star <= 1.0:
+        raise ValueError(f"action {a_star} outside [0,1]")
+    dev = abs(a_star - toy.TARGET)
+    return (0.25 + (1.0 - toy.STAY_PROB) * toy.GAMMA * dev / (1.0 - toy.GAMMA)) / (1.0 - toy.STAY_PROB * toy.GAMMA)
+
+
 @pytest.fixture(scope="session")
 def toy_mdp():
     return toy.build_toy()

@@ -29,7 +29,7 @@ from ralp.loop import LoopConfig, fluctuation_stats, run as run_loop
 from ralp.lower_bound import SaddleConfig
 from ralp.mdp import split_rng
 from ralp.policy import SimConfig
-from tests.conftest import TOY_ACTIONS, TOY_STATES, toy_constant_action_shares
+from tests.conftest import TOY_ACTIONS, TOY_STATES, toy_constant_action_shares, toy_constant_policy_cost
 
 # seed whose state-relevance sample reproduces the reference scenario-2
 # policy flip (the competing VFA minima are nearly tied; see README,
@@ -37,6 +37,12 @@ from tests.conftest import TOY_ACTIONS, TOY_STATES, toy_constant_action_shares
 TOY_SEED = 6
 
 PIC_SEEDS = (1, 2, 3, 4, 5)
+
+
+def greedy_at(mdp, bases, w, state: float) -> float:
+    """The greedy action at one toy state on the 101-point action grid."""
+    act = policy._greedy_policy(mdp, bases, w, policy.action_grid_points(mdp, 101))
+    return float(act(np.array([[state]]))[0, 0])
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -56,16 +62,16 @@ def test_criterion_01_toy_reproduction(toy_setup):
 
     bases2 = fixed_fourier([2.0, -5.0])
     w2, lb2 = solve(build_falp(prepared, bases2, nu), backend)
-    action2 = float(policy.greedy_action(mdp, bases2, w2, [0.3], grid=101)[0])
-    pc2 = toy.toy_constant_policy_cost(action2)
+    action2 = greedy_at(mdp, bases2, w2, 0.3)
+    pc2 = toy_constant_policy_cost(action2)
 
     bases3a = fixed_fourier([2.0, -5.0, 3.0])
     w3a, lb3a = solve(build_falp(prepared, bases3a, nu), backend)
-    pc3a = toy.toy_constant_policy_cost(float(policy.greedy_action(mdp, bases3a, w3a, [0.3], grid=101)[0]))
+    pc3a = toy_constant_policy_cost(greedy_at(mdp, bases3a, w3a, 0.3))
 
     bases3b = fixed_fourier([2.0, -5.0, 40.0])
     w3b, lb3b = solve(build_falp(prepared, bases3b, nu), backend)
-    pc3b_raw = toy.toy_constant_policy_cost(float(policy.greedy_action(mdp, bases3b, w3b, [0.3], grid=101)[0]))
+    pc3b_raw = toy_constant_policy_cost(greedy_at(mdp, bases3b, w3b, 0.3))
     incumbent_pc = min(pc2, pc3b_raw)
     elapsed = time.monotonic() - started
 
@@ -84,7 +90,7 @@ def test_criterion_01_toy_reproduction(toy_setup):
 
 
 def test_criterion_02_toy_optimal_cost():
-    val = toy.toy_constant_policy_cost(0.5)
+    val = toy_constant_policy_cost(0.5)
     ok = abs(val - 0.25 / 0.91) <= 1e-12
     report(2, ok, f"constant-0.5 policy cost {val!r} vs exact 0.25/0.91 ({val:.2f} to 2 decimals)")
 
@@ -148,14 +154,14 @@ def test_criterion_05_visit_frequency_concentration(toy_setup):
     mdp, prepared, nu, backend = toy_setup
     bases = fixed_fourier([2.0, -5.0])
     w, _ = solve(build_falp(prepared, bases, nu), backend)
-    action = float(policy.greedy_action(mdp, bases, w, [0.3], grid=101)[0])
+    action = greedy_at(mdp, bases, w, 0.3)
     sim = SimConfig(horizon=200, replications=4000, action_grid=101, rollout_seed=TOY_SEED)
     hist = policy.estimate_visit_frequency(
         mdp, bases, w, bins=100, sim=sim, policy=lambda st: np.full((len(st), 1), action)
     )
     expected = toy_constant_action_shares(bins=100, horizon=sim.horizon)
     tol = 0.002
-    b = hist.bin_of(action)
+    b = int(np.clip(np.searchsorted(hist.edges, action, side="right") - 1, 0, len(hist.mass) - 1))
     share_total = float(hist.mass[b] / hist.total)
     share_visits = float(hist.visit_mass[b] / hist.visit_mass.sum())
     share_other = float(np.max(np.delete(hist.mass, b)) / hist.total)

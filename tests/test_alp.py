@@ -91,13 +91,13 @@ class TestModelBuild:
 
 class TestSolve:
     def test_single_constraint(self, backend):
-        model = LpModel(objective=[1.0], rows=[[1.0]], rhs=[1.0], tags=("standard",))
+        model = LpModel(objective=[1.0], rows=[[1.0]], rhs=[1.0])
         w, val = solve(model, backend)
         assert val == pytest.approx(1.0, abs=1e-9)
         assert w.beta0 == pytest.approx(1.0, abs=1e-9)
 
     def test_unbounded_raises_typed(self, backend):
-        model = LpModel(objective=[1.0, 0.0], rows=np.zeros((0, 2)), rhs=[], tags=())
+        model = LpModel(objective=[1.0, 0.0], rows=np.zeros((0, 2)), rhs=[])
         with pytest.raises(SolverError) as err:
             solve(model, backend)
         assert err.value.status == "unbounded"
@@ -107,7 +107,6 @@ class TestSolve:
             objective=[1.0],
             rows=[[1.0], [-1.0]],
             rhs=[0.0, -1.0],  # x <= 0 and x >= 1
-            tags=("standard", "standard"),
         )
         with pytest.raises(SolverError) as err:
             solve(model, backend)
@@ -235,7 +234,6 @@ class TestRowGeneration:
             objective=np.insert(falp.objective, 3, 0.0),
             rows=np.insert(falp.rows, 3, 0.0, axis=1),
             rhs=falp.rhs,
-            tags=falp.tags,
         )
         sol = self._assert_matches_full_solve(backend, model)
         assert sol.rounds > 1
@@ -250,7 +248,7 @@ class TestRowGeneration:
         bases = sample_fourier(6, 1, (0.2, 1.0), seed=4)
         prev, _ = solve(build_falp(prepared, bases.prefix(3), toy_nu_samples), backend)
         model = build_fglp(prepared, bases, toy_nu_samples, prev)
-        assert model.tags.count("self-guiding") == 3000
+        assert model.num_rows - prepared.plan.num_pairs == 3000  # guide rows follow the Bellman rows
         self._assert_matches_full_solve(backend, model)
 
     def test_binding_box(self, toy_mdp, toy_nu_samples):
@@ -275,7 +273,7 @@ class TestRowGeneration:
         start = np.linspace(0, n - 1, ROWGEN_START).astype(int)
         rows = np.tile([0.0, 1.0], (n, 1))
         rows[start] = [1.0, 0.0]
-        model = LpModel(objective=[1.0, 1.0], rows=rows, rhs=np.ones(n), tags=("standard",) * n)
+        model = LpModel(objective=[1.0, 1.0], rows=rows, rhs=np.ones(n))
         sol = backend.solve(model)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0, abs=1e-9)
@@ -290,7 +288,7 @@ class TestRowGeneration:
         rhs = np.full(n, -1.0)
         rows[start], rhs[start] = [1.0, 0.0], 0.0
         rows[:, 1] = np.linspace(-1.0, 1.0, n)  # keeps x2 bounded and the columns independent
-        model = LpModel(objective=[1.0, 0.0], rows=rows, rhs=rhs, tags=("standard",) * n)
+        model = LpModel(objective=[1.0, 0.0], rows=rows, rhs=rhs)
         sol = backend.solve(model)
         assert sol.status == "infeasible" and sol.rounds > 1
 
@@ -333,7 +331,7 @@ class TestProperties:
         # nu = chi: || V* - V ||_{1,nu} = E_nu[V*] - E_nu[V] shrinks as bases are added
         vstar = toy.optimal_value(TOY_STATES)
         base = sample_fourier(2, 1, (0.2, 1.0), seed=5)
-        bigger = base.extend(3)
+        bigger = sample_fourier(5, 1, (0.2, 1.0), seed=5)
         err = {}
         for bs in (base, bigger):
             w, _ = solve(build_falp(toy_grid_prepared, bs, toy_nu_samples), backend)
@@ -347,14 +345,14 @@ class TestProperties:
         fglp = build_fglp(toy_grid_prepared, bases, toy_nu_samples, prev=None)
         assert np.array_equal(falp.rows, fglp.rows)
         assert np.array_equal(falp.rhs, fglp.rhs)
-        assert falp.tags == fglp.tags
 
     def test_fglp_zero_prev_guide_rows(self, toy_mdp, toy_nu_samples):
         plan = grid_plan(np.array([[0.2], [0.8]]), np.array([[0.5]]))
         bases = fixed_fourier([2.0])
         prev = VfaWeights.zero(1)
         model = build_fglp(prepare_plan(toy_mdp, plan), bases, toy_nu_samples, prev)
-        guide = [i for i, t in enumerate(model.tags) if t == "self-guiding"]
+        # guide rows follow the Bellman rows
+        guide = range(plan.num_pairs, model.num_rows)
         assert len(guide) == 2
         from ralp.bases import features
 
@@ -440,7 +438,7 @@ from ralp.alp import HIGHS_TOL, LpModel, ScipyBackend, _highs
 assert sys.modules["scipy.optimize._highspy._core"] is _highs
 rng = np.random.default_rng(3)
 model = LpModel(objective=rng.normal(size=6), rows=rng.normal(size=(300, 6)),
-                rhs=1.0 + rng.random(300), tags=("standard",) * 300)
+                rhs=1.0 + rng.random(300))
 backend = ScipyBackend()
 sol = backend.solve(model)
 m = backend._preconditioner(model)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -52,12 +51,13 @@ class TestSampling:
             sample_fourier(3, 2, (3.0, 2.0), seed=0)
 
     def test_nested_extension_preserves_prefix(self):
+        # a longer set drawn from the same seed starts with the same entries
         base = sample_fourier(6, 2, (0.5, 2.0), seed=4)
-        longer = base.extend(5)
+        longer = sample_fourier(11, 2, (0.5, 2.0), seed=4)
         assert len(longer) == 11
         assert longer.prefix(6) == base
         stumps = sample_stumps(4, 3, 2.5, seed=4)
-        assert stumps.extend(3).prefix(4) == stumps
+        assert sample_stumps(7, 3, 2.5, seed=4).prefix(4) == stumps
 
     def test_sampler_moments(self):
         # empirical mean |omega| against the closed form for sigma ~ U[100, 1000]:
@@ -76,6 +76,7 @@ class TestSampling:
 
     def test_stump_fields(self):
         bs = sample_stumps(50, 4, 3.0, seed=2)
+        assert bs.q.dtype.kind == "i"  # 1-based coordinate indexes
         assert np.all((1 <= bs.q) & (bs.q <= 4))
         assert np.all((-3.0 <= bs.omega) & (bs.omega <= 3.0))
 
@@ -139,48 +140,6 @@ class TestEvaluation:
         assert phi.shape == (3, 0)
 
 
-class TestSerialization:
-    def test_fourier_round_trip(self):
-        bs = sample_fourier(7, 2, (1.0, 3.0), seed=21)
-        again = BasisSet.from_json(bs.to_json())
-        assert again == bs
-
-    def test_stump_round_trip(self):
-        bs = sample_stumps(5, 3, 2.0, seed=22)
-        assert BasisSet.from_json(bs.to_json()) == bs
-
-    def test_fixed_round_trip(self):
-        bs = fixed_fourier([2.0, -5.0, 40.0])
-        assert BasisSet.from_json(bs.to_json()) == bs
-
-    def test_document_text(self):
-        # one entry per basis, keyed as the files written so far
-        doc = json.loads(fixed_fourier([2.0]).to_json())
-        assert doc == {
-            "kind": "fourier", "seed": 0, "sigma_range": [1.0, 1.0], "dim_state": 1,
-            "entries": [{"q": 0.0, "omega": [2.0], "sigma": None}],
-        }
-        doc = json.loads(sample_stumps(2, 3, 2.0, seed=22).to_json())
-        assert [sorted(e) for e in doc["entries"]] == [["omega", "q_index", "sigma"]] * 2
-        assert all(isinstance(e["q_index"], int) for e in doc["entries"])
-
-    def test_stump_index_beyond_state_dimension_rejected(self):
-        doc = json.loads(sample_stumps(3, 2, 2.0, seed=22).to_json())
-        doc["entries"][1]["q_index"] = 3
-        with pytest.raises(ValueError, match="coordinate index"):
-            BasisSet.from_json(json.dumps(doc))
-
-    def test_frequency_of_wrong_length_rejected(self):
-        doc = json.loads(sample_fourier(3, 2, (1.0, 3.0), seed=21).to_json())
-        doc["entries"][1]["omega"] = [0.5]
-        with pytest.raises(ValueError, match="dimension 2"):
-            BasisSet.from_json(json.dumps(doc))
-        for e in doc["entries"]:
-            e["omega"] = [0.5, 0.1, 0.2]
-        with pytest.raises(ValueError, match="omega has shape"):
-            BasisSet.from_json(json.dumps(doc))
-
-
 class TestValidation:
     def test_intercept_outside_pi_rejected(self):
         with pytest.raises(ValueError, match="intercept"):
@@ -200,6 +159,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="threshold"):
             _stump(1, 1.5, 1.0)
         assert len(_stump(1, -1.0, 1.0)) == 1
+
+    def test_stump_index_beyond_state_dimension_rejected(self):
+        bs = sample_stumps(3, 2, 2.0, seed=22)
+        q = bs.q.copy()
+        q[1] = 3
+        with pytest.raises(ValueError, match="coordinate index"):
+            BasisSet(kind="stump", q=q, omega=bs.omega, sigma=bs.sigma, seed=22, sigma_range=(2.0, 2.0), dim_state=2)
+
+    def test_frequency_of_wrong_length_rejected(self):
+        bs = sample_fourier(3, 2, (1.0, 3.0), seed=21)
+        fields = dict(kind="fourier", q=bs.q, sigma=bs.sigma, seed=21, sigma_range=(1.0, 3.0), dim_state=2)
+        omega = [list(w) for w in bs.omega]
+        omega[1] = [0.5]
+        with pytest.raises(ValueError, match="dimension 2"):
+            BasisSet(omega=omega, **fields)
+        with pytest.raises(ValueError, match="omega has shape"):
+            BasisSet(omega=[[0.5, 0.1, 0.2]] * 3, **fields)
 
     def test_parameters_read_only(self):
         bs = sample_fourier(3, 2, (1.0, 3.0), seed=21)

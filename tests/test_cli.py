@@ -314,9 +314,8 @@ def test_artifacts_evaluate_incumbent_on_its_basis_prefix(tmp_path):
         )
 
     result = RunResult(
-        records=[record(2, 0.4), record(4, 0.5)], bases=bases, lb_weights=final,
-        pc_weights=incumbent, converged=False, plan=loop_config.plan,
-        iterate_weights=[incumbent, final],
+        records=[record(2, 0.4), record(4, 0.5)], bases=bases, pc_weights=incumbent,
+        converged=False, plan=loop_config.plan, iterate_weights=[incumbent, final],
     )
     run_dir = tmp_path / "artifacts"
     run_dir.mkdir()
@@ -371,17 +370,44 @@ class TestRunFailures:
         code, run_dir = cli.run_experiment(path)
         assert code == 1 and run_dir is None
 
+    @pytest.mark.parametrize("problem", ["toy", "gjr"])
+    def test_lp_failure_exit_one(self, tmp_path, monkeypatch, capsys, problem):
+        # a backend that reports a numerical failure for every LP
+        from ralp.alp import LpSolution, ScipyBackend
+
+        failed = LpSolution(status="numeric", x=None, objective=None, max_violation=None)
+        monkeypatch.setattr(ScipyBackend, "solve", lambda self, model: failed)
+        cfg = _toy_config(tmp_path) if problem == "toy" else _small_gjr_config(tmp_path)
+        path = _write(tmp_path, cfg)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "numeric" in err
+        assert "Traceback" not in err
+
+    def test_gjr_spec_not_an_object(self, tmp_path, capsys):
+        cfg = _small_gjr_config(tmp_path)
+        cfg["problem"] = "gjr:[1,2]"
+        path = _write(tmp_path, cfg)
+        assert cli.main(["validate-config", "--config", str(path)]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+
+def _small_gjr_config(tmp_path, **gjr_fields):
+    return {
+        "problem": 'gjr:{"items": 2, "scheme": "constant", "z": 100, "usage_rates": [1.0, 1.0]}',
+        "model": "falp",
+        "seed": 42,
+        "output_dir": str(tmp_path / "runs"),
+        "gjr": {"num_bases": 5, "init_pairs": 80, "grid_per_dim": 25, **gjr_fields},
+    }
+
 
 class TestRunGjr:
     def test_small_instance_round_trip(self, tmp_path):
-        cfg = {
-            "problem": 'gjr:{"items": 2, "scheme": "constant", "z": 100, "usage_rates": [1.0, 1.0]}',
-            "model": "falp",
-            "seed": 42,
-            "output_dir": str(tmp_path / "runs"),
-            "gjr": {"num_bases": 5, "init_pairs": 80, "stages": 60, "k": 2, "grid_per_dim": 25},
-        }
-        path = _write(tmp_path, cfg)
+        path = _write(tmp_path, _small_gjr_config(tmp_path, stages=60, k=2))
         code, run_dir = cli.run_experiment(path)
         assert code == 0
         bounds = json.loads((Path(run_dir) / "bounds.json").read_text())
@@ -399,14 +425,7 @@ class TestRunGjr:
         assert manifest["separation_grid_points"] == 2 * 24 * (24 + 324)
 
     def test_cut_cap_exit_two(self, tmp_path):
-        cfg = {
-            "problem": 'gjr:{"items": 2, "scheme": "constant", "z": 100, "usage_rates": [1.0, 1.0]}',
-            "model": "falp",
-            "seed": 42,
-            "output_dir": str(tmp_path / "runs"),
-            "gjr": {"num_bases": 5, "init_pairs": 80, "max_cuts": 1, "grid_per_dim": 25},
-        }
-        path = _write(tmp_path, cfg)
+        path = _write(tmp_path, _small_gjr_config(tmp_path, max_cuts=1))
         code, run_dir = cli.run_experiment(path)
         assert code == 2
         assert json.loads((Path(run_dir) / "bounds.json").read_text())["converged"] is False
@@ -470,3 +489,7 @@ class TestPrintInstance:
 
     def test_unknown_spec(self, capsys):
         assert cli.main(["print-instance", "mystery:1"]) == 1
+
+    def test_gjr_spec_not_an_object(self, capsys):
+        assert cli.main(["print-instance", "gjr:[1,2]"]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err

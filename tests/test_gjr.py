@@ -72,11 +72,6 @@ class TestInstanceGeneration:
         with pytest.raises(ValueError):
             gjr.gjr_instance(2, "constant", 55, split_rng(0, 1))
 
-    def test_json_round_trip(self, desk_instance):
-        again = gjr.GjrParams.from_json(desk_instance.to_json())
-        assert np.array_equal(again.s_bar, desk_instance.s_bar)
-        assert again.a_bar == desk_instance.a_bar
-
 
 class TestDynamics:
     def test_step_example(self):
@@ -160,7 +155,7 @@ class TestAverageCostLp:
         model = gjr.build_avg_alp(desk_instance, empty_stumps(2), states, actions)
         assert model.num_vars == 2 + 2  # eta_hat, intercept, beta1 per item
         assert model.num_rows == 25
-        assert set(model.tags) == {"standard"}
+        assert np.all(model.rows[:, 1] == 0.0)  # Bellman rows only: no guide row carries the intercept
 
     def test_one_pair_lp_solves_to_cost_over_time(self):
         p = _symmetric_params()
@@ -172,7 +167,6 @@ class TestAverageCostLp:
             objective=model.objective,
             rows=np.vstack([model.rows, pin]),
             rhs=np.concatenate([model.rhs, np.zeros(4)]),
-            tags=model.tags + ("standard",) * 4,
         )
         sol = ScipyBackend().solve(pinned)
         t, _, cost = gjr.gjr_step(p, *pair)
@@ -186,7 +180,9 @@ class TestAverageCostLp:
             desk_instance, bases, states, actions, prev=result.solution, guide_states=guides
         )
         assert model.num_rows == 30 + 12
-        assert model.tags.count("self-guiding") == 12
+        # guide rows follow the Bellman rows: -intercept + beta1 . s + beta2 . phi(s) <= -u_prev(s)
+        assert np.all(model.rows[30:, 1] == -1.0) and np.all(model.rows[:30, 1] == 0.0)
+        assert np.array_equal(model.rows[30:, 2:4], guides)
 
     def test_empty_pairs_rejected(self, desk_instance):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from ralp.lower_bound import (
     LowerBoundEstimate,
     SaddleConfig,
     estimate_lower_bound,
-    y_value,
 )
 from ralp.mdp import NoiseModel, batch_expected_costs, split_rng
 from ralp.pic import pic_constants
@@ -76,18 +75,25 @@ def _toy_value_case():
     return value_fn, consts
 
 
+def _y(mdp, bases, w, states, actions, chi_samples=None):
+    """y per (state, action) row, as the MH chains evaluate it."""
+    e_chi = lb_mod.chi_value(mdp, bases, w, chi_samples)
+    terms = lb_mod._bellman_terms(mdp, bases, w, None)
+    return lb_mod._y_batch(mdp, terms, np.array(states, dtype=float), np.array(actions, dtype=float), e_chi)
+
+
 class TestYValue:
     def test_zero_vfa_reduces_to_discounted_cost(self, pic1_mdp):
         w = VfaWeights.zero(0)
         bases = empty_stumps(3)
-        s, a = np.array([2.0, 1.0, 4.0]), np.array([3.0])
-        expected = batch_expected_costs(pic1_mdp, s[None, :], a[None, :])[0] / (1.0 - pic1_mdp.gamma)
-        assert y_value(pic1_mdp, bases, w, s, a) == pytest.approx(expected, abs=1e-9)
+        s, a = np.array([[2.0, 1.0, 4.0]]), np.array([[3.0]])
+        expected = batch_expected_costs(pic1_mdp, s, a)[0] / (1.0 - pic1_mdp.gamma)
+        assert _y(pic1_mdp, bases, w, s, a)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_toy_zero_cost_state(self, toy_mdp, toy_nu_samples):
         w = VfaWeights.zero(1)
         bases = fixed_fourier([2.0])
-        val = y_value(toy_mdp, bases, w, [0.5], [0.8], chi_samples=toy_nu_samples)
+        val = _y(toy_mdp, bases, w, [[0.5]], [[0.8]], chi_samples=toy_nu_samples)[0]
         assert val == 0.0  # c(0.5, a) = 0 and V = 0 everywhere
 
     def test_pic_single_demand_hand_value(self):
@@ -95,12 +101,8 @@ class TestYValue:
         mdp = pic.build_pic_mdp(p, demand_saa_size=1)
         mdp = dataclasses.replace(mdp, noise=NoiseModel(values=np.array([5.0])))
         w = VfaWeights.zero(0)
-        val = y_value(mdp, empty_stumps(3), w, [5.0, 5.0, 5.0], [5.0])
+        val = _y(mdp, empty_stumps(3), w, [[5.0, 5.0, 5.0]], [[5.0]])[0]
         assert val == pytest.approx(100.25 / 0.05, abs=1e-9)  # 2005
-
-    def test_infeasible_pair_rejected(self, pic1_mdp):
-        with pytest.raises(Exception):
-            y_value(pic1_mdp, empty_stumps(3), VfaWeights.zero(0), [0.0, 0.0, 0.0], [99.0])
 
 
 class TestPicConstants:

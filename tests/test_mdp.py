@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from ralp import pic, toy
+from ralp import pic
+from ralp.alp import uniform_plan
 from ralp.mdp import (
-    InfeasiblePairError,
     NoiseModel,
     batch_next_states,
     degenerate,
     expected_next_values,
-    in_box,
     noise_from_uniforms,
     split_rng,
-    uniform_box,
 )
 
 
@@ -96,24 +94,13 @@ def test_degenerate_distribution_constant():
         assert np.array_equal(dist.sample(split_rng(seed, 0)), [1.5, -2.0])
 
 
-def test_infeasible_pair_raises(toy_mdp):
-    with pytest.raises(InfeasiblePairError):
-        toy_mdp.check_pair([0.5], [1.5])
-    with pytest.raises(ValueError):
-        toy_mdp.check_pair([1.7], [0.5])
-
-
 def test_transition_stays_in_box_after_clamp():
     p = pic.instance_from_table(1)
     mdp = pic.build_pic_mdp(p, demand_saa_size=50, demand_seed=2)
-    rng = split_rng(4, 2)
-    pairs = [pic.sample_state_action(p, rng) for _ in range(200)]
-    states = np.array([s for s, _ in pairs])
-    actions = np.array([a for _, a in pairs])
-    nxt = batch_next_states(mdp, states, actions)
+    plan = uniform_plan(mdp, 200, split_rng(4, 2))
+    nxt = batch_next_states(mdp, plan.states, plan.actions)
     assert nxt.shape == (200, 50, 3)
-    for row in nxt.reshape(-1, 3):
-        assert in_box(row, mdp.state_lo, mdp.state_hi)
+    assert np.all((nxt >= mdp.state_lo - 1e-9) & (nxt <= mdp.state_hi + 1e-9))
 
 
 def test_split_rng_reproducible_and_distinct():
@@ -122,8 +109,3 @@ def test_split_rng_reproducible_and_distinct():
     c = split_rng(42, 2).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_uniform_box_density():
-    dist = uniform_box([0.0, 0.0], [2.0, 5.0])
-    assert dist.density(np.array([1.0, 1.0])) == pytest.approx(0.1)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ralp import pic
+from ralp.alp import uniform_plan
 from ralp.bases import features, sample_fourier
 from ralp.mdp import (
     NoiseModel,
     batch_expected_costs,
     batch_next_states,
     expected_successor_phases,
-    in_box,
     split_rng,
 )
 
@@ -85,12 +85,11 @@ class TestTransition:
         p = pic.instance_from_table(5)
         mdp = pic.build_pic_mdp(p, demand_saa_size=64, demand_seed=1)
         rng = split_rng(2, 0)
-        for _ in range(300):
-            s, a = pic.sample_state_action(p, rng)
+        plan = uniform_plan(mdp, 300, rng)
+        for s, a in zip(plan.states, plan.actions):
             nxt = mdp.transition(s, a, pic.sample_demand(p, rng, 5))
-            for row in nxt:
-                assert in_box(row, mdp.state_lo, mdp.state_hi)
-                assert row[0] >= p.s_min - 1e-9
+            assert np.all((nxt >= mdp.state_lo - 1e-9) & (nxt <= mdp.state_hi + 1e-9))
+            assert np.all(nxt[:, 0] >= p.s_min - 1e-9)
 
 
 class TestCost:
@@ -116,9 +115,8 @@ class TestCost:
         rng = split_rng(3, 0)
         demands = pic.sample_demand(p, rng, 50)
         mdp = _pic_mdp(16, demand=demands)
-        pairs = [pic.sample_state_action(p, rng) for _ in range(200)]
-        states = np.array([s for s, _ in pairs])
-        actions = np.array([a for _, a in pairs])
+        plan = uniform_plan(mdp, 200, rng)
+        states, actions = plan.states, plan.actions
         assert np.all(batch_expected_costs(mdp, states, actions) >= 0.0)
         assert np.all(mdp.cost(states[:, None, :], actions[:, None, :], demands[None, :]) >= 0.0)
 
@@ -126,8 +124,10 @@ class TestCost:
         p = pic.instance_from_table(1)
         rng = split_rng(4, 0)
         demands = pic.sample_demand(p, rng, 101)
-        s, a = pic.sample_state_action(p, rng)
-        assert _expected_cost(_pic_mdp(demand=demands), s, a) == pytest.approx(
+        mdp = _pic_mdp(demand=demands)
+        plan = uniform_plan(mdp, 1, rng)
+        s, a = plan.states[0], plan.actions[0]
+        assert _expected_cost(mdp, s, a) == pytest.approx(
             _expected_cost(_pic_mdp(demand=demands[::-1]), s, a), abs=1e-12
         )
 
@@ -135,19 +135,11 @@ class TestCost:
 class TestSampling:
     def test_state_action_membership(self):
         p = pic.instance_from_table(7)
-        rng = split_rng(5, 0)
-        for _ in range(500):
-            s, a = pic.sample_state_action(p, rng)
-            assert p.s_min <= s[0] <= p.a_max
-            assert 0.0 <= s[1] <= p.a_max and 0.0 <= s[2] <= p.a_max
-            assert 0.0 <= a[0] <= p.a_max
-
-    def test_state_action_deterministic(self):
-        p = pic.instance_from_table(7)
-        a = [pic.sample_state_action(p, split_rng(6, 0)) for _ in range(3)]
-        b = [pic.sample_state_action(p, split_rng(6, 0)) for _ in range(3)]
-        for (s1, a1), (s2, a2) in zip(a, b):
-            assert np.array_equal(s1, s2) and np.array_equal(a1, a2)
+        plan = uniform_plan(_pic_mdp(7), 500, split_rng(5, 0))
+        s, a = plan.states, plan.actions
+        assert np.all((p.s_min <= s[:, 0]) & (s[:, 0] <= p.a_max))
+        assert np.all((0.0 <= s[:, 1:]) & (s[:, 1:] <= p.a_max))
+        assert np.all((0.0 <= a[:, 0]) & (a[:, 0] <= p.a_max))
 
     def test_demand_inverse_cdf_range_and_moments(self):
         from scipy.stats import truncnorm

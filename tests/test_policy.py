@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ralp import pic, policy, toy
-from ralp.alp import VfaWeights, build_falp, solve
-from ralp.bases import fixed_fourier, sample_fourier
+from ralp.alp import VfaWeights, build_falp, solve, uniform_plan
+from ralp.bases import BasisSet, fixed_fourier, sample_fourier
 from ralp.mdp import (
     DiscountedMdp,
     NoiseModel,
@@ -17,24 +17,30 @@ from ralp.mdp import (
 )
 from ralp.policy import (
     SimConfig,
+    _greedy_policy,
     action_grid_points,
     default_horizon,
     estimate_visit_frequency,
-    greedy_action,
     simulate_policy_cost,
 )
-from ralp.toy import toy_constant_policy_cost
-from tests.conftest import toy_constant_action_shares
+from tests.conftest import toy_constant_action_shares, toy_constant_policy_cost
+
+
+def _greedy(mdp, bases, w, states, grid):
+    """Greedy actions of the rollouts' batch policy, one row per state row."""
+    return _greedy_policy(mdp, bases, w, action_grid_points(mdp, grid))(np.asarray(states, dtype=float))
+
+
+def _bin(hist, x):
+    """The histogram bin holding state ``x``; the right edge closes the last bin."""
+    return min(max(int(np.searchsorted(hist.edges, x, side="right")) - 1, 0), len(hist.mass) - 1)
 
 
 class TestGreedyAction:
     def test_vfa_minimized_at_half_gives_half(self, toy_mdp):
         # V(s) = -cos(2 pi s - pi) has its unique minimum at 0.5
-        bases = fixed_fourier([2.0 * math.pi])
         w = VfaWeights(beta0=0.0, betas=[-1.0])
-        # shift the basis phase by building the q=-pi variant by hand
-        from ralp.bases import BasisSet
-
+        # the basis phase q = -pi, built by hand
         bases = BasisSet(
             kind="fourier",
             q=[-math.pi],
@@ -44,15 +50,16 @@ class TestGreedyAction:
             sigma_range=(1.0, 1.0),
             dim_state=1,
         )
-        a = greedy_action(toy_mdp, bases, w, [0.2], grid=101)
-        assert a[0] == pytest.approx(0.5, abs=1e-12)
+        a = _greedy(toy_mdp, bases, w, [[0.2]], grid=101)
+        assert a.shape == (1, 1)
+        assert a[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_solved_toy_weights_give_reference_action(
         self, toy_mdp, toy_grid_prepared, toy_nu_samples, backend
     ):
         bases = fixed_fourier([2.0, -5.0])
         w, _ = solve(build_falp(toy_grid_prepared, bases, toy_nu_samples), backend)
-        actions = {float(greedy_action(toy_mdp, bases, w, [s], grid=101)[0]) for s in (0.0, 0.3, 0.9)}
+        actions = set(_greedy(toy_mdp, bases, w, [[0.0], [0.3], [0.9]], grid=101)[:, 0].tolist())
         assert len(actions) == 1  # constant policy
         assert 0.50 <= actions.pop() <= 0.53  # reference action 0.513
 
@@ -61,22 +68,21 @@ class TestGreedyAction:
         mdp = pic.build_pic_mdp(p, demand_saa_size=200, demand_seed=3)
         bases = sample_fourier(4, 3, (100.0, 1000.0), seed=1)
         w = VfaWeights.zero(4)
-        rng = split_rng(8, 0)
+        states = uniform_plan(mdp, 10, split_rng(8, 0)).states
         grid = action_grid_points(mdp, 11)
-        for _ in range(10):
-            s, _ = pic.sample_state_action(p, rng)
-            got = greedy_action(mdp, bases, w, s, grid=11)
+        got = _greedy(mdp, bases, w, states, grid=11)
+        for s, a in zip(states, got):
             costs = batch_expected_costs(mdp, np.repeat(s[None, :], len(grid), axis=0), grid)
-            assert got[0] == grid[np.argmin(costs), 0]
+            assert a[0] == grid[np.argmin(costs), 0]
 
     def test_invariant_to_intercept_shift(self, toy_mdp, toy_grid_prepared, toy_nu_samples, backend):
         bases = fixed_fourier([2.0, -5.0])
         w, _ = solve(build_falp(toy_grid_prepared, bases, toy_nu_samples), backend)
         shifted = VfaWeights(beta0=w.beta0 + 123.0, betas=w.betas)
-        for s in (0.1, 0.4, 0.8):
-            a = greedy_action(toy_mdp, bases, w, [s], grid=101)
-            b = greedy_action(toy_mdp, bases, shifted, [s], grid=101)
-            assert a[0] == b[0]
+        states = [[0.1], [0.4], [0.8]]
+        a = _greedy(toy_mdp, bases, w, states, grid=101)
+        b = _greedy(toy_mdp, bases, shifted, states, grid=101)
+        assert np.array_equal(a, b)
 
 
 class TestConstantPolicyCost:
@@ -147,16 +153,6 @@ class TestSimulatePolicyCost:
         assert default_horizon(0.9) == math.ceil(math.log(1e-3) / math.log(0.9))
         assert default_horizon(0.95) == 135
 
-    def test_rollout_dump_csv(self, toy_mdp, tmp_path):
-        sim = SimConfig(horizon=4, replications=3, action_grid=11, rollout_seed=1)
-        path = tmp_path / "rollouts.csv"
-        simulate_policy_cost(
-            toy_mdp, None, None, sim, policy=lambda st: np.full((len(st), 1), 0.5), dump_path=path
-        )
-        lines = path.read_text().splitlines()
-        assert lines[0] == "replication,stage,state_0,action_0,cost"
-        assert len(lines) == 1 + 3 * 4
-
 
 class TestVisitFrequency:
     def test_horizon_zero_is_binned_chi(self, toy_mdp):
@@ -186,7 +182,7 @@ class TestVisitFrequency:
         hist = estimate_visit_frequency(
             mdp, None, None, bins=20, sim=sim, policy=lambda st: np.zeros((len(st), 1))
         )
-        target = hist.bin_of(0.25)
+        target = _bin(hist, 0.25)
         assert hist.normalized[target] == pytest.approx(1.0, abs=1e-12)
 
     def test_total_mass_matches_discounted_normalizer(self, toy_mdp):
@@ -206,7 +202,7 @@ class TestVisitFrequency:
             toy_mdp, None, None, bins=100, sim=sim, policy=lambda st: np.full((len(st), 1), 0.513)
         )
         expected = toy_constant_action_shares(bins=100, horizon=sim.horizon)
-        b = hist.bin_of(0.513)
+        b = _bin(hist, 0.513)
         assert hist.visit_mass[b] / hist.visit_mass.sum() == pytest.approx(expected.visits, abs=0.007)
         assert hist.mass[b] / hist.total == pytest.approx(expected.total, abs=0.007)
 
