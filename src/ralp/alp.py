@@ -523,12 +523,6 @@ def build_fglp(
     )
 
 
-def solve(model: LpModel, backend: SolverBackend) -> tuple[VfaWeights, float]:
-    """Solve a VFA model; non-optimal statuses raise SolverError."""
-    sol = backend.solve(model)
-    return vfa_weights(sol), float(sol.objective)
-
-
 def vfa_weights(sol: LpSolution) -> VfaWeights:
     """The weights of an optimal VFA model solution; other statuses raise SolverError."""
     if sol.status != "optimal":
@@ -541,6 +535,19 @@ def vfa_values(bases: BasisSet, w: VfaWeights, states: np.ndarray) -> np.ndarray
     if len(w) != len(bases):
         raise ValueError(f"weight length {len(w)} != basis count {len(bases)}")
     return w.beta0 + features(bases, states) @ w.betas
+
+
+def padded_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with its last row repeated up to a multiple of 4 rows.
+
+    OpenBLAS forms matrix-vector products such as ``features @ betas`` in
+    blocks of 4 rows and sends the rows of a short last block through another
+    kernel, whose results can differ in the last bit.  Padding keeps every row
+    in a full block, so a row's value does not depend on the batch it is part
+    of.
+    """
+    pad = -len(rows) % 4
+    return np.concatenate([rows, np.repeat(rows[-1:], pad, axis=0)]) if pad else rows
 
 
 def lb_expectation(bases: BasisSet, w: VfaWeights, chi_samples: np.ndarray) -> float:

@@ -25,6 +25,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from statistics import median
 
@@ -35,7 +36,7 @@ from ralp import policy as policy_mod
 from ralp import toy as toy_mod
 from ralp.alp import ScipyBackend, grid_plan, vfa_values
 from ralp.bases import empty_stumps, sample_stumps
-from ralp.loop import LoopConfig, fluctuation_stats, run as run_loop
+from ralp.loop import LoopConfig, LoopError, fluctuation_stats, run as run_loop
 from ralp.lower_bound import SaddleConfig
 from ralp.mdp import split_rng
 from ralp.policy import SimConfig, default_horizon
@@ -80,7 +81,7 @@ def load_config(path: str | Path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be an object")
     problem = _require(cfg, "problem")
-    if not (
+    if not isinstance(problem, str) or not (
         problem == "toy"
         or (problem.startswith("pic:") and problem[4:].isdigit())
         or problem.startswith("gjr:")
@@ -191,13 +192,24 @@ def _loop_config(cfg: dict, mdp, seed: int) -> LoopConfig:
     )
 
 
-def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) -> int:
+def _write_discounted_trace(run_dir: Path, records) -> None:
     trace_rows = (
         [i, r.num_bases, r.lb, r.pc, r.pc_stderr, r.tau_star, r.lb_expectation, r.lb_saddle,
          r.lb_saddle_stderr, r.incumbent_lb, r.incumbent_pc, r.incumbent_lb_bases, r.incumbent_pc_bases]
-        for i, r in enumerate(result.records, start=1)
+        for i, r in enumerate(records, start=1)
     )
     _write_csv(run_dir / "trace.csv", TRACE_COLUMNS, trace_rows)
+
+
+def _write_unconverged_bounds(run_dir: Path, cfg) -> None:
+    """``bounds.json`` of a run that stopped before it had bounds to report."""
+    (run_dir / "bounds.json").write_text(
+        json.dumps({"instance": cfg["problem"], "model": cfg.get("model", "falp"), "converged": False}, indent=1)
+    )
+
+
+def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) -> int:
+    _write_discounted_trace(run_dir, result.records)
     last = result.records[-1]
     bounds = {
         "instance": cfg["problem"],
@@ -309,9 +321,7 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
         )
     except gjr_mod.ConstraintGenerationError as err:
         _write_csv(run_dir / "trace.csv", GJR_TRACE_COLUMNS, err.trace)
-        (run_dir / "bounds.json").write_text(
-            json.dumps({"instance": cfg["problem"], "model": cfg.get("model", "falp"), "converged": False}, indent=1)
-        )
+        _write_unconverged_bounds(run_dir, cfg)
         print(f"cut budget exhausted: {err}", file=sys.stderr)
         return 2
     avg_cost = gjr_mod.simulate_average_cost(
@@ -375,7 +385,13 @@ def run_experiment(config_path: str | Path, seed_override: int | None = None) ->
             mdp = _build_problem(cfg, seed)
             loop_config = _loop_config(cfg, mdp, seed)
             backend = ScipyBackend(var_bound=cfg.get("solver", {}).get("var_bound"))
-            result = run_loop(mdp, loop_config, backend)
+            try:
+                result = run_loop(mdp, loop_config, backend)
+            except LoopError as err:
+                # the iterations before the failed LP, as the cut-budget path keeps them
+                _write_discounted_trace(run_dir, err.trace)
+                _write_unconverged_bounds(run_dir, cfg)
+                raise
             code = _write_discounted_artifacts(run_dir, cfg, mdp, loop_config, result)
     except (ValueError, RuntimeError) as err:
         # configuration errors, a failed LP (LoopError, SolverError) and an MH
@@ -411,20 +427,19 @@ def emit_table(run_dirs: list[str | Path]) -> str:
 def _cmd_print_instance(spec: str, seed: int) -> int:
     from ralp import pic as pic_mod
 
-    if spec == "pic:all":
-        print(pic_mod.catalog_json())
-        return 0
-    if spec.startswith("pic:"):
-        print(json.dumps(json.loads(pic_mod.catalog_json())[spec[4:]], indent=1))
-        return 0
-    if spec.startswith("gjr:"):
-        try:
-            params = _gjr_params(_gjr_spec(spec), seed)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        print(params.to_json())
-        return 0
+    try:
+        if spec == "pic:all":
+            print(pic_mod.catalog_json())
+            return 0
+        if spec.startswith("pic:") and spec[4:].isdigit():
+            print(json.dumps(asdict(pic_mod.instance_from_table(int(spec[4:]))), indent=1))
+            return 0
+        if spec.startswith("gjr:"):
+            print(_gjr_params(_gjr_spec(spec), seed).to_json())
+            return 0
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     if spec == "toy":
         mdp = toy_mod.build_toy()
         print(json.dumps({"state_box": [0.0, 1.0], "action_box": [0.0, 1.0], "gamma": mdp.gamma}))

@@ -22,12 +22,11 @@ from typing import Optional
 
 import numpy as np
 
-from ralp.alp import VfaWeights, vfa_values
+from ralp.alp import VfaWeights, padded_rows, vfa_values
 from ralp.bases import BasisSet
 from ralp.mdp import (
     DiscountedMdp,
     batch_expected_costs,
-    expected_next_values,
     expected_successor_phases,
     split_rng,
 )
@@ -90,39 +89,22 @@ class LowerBoundEstimate:
     acceptance_rates: tuple[float, ...]
 
 
-def _resolve_value_fn(bases, w, value_fn):
-    if value_fn is not None:
-        return value_fn
-    return lambda states: vfa_values(bases, w, states)
-
-
 def chi_value(
     mdp: DiscountedMdp,
     bases: BasisSet,
     w: VfaWeights,
     chi_samples: Optional[np.ndarray] = None,
-    value_fn=None,
 ) -> float:
     """E_chi[V]; exact at a degenerate atom, SAA otherwise."""
     if chi_samples is None:
         if mdp.initial_dist.atom is None:
             raise ValueError("chi_samples required for a non-degenerate initial distribution")
         chi_samples = np.atleast_2d(mdp.initial_dist.atom)
-    return float(_resolve_value_fn(bases, w, value_fn)(np.atleast_2d(chi_samples)).mean())
+    return float(vfa_values(bases, w, np.atleast_2d(chi_samples)).mean())
 
 
-def _bellman_terms(mdp, bases, w, value_fn):
-    """``terms(states, actions) -> (V(s), E[V(s') | s, a])``, each (m,).
-
-    The default VFA takes its continuation from the successor-expectation
-    kernel, built here once; a caller-supplied ``value_fn`` is evaluated on
-    every enumerated successor.
-    """
-    if value_fn is not None:
-        return lambda states, actions: (
-            np.asarray(value_fn(states)),
-            expected_next_values(mdp, states, actions, value_fn),
-        )
+def _bellman_terms(mdp, bases, w):
+    """``terms(states, actions) -> (V(s), E[V(s') | s, a])``, each (m,), on a kernel built once."""
     expect = expected_successor_phases(mdp, bases)
     return lambda states, actions: (
         vfa_values(bases, w, states),
@@ -142,18 +124,6 @@ def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo + (width - np.abs(y - width))
 
 
-def _padded(rows: np.ndarray) -> np.ndarray:
-    """``rows`` with its last row repeated up to a multiple of 4 rows.
-
-    OpenBLAS forms the ``features @ betas`` products of ``_y_batch`` in blocks
-    of 4 rows and sends the rows of a short last block through another kernel,
-    whose results can differ in the last bit.  Padding keeps every row in a
-    full block, so a row's ``y`` does not depend on the batch it is part of.
-    """
-    pad = -len(rows) % 4
-    return np.concatenate([rows, np.repeat(rows[-1:], pad, axis=0)]) if pad else rows
-
-
 def estimate_lower_bound(
     mdp: DiscountedMdp,
     bases: BasisSet,
@@ -161,7 +131,6 @@ def estimate_lower_bound(
     cfg: SaddleConfig,
     consts: LipschitzConstants,
     chi_samples: Optional[np.ndarray] = None,
-    value_fn=None,
 ) -> LowerBoundEstimate:
     """MH estimate of E_Y[y] plus the analytic correction term.
 
@@ -177,7 +146,7 @@ def estimate_lower_bound(
     evaluates all proposals in one batch, and advances each chain to its
     first accepted step (or over its whole block).  For chain counts that
     are multiples of 4 the result equals a step-by-step evaluation bit for
-    bit; otherwise it differs in the last bit (see ``_padded``).
+    bit; otherwise it differs in the last bit (see ``padded_rows``).
     """
     lam = cfg.lam if cfg.lam is not None else consts.default_lam()
     lo = np.concatenate([mdp.state_lo, mdp.action_lo])
@@ -186,11 +155,11 @@ def estimate_lower_bound(
     d = len(lo)
     ds = mdp.dim_state
     chains, length = cfg.chains, cfg.chain_length
-    e_chi = chi_value(mdp, bases, w, chi_samples, value_fn=value_fn)
-    terms = _bellman_terms(mdp, bases, w, value_fn)
+    e_chi = chi_value(mdp, bases, w, chi_samples)
+    terms = _bellman_terms(mdp, bases, w)
 
     def evaluate(points):
-        points = _padded(points)
+        points = padded_rows(points)
         return _y_batch(mdp, terms, points[:, :ds], points[:, ds:], e_chi)
 
     x = np.empty((chains, d))

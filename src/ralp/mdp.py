@@ -157,10 +157,11 @@ class DiscountedMdp:
     # (horizon, replications) array of uniforms.  Defaults to the noise
     # model's own (discrete) quantile.
     noise_quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    # Structure hint for scalar-action instances: the transition output
-    # coordinate that simply carries the action while every other output
-    # coordinate is action-independent.  Enables a fast greedy lookahead.
-    action_output_slot: Optional[int] = None
+    # ``greedy_lookahead(noise, bases, w, grid)``, which greedy policies need,
+    # takes a Fourier set, its weights and the (g, d_a) action grid and returns
+    # ``cont(states)``: E[V(s') | s, a] over the noise atoms for every state
+    # row and grid action, (m, g), as enumerating every successor gives it.
+    greedy_lookahead: Optional[Callable] = None
     # Optional closed forms over the noise model's atoms, used in place of
     # enumerating every successor.  ``closed_form_costs(noise, states,
     # actions)`` returns E[c(s, a)] per row, (m,).
@@ -222,16 +223,6 @@ def batch_expected_costs(mdp: DiscountedMdp, states: np.ndarray, actions: np.nda
     xi = mdp.noise.values
     c = mdp.cost(states[:, None, :], actions[:, None, :], xi[None, :])
     return np.broadcast_to(c, (len(states), len(xi))) @ mdp.noise.weights
-
-
-def expected_next_values(mdp: DiscountedMdp, states: np.ndarray, actions: np.ndarray, value_fn) -> np.ndarray:
-    """E[f(s') | s, a] per (state, action) row by enumerating the noise atoms, (m,).
-
-    ``value_fn`` maps a (n, d_s) batch of states to (n,) values.
-    """
-    nxt = batch_next_states(mdp, states, actions)
-    m, k, ds = nxt.shape
-    return np.asarray(value_fn(nxt.reshape(m * k, ds))).reshape(m, k) @ mdp.noise.weights
 
 
 def expected_successor_phases(mdp: DiscountedMdp, bases: BasisSet) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
 from ralp.alp import VfaWeights
+from ralp.bases import BasisSet
 from ralp.lower_bound import LipschitzConstants
 from ralp.mdp import DiscountedMdp, NoiseModel, degenerate
 
@@ -199,6 +200,32 @@ def pic_successor_phases(p: PicParams, noise: NoiseModel, omega: np.ndarray, q: 
     return expect
 
 
+def pic_greedy_lookahead(p: PicParams, noise: NoiseModel, bases: BasisSet, w: VfaWeights, grid: np.ndarray):
+    """Prepare E[V(s') | s, a] over a scalar action grid; see ``DiscountedMdp``.
+
+    The successor's last coordinate is the action and the others do not
+    depend on it, so every grid action follows by angle addition from the
+    successor kernel at the lowest one.  The kernel and the grid's
+    trigonometric factors are prepared here, once per basis set.
+    """
+    if bases.kind != "fourier" and len(bases) > 0:
+        raise ValueError("the greedy lookahead is implemented for Fourier sets")
+    omega = bases.omega.reshape(len(bases), 3)  # (N, 3) for an empty stump set too
+    expect = pic_successor_phases(p, noise, omega, bases.q)
+    w_slot = omega[:, 2]
+    a_lo = grid[0, 0]
+    shift = np.exp(-1j * w_slot * a_lo)  # removes the lowest action's angle
+    v = np.outer(grid[:, 0], w_slot)  # (g, N)
+    cos_rows = (np.cos(v) * w.betas).T
+    sin_rows = (np.sin(v) * w.betas).T
+
+    def cont(states: np.ndarray) -> np.ndarray:
+        z = expect(states, np.full((len(states), 1), a_lo)) * shift  # (m, N)
+        return w.beta0 + z.real @ cos_rows - z.imag @ sin_rows  # (m, g)
+
+    return cont
+
+
 def demand_quantile(p: PicParams, u) -> np.ndarray:
     """Inverse CDF of the truncated-normal demand law, elementwise over ``u`` in [0, 1).
 
@@ -275,7 +302,7 @@ def build_pic_mdp(p: PicParams, demand_saa_size: int = DEMAND_SAA_SIZE, demand_s
         closed_form_costs=partial(pic_expected_costs, p),
         closed_form_phases=partial(pic_successor_phases, p),
         noise_quantile=partial(demand_quantile, p),
-        action_output_slot=2,
+        greedy_lookahead=partial(pic_greedy_lookahead, p),
         saddle_constants=partial(pic_constants, p),
         action_grid=int(round(p.a_max)) + 1,
     )

@@ -15,16 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ralp.alp import VfaWeights, vfa_values
+from ralp.alp import VfaWeights
 from ralp.bases import BasisSet, features  # noqa: F401  (perfbench/layers.py wraps policy.features)
-from ralp.mdp import (
-    DiscountedMdp,
-    batch_expected_costs,
-    expected_next_values,
-    expected_successor_phases,
-    noise_from_uniforms,
-    split_rng,
-)
+from ralp.mdp import DiscountedMdp, batch_expected_costs, noise_from_uniforms, split_rng
 
 _ROLLOUT_STREAM = 101
 
@@ -67,58 +60,26 @@ def action_grid_points(mdp: DiscountedMdp, grid: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _greedy_enumerated(
-    mdp: DiscountedMdp,
-    bases: BasisSet,
-    w: VfaWeights,
-    states: np.ndarray,
-    grid_pts: np.ndarray,
-) -> np.ndarray:
-    """Greedy actions with every grid action's successors enumerated."""
-    m, g = len(states), len(grid_pts)
-    s_rep = np.repeat(states, g, axis=0)
-    a_rep = np.tile(grid_pts, (m, 1))
-    cont = expected_next_values(mdp, s_rep, a_rep, lambda x: vfa_values(bases, w, x))
-    q = batch_expected_costs(mdp, s_rep, a_rep) + mdp.gamma * cont
-    return grid_pts[np.argmin(q.reshape(m, g), axis=1)]
-
-
 def _greedy_policy(
     mdp: DiscountedMdp, bases: BasisSet, w: VfaWeights, grid_pts: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Greedy action per state row; ties go to the first (lexicographically
     smallest) grid point.
 
-    When one transition output coordinate carries the (scalar) action and
-    the rest are action-independent, E[V(s') | s, a] for every grid action
-    follows by angle addition from the successor-expectation kernel taken at
-    the lowest action.  Build once per rollout: the kernel and the grid's
-    trigonometric factors are prepared here for the whole basis set.
+    Build once per rollout: the problem's ``greedy_lookahead`` prepares
+    E[V(s') | s, a] over the grid for the whole basis set here.
     """
-    if not (
-        mdp.action_output_slot is not None
-        and mdp.dim_action == 1
-        and bases.kind == "fourier"
-        and len(bases) > 0
-    ):
-        return lambda states: _greedy_enumerated(mdp, bases, w, states, grid_pts)
-    expect = expected_successor_phases(mdp, bases)
-    w_slot = bases.omega[:, mdp.action_output_slot]
-    a_lo = mdp.action_lo[0]
-    shift = np.exp(-1j * w_slot * a_lo)  # removes the lowest action's angle
-    v = np.outer(grid_pts[:, 0], w_slot)  # (g, N)
-    cos_rows = (np.cos(v) * w.betas).T
-    sin_rows = (np.sin(v) * w.betas).T
+    if mdp.greedy_lookahead is None:
+        raise ValueError("greedy policies need the problem's greedy_lookahead")
+    cont = mdp.greedy_lookahead(mdp.noise, bases, w, grid_pts)
     g = len(grid_pts)
 
     def act(states: np.ndarray) -> np.ndarray:
         m = len(states)
-        z = expect(states, np.full((m, 1), a_lo)) * shift  # (m, N)
-        cont = w.beta0 + z.real @ cos_rows - z.imag @ sin_rows  # (m, g)
         s_rep = np.repeat(states, g, axis=0)
         a_rep = np.tile(grid_pts, (m, 1))
         costs = batch_expected_costs(mdp, s_rep, a_rep).reshape(m, g)
-        return grid_pts[np.argmin(costs + mdp.gamma * cont, axis=1)]
+        return grid_pts[np.argmin(costs + mdp.gamma * cont(states), axis=1)]
 
     return act
 

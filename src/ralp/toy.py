@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ralp.alp import VfaWeights, padded_rows, vfa_values
+from ralp.bases import BasisSet
 from ralp.mdp import DiscountedMdp, NoiseModel, uniform_box
 
 GAMMA = 0.9
@@ -27,6 +29,27 @@ def _toy_transition(s, a, noise):
     return np.where((noise == 0.0)[..., None], s, a)
 
 
+def _toy_greedy_lookahead(noise: NoiseModel, bases: BasisSet, w: VfaWeights, grid: np.ndarray):
+    """Prepare E[V(s') | s, a] over the action grid from two tables; see ``DiscountedMdp``.
+
+    A successor is the state (noise 0) or the action, so V is taken on the grid
+    once here and on the states once per call.  Laid out and weighted as every
+    successor's enumeration, each V from a full BLAS block (``padded_rows``),
+    the result equals that enumeration bit for bit.
+    """
+    g = len(grid)
+    v_grid = vfa_values(bases, w, padded_rows(grid))[:g]
+    stay = noise.values == 0.0
+
+    def cont(states: np.ndarray) -> np.ndarray:
+        m = len(states)
+        v_states = vfa_values(bases, w, padded_rows(states))[:m]
+        vals = np.where(stay, v_states[:, None, None], v_grid[None, :, None])  # (m, g, k)
+        return (vals.reshape(m * g, len(stay)) @ noise.weights).reshape(m, g)
+
+    return cont
+
+
 def build_toy() -> DiscountedMdp:
     """The two-point-noise MDP on [0,1]^2 with uniform initial distribution."""
     chi = uniform_box([0.0], [1.0])
@@ -41,6 +64,7 @@ def build_toy() -> DiscountedMdp:
         noise=NoiseModel(values=np.array([0.0, 1.0]), probs=np.array([STAY_PROB, 1.0 - STAY_PROB])),
         initial_dist=chi,
         state_relevance=chi,
+        greedy_lookahead=_toy_greedy_lookahead,
         exact_value=optimal_value,
     )
 

@@ -4,11 +4,61 @@ import numpy as np
 import pytest
 
 from ralp import toy
-from ralp.alp import ScipyBackend, grid_plan, nu_sample_set, prepare_plan
-from ralp.mdp import split_rng
+from ralp.alp import (
+    LpModel,
+    ScipyBackend,
+    SolverBackend,
+    VfaWeights,
+    grid_plan,
+    nu_sample_set,
+    prepare_plan,
+    vfa_values,
+    vfa_weights,
+)
+from ralp.bases import BasisSet
+from ralp.mdp import DiscountedMdp, batch_expected_costs, batch_next_states, split_rng
 
 TOY_STATES = np.linspace(0.0, 1.0, 1001)[:, None]
 TOY_ACTIONS = np.linspace(0.0, 1.0, 101)[:, None]
+
+
+def solve(model: LpModel, backend: SolverBackend) -> tuple[VfaWeights, float]:
+    """Solve a VFA model; non-optimal statuses raise SolverError."""
+    sol = backend.solve(model)
+    return vfa_weights(sol), float(sol.objective)
+
+
+def expected_next_values(mdp: DiscountedMdp, states: np.ndarray, actions: np.ndarray, value_fn) -> np.ndarray:
+    """E[f(s') | s, a] per (state, action) row by enumerating the noise atoms, (m,).
+
+    ``value_fn`` maps a (n, d_s) batch of states to (n,) values.
+    """
+    nxt = batch_next_states(mdp, states, actions)
+    m, k, ds = nxt.shape
+    return np.asarray(value_fn(nxt.reshape(m * k, ds))).reshape(m, k) @ mdp.noise.weights
+
+
+def enumerated_lookahead(
+    mdp: DiscountedMdp, bases: BasisSet, w: VfaWeights, states: np.ndarray, grid_pts: np.ndarray
+) -> np.ndarray:
+    """E[V(s') | s, a] for every state row and grid action with every successor enumerated, (m, g).
+
+    The reference that each problem's ``greedy_lookahead`` is checked against.
+    """
+    m, g = len(states), len(grid_pts)
+    s_rep = np.repeat(states, g, axis=0)
+    a_rep = np.tile(grid_pts, (m, 1))
+    return expected_next_values(mdp, s_rep, a_rep, lambda x: vfa_values(bases, w, x)).reshape(m, g)
+
+
+def greedy_enumerated(
+    mdp: DiscountedMdp, bases: BasisSet, w: VfaWeights, states: np.ndarray, grid_pts: np.ndarray
+) -> np.ndarray:
+    """Greedy actions with every grid action's successors enumerated."""
+    m, g = len(states), len(grid_pts)
+    cont = enumerated_lookahead(mdp, bases, w, states, grid_pts)
+    costs = batch_expected_costs(mdp, np.repeat(states, g, axis=0), np.tile(grid_pts, (m, 1))).reshape(m, g)
+    return grid_pts[np.argmin(costs + mdp.gamma * cont, axis=1)]
 
 
 class ToyBinShares(NamedTuple):

@@ -21,7 +21,6 @@ from ralp.alp import (
     grid_plan,
     nu_sample_set,
     prepare_plan,
-    solve,
     vfa_values,
 )
 from ralp.bases import BoundConstants, falp_sample_bound, fixed_fourier, sample_fourier, sample_stumps
@@ -29,7 +28,7 @@ from ralp.loop import LoopConfig, fluctuation_stats, run as run_loop
 from ralp.lower_bound import SaddleConfig
 from ralp.mdp import split_rng
 from ralp.policy import SimConfig
-from tests.conftest import TOY_ACTIONS, TOY_STATES, toy_constant_action_shares, toy_constant_policy_cost
+from tests.conftest import TOY_ACTIONS, TOY_STATES, solve, toy_constant_action_shares, toy_constant_policy_cost
 
 # seed whose state-relevance sample reproduces the reference scenario-2
 # policy flip (the competing VFA minima are nearly tied; see README,

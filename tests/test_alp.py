@@ -25,13 +25,12 @@ from ralp.alp import (
     lb_expectation,
     nu_sample_set,
     prepare_plan,
-    solve,
     uniform_plan,
     vfa_values,
 )
 from ralp.bases import fixed_fourier, sample_fourier
 from ralp.mdp import split_rng
-from tests.conftest import TOY_ACTIONS, TOY_STATES
+from tests.conftest import TOY_ACTIONS, TOY_STATES, solve
 
 
 class TestModelBuild:

@@ -1,7 +1,9 @@
 """Every public definition in ``src/ralp`` is used by the package itself.
 
-A public module-level function or class, or a public method of a
-module-level class, counts as used when its name appears as a name or an
+A public module-level function or class counts as used when a module of
+``src/ralp`` names it: as a bare name, in ``from ralp.x import name``, or as
+``alias.name`` for an alias bound to a ``ralp`` module.  A public method of a
+module-level class counts as used when its name appears as a name or an
 attribute anywhere in ``src/ralp``.  Code that only the tests call belongs in
 ``tests/``, and the tests of a scalar twin belong on the batch API the runs
 call.
@@ -22,27 +24,58 @@ ALLOWED = {
 
 
 def _public_definitions(tree: ast.Module):
-    """(name, label) of each public module-level function and class, and of their public methods."""
+    """(name, label, is_method) of each public module-level function and class, and of their public methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node.name
+            yield node.name, node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield item.name, f"{node.name}.{item.name}"
+                    yield item.name, f"{node.name}.{item.name}", True
+
+
+def _module_aliases(tree: ast.Module, modules: set[str]) -> set[str]:
+    """Names that a module binds to a ``ralp`` module, at any nesting level."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ralp":
+            aliases.update(a.asname or a.name for a in node.names if a.name in modules)
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname for a in node.names if a.asname and a.name.startswith("ralp."))
+    return aliases
+
+
+def _references(tree: ast.Module, modules: set[str]) -> tuple[set[str], set[str]]:
+    """(names that use a module-level definition, every name and attribute) of one module."""
+    aliases = _module_aliases(tree, modules)
+    names, anywhere = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+            anywhere.add(node.id)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ralp."):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            anywhere.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                names.add(node.attr)
+    return names, anywhere
 
 
 def test_every_public_definition_is_referenced():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = set()
+    modules = {name.removesuffix(".py") for name in trees}
+    used_names, used_anywhere = set(), set()
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    definitions = [(module, name, label) for module, tree in trees.items() for name, label in _public_definitions(tree)]
-    unused = [f"{module}: {label}" for module, name, label in definitions if name not in used and name not in ALLOWED]
+        names, anywhere = _references(tree, modules)
+        used_names |= names
+        used_anywhere |= anywhere
+    definitions = [
+        (module, name, label, name in (used_anywhere if is_method else used_names))
+        for module, tree in trees.items()
+        for name, label, is_method in _public_definitions(tree)
+    ]
+    unused = [f"{module}: {label}" for module, name, label, used in definitions if not used and name not in ALLOWED]
     assert unused == [], "public definitions that no module of src/ralp references"
     # an allowed name must still be defined and still be unreferenced
-    assert set(ALLOWED) <= {name for _, name, _ in definitions} - used
+    assert set(ALLOWED) <= {name for _, name, _, used in definitions if not used}

@@ -60,6 +60,14 @@ class TestConfigValidation:
         assert cli.main(["validate-config", "--config", str(path)]) == 1
         assert "model" in capsys.readouterr().err
 
+    def test_problem_not_a_string(self, tmp_path, capsys):
+        cfg = _toy_config(tmp_path)
+        cfg["problem"] = 5
+        path = _write(tmp_path, cfg)
+        assert cli.main(["validate-config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem:") and "Traceback" not in err
+
     def test_missing_field(self, tmp_path, capsys):
         cfg = _toy_config(tmp_path)
         del cfg["output_dir"]
@@ -372,17 +380,31 @@ class TestRunFailures:
 
     @pytest.mark.parametrize("problem", ["toy", "gjr"])
     def test_lp_failure_exit_one(self, tmp_path, monkeypatch, capsys, problem):
-        # a backend that reports a numerical failure for every LP
+        # a backend that reports a numerical failure for every LP after the
+        # first toy iteration's
         from ralp.alp import LpSolution, ScipyBackend
 
         failed = LpSolution(status="numeric", x=None, objective=None, max_violation=None)
-        monkeypatch.setattr(ScipyBackend, "solve", lambda self, model: failed)
+        solve, solved = ScipyBackend.solve, []
+
+        def first_toy_lp_only(self, model):
+            solved.append(model)
+            return solve(self, model) if problem == "toy" and len(solved) == 1 else failed
+
+        monkeypatch.setattr(ScipyBackend, "solve", first_toy_lp_only)
         cfg = _toy_config(tmp_path) if problem == "toy" else _small_gjr_config(tmp_path)
         path = _write(tmp_path, cfg)
         assert cli.main(["run", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "numeric" in err
         assert "Traceback" not in err
+        if problem == "toy":
+            # the iterations before the failed LP are kept, as with a cut budget
+            (run_dir,) = (tmp_path / "runs").iterdir()
+            trace = (run_dir / "trace.csv").read_text().splitlines()
+            assert trace[0] == ",".join(cli.TRACE_COLUMNS) and len(trace) == 2
+            bounds = json.loads((run_dir / "bounds.json").read_text())
+            assert bounds == {"instance": "toy", "model": cfg.get("model", "falp"), "converged": False}
 
     def test_gjr_spec_not_an_object(self, tmp_path, capsys):
         cfg = _small_gjr_config(tmp_path)
@@ -489,6 +511,10 @@ class TestPrintInstance:
 
     def test_unknown_spec(self, capsys):
         assert cli.main(["print-instance", "mystery:1"]) == 1
+
+    def test_pic_id_outside_catalog(self, capsys):
+        assert cli.main(["print-instance", "pic:99"]) == 1
+        assert capsys.readouterr().err == "error: instance id must be 1..16, got 99\n"
 
     def test_gjr_spec_not_an_object(self, capsys):
         assert cli.main(["print-instance", "gjr:[1,2]"]) == 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ralp import pic, policy, toy
-from ralp.alp import VfaWeights
+from ralp.alp import VfaWeights, build_falp, padded_rows
 from ralp.bases import empty_stumps, fixed_fourier, sample_fourier
 from ralp import lower_bound as lb_mod
 from ralp.lower_bound import (
@@ -16,6 +16,7 @@ from ralp.lower_bound import (
 )
 from ralp.mdp import NoiseModel, batch_expected_costs, split_rng
 from ralp.pic import pic_constants
+from tests.conftest import solve
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +32,36 @@ def pic1_vfa():
     return bases, w, pic_constants(pic.instance_from_table(1), w)
 
 
-def _reference_mh(mdp, bases, w, cfg, consts, chi_samples=None, value_fn=None):
+@pytest.fixture(scope="module")
+def toy_vfa(toy_grid_prepared, toy_nu_samples, backend):
+    """The solved two-basis toy VFA, with saddle constants valid for it.
+
+    V = beta0 + sum_j beta_j cos(omega_j s) is Lipschitz with L_V = sum_j
+    |beta_j omega_j|, and the cost |s - 0.5| with l_c = 1, so
+    y(s, a) = E_chi[V] + (c(s) + gamma (0.1 V(s) + 0.9 V(a)) - V(s)) / (1 - gamma)
+    changes by at most l_y = (1 + (1 + gamma) L_V) / (1 - gamma) per unit of
+    distance in (s, a).  Lambda takes ``pic_constants``' form on the unit
+    square: d = 2, radius 1/2, diameter sqrt(2), volume 1.
+    """
+    bases = fixed_fourier([2.0, -5.0])
+    w, _ = solve(build_falp(toy_grid_prepared, bases, toy_nu_samples), backend)
+    l_v = float(np.abs(w.betas * bases.omega[:, 0]).sum())
+    l_y = (1.0 + (1.0 + toy.GAMMA) * l_v) / (1.0 - toy.GAMMA)
+    radius, diameter = 0.5, math.sqrt(2.0)
+    big_lambda = -math.log(math.gamma(2.0) * (radius * math.sqrt(math.pi)) ** -2) - l_y * (radius + diameter)
+    consts = LipschitzConstants(l_c=1.0, l_y=l_y, big_lambda=big_lambda, d_sa=2, radius=radius, diameter=diameter)
+    return bases, w, consts
+
+
+def _reference_mh(mdp, bases, w, cfg, consts, chi_samples=None):
     """The step-by-step Metropolis-Hastings loop: one ``_y_batch`` call per step."""
     lam = cfg.lam if cfg.lam is not None else consts.default_lam()
     lo = np.concatenate([mdp.state_lo, mdp.action_lo])
     hi = np.concatenate([mdp.state_hi, mdp.action_hi])
     step = cfg.proposal_frac * (hi - lo)
     d, ds = len(lo), mdp.dim_state
-    e_chi = lb_mod.chi_value(mdp, bases, w, chi_samples, value_fn=value_fn)
-    terms = lb_mod._bellman_terms(mdp, bases, w, value_fn)
+    e_chi = lb_mod.chi_value(mdp, bases, w, chi_samples)
+    terms = lb_mod._bellman_terms(mdp, bases, w)
     rngs = [split_rng(cfg.seed, 211, c) for c in range(cfg.chains)]
     x = np.stack([lo + (hi - lo) * rngs[c].random(d) for c in range(cfg.chains)])
     y = lb_mod._y_batch(mdp, terms, x[:, :ds], x[:, ds:], e_chi)
@@ -68,17 +90,10 @@ def _reference_mh(mdp, bases, w, cfg, consts, chi_samples=None, value_fn=None):
     )
 
 
-def _toy_value_case():
-    """The toy optimal value function as a caller-supplied ``value_fn``, with constants."""
-    value_fn = lambda states: np.abs(np.atleast_2d(states)[:, 0] - 0.5) / 0.91
-    consts = LipschitzConstants(l_c=1.0, l_y=21.0, big_lambda=-30.0, d_sa=2, radius=0.5, diameter=math.sqrt(2.0))
-    return value_fn, consts
-
-
 def _y(mdp, bases, w, states, actions, chi_samples=None):
     """y per (state, action) row, as the MH chains evaluate it."""
     e_chi = lb_mod.chi_value(mdp, bases, w, chi_samples)
-    terms = lb_mod._bellman_terms(mdp, bases, w, None)
+    terms = lb_mod._bellman_terms(mdp, bases, w)
     return lb_mod._y_batch(mdp, terms, np.array(states, dtype=float), np.array(actions, dtype=float), e_chi)
 
 
@@ -156,18 +171,11 @@ class TestEstimator:
         assert est.bound == pytest.approx(k + 0.5 * (-5.0 + 2 * math.log(0.5)), abs=1e-9)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
-    def test_validity_against_toy_optimum(self, toy_mdp, toy_nu_samples):
-        # with the exact value function, the bound must sit below the optimal cost
-        value_fn = lambda states: np.abs(np.atleast_2d(states)[:, 0] - 0.5) / 0.91
-        l_y = (1.0 + 1.1) / 0.1  # crude Lipschitz bound for y on the unit square
-        vol = 1.0
-        lam_big = -math.log(math.gamma(2.0) * (0.5 * math.sqrt(math.pi)) ** -2 * vol) - l_y * (0.5 + math.sqrt(2.0))
-        consts = LipschitzConstants(l_c=1.0, l_y=l_y, big_lambda=lam_big, d_sa=2, radius=0.5, diameter=math.sqrt(2.0))
+    def test_validity_against_toy_optimum(self, toy_mdp, toy_nu_samples, toy_vfa):
+        # with constants valid for the VFA, the bound must sit below the optimal cost
+        bases, w, consts = toy_vfa
         cfg = SaddleConfig(chains=6, chain_length=400, burn_in=200, seed=3)
-        est = estimate_lower_bound(
-            toy_mdp, fixed_fourier([2.0]), VfaWeights.zero(1), cfg, consts,
-            chi_samples=toy_nu_samples, value_fn=value_fn,
-        )
+        est = estimate_lower_bound(toy_mdp, bases, w, cfg, consts, chi_samples=toy_nu_samples)
         assert est.bound <= 0.25 / 0.91 + 1e-3
 
     def test_deterministic_given_seed(self, pic1_mdp):
@@ -228,27 +236,27 @@ class TestSpeculativeBlocks:
         assert est == ref
 
     @pytest.mark.parametrize("chains", [4, 8])
-    def test_toy_value_fn_equals_step_by_step(self, toy_mdp, toy_nu_samples, chains):
-        value_fn, consts = _toy_value_case()
+    def test_toy_vfa_equals_step_by_step(self, toy_mdp, toy_nu_samples, toy_vfa, chains):
+        bases, w, consts = toy_vfa
         cfg = SaddleConfig(chains=chains, chain_length=150, burn_in=70, lam=0.3, proposal_frac=0.1, seed=2)
-        args = (toy_mdp, fixed_fourier([2.0]), VfaWeights.zero(1), cfg, consts)
-        est = estimate_lower_bound(*args, chi_samples=toy_nu_samples, value_fn=value_fn)
-        assert est == _reference_mh(*args, chi_samples=toy_nu_samples, value_fn=value_fn)
+        args = (toy_mdp, bases, w, cfg, consts)
+        est = estimate_lower_bound(*args, chi_samples=toy_nu_samples)
+        assert est == _reference_mh(*args, chi_samples=toy_nu_samples)
 
     @pytest.mark.parametrize("chains", [2, 3, 6])
-    def test_other_chain_counts_agree_to_the_last_bits(self, pic1_mdp, pic1_vfa, toy_mdp, toy_nu_samples, chains):
+    def test_other_chain_counts_agree_to_the_last_bits(self, pic1_mdp, pic1_vfa, toy_mdp, toy_nu_samples, toy_vfa, chains):
         # a step batch of these sizes ends in a short BLAS block, whose rows
         # differ from the blocked evaluation in the last bit
         bases, w, consts = pic1_vfa
         cfg = SaddleConfig(chains=chains, chain_length=200, burn_in=90, seed=3)
-        value_fn, toy_consts = _toy_value_case()
+        toy_bases, toy_w, toy_consts = toy_vfa
         toy_cfg = SaddleConfig(chains=chains, chain_length=150, burn_in=70, lam=0.3, proposal_frac=0.1, seed=2)
-        toy_args = (toy_mdp, fixed_fourier([2.0]), VfaWeights.zero(1), toy_cfg, toy_consts)
+        toy_args = (toy_mdp, toy_bases, toy_w, toy_cfg, toy_consts)
         for est, ref in (
             (estimate_lower_bound(pic1_mdp, bases, w, cfg, consts), _reference_mh(pic1_mdp, bases, w, cfg, consts)),
             (
-                estimate_lower_bound(*toy_args, chi_samples=toy_nu_samples, value_fn=value_fn),
-                _reference_mh(*toy_args, chi_samples=toy_nu_samples, value_fn=value_fn),
+                estimate_lower_bound(*toy_args, chi_samples=toy_nu_samples),
+                _reference_mh(*toy_args, chi_samples=toy_nu_samples),
             ),
         ):
             assert est.acceptance_rates == ref.acceptance_rates
@@ -266,7 +274,7 @@ class TestSpeculativeBlocks:
         hi = np.concatenate([mdp.state_hi, mdp.action_hi])
         points = lo + (hi - lo) * np.random.default_rng(5).random((40, len(lo)))
         e_chi = lb_mod.chi_value(mdp, bases, w)
-        terms = lb_mod._bellman_terms(mdp, bases, w, None)
+        terms = lb_mod._bellman_terms(mdp, bases, w)
         ds = mdp.dim_state
 
         def y_of(rows):
@@ -274,7 +282,7 @@ class TestSpeculativeBlocks:
 
         eight_rows = np.concatenate([y_of(points[i : i + 8]) for i in range(0, 40, 8)])
         for m in range(1, 41):
-            padded = lb_mod._padded(points[:m])
+            padded = padded_rows(points[:m])
             assert len(padded) % 4 == 0 and len(padded) - m < 4
             assert list(y_of(padded)[:m]) == list(eight_rows[:m]), f"{m} rows"
 

@@ -7,10 +7,10 @@ from ralp.mdp import (
     NoiseModel,
     batch_next_states,
     degenerate,
-    expected_next_values,
     noise_from_uniforms,
     split_rng,
 )
+from tests.conftest import expected_next_values
 
 
 def _expected_value(mdp, s, a, f):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ralp import pic, policy, toy
-from ralp.alp import VfaWeights, build_falp, solve, uniform_plan
-from ralp.bases import BasisSet, fixed_fourier, sample_fourier
+from ralp.alp import VfaWeights, build_falp, uniform_plan
+from ralp.bases import BasisSet, empty_stumps, fixed_fourier, sample_fourier
 from ralp.mdp import (
     DiscountedMdp,
     NoiseModel,
@@ -23,7 +23,13 @@ from ralp.policy import (
     estimate_visit_frequency,
     simulate_policy_cost,
 )
-from tests.conftest import toy_constant_action_shares, toy_constant_policy_cost
+from tests.conftest import (
+    enumerated_lookahead,
+    greedy_enumerated,
+    solve,
+    toy_constant_action_shares,
+    toy_constant_policy_cost,
+)
 
 
 def _greedy(mdp, bases, w, states, grid):
@@ -83,6 +89,54 @@ class TestGreedyAction:
         a = _greedy(toy_mdp, bases, w, states, grid=101)
         b = _greedy(toy_mdp, bases, shifted, states, grid=101)
         assert np.array_equal(a, b)
+
+
+class TestGreedyLookahead:
+    """Each problem's ``greedy_lookahead`` against enumerating every successor."""
+
+    @pytest.mark.parametrize("grid", [11, 101])
+    def test_toy_equals_enumeration_bit_for_bit(self, toy_mdp, toy_grid_prepared, toy_nu_samples, backend, grid):
+        # An even state count keeps every row of the enumeration in a full
+        # BLAS block of 4, as the hook's padded tables are.  Without the
+        # padding, the drawn set's values on the 42 states and on the short
+        # last block of the grid differ from the enumeration in the last bit.
+        states = np.random.default_rng(3).random((42, 1))
+        grid_pts = action_grid_points(toy_mdp, grid)
+        solved = fixed_fourier([2.0, -5.0, 3.0])
+        drawn = sample_fourier(20, 1, (0.2, 10.0), seed=5)
+        for bases, w in (
+            (solved, solve(build_falp(toy_grid_prepared, solved, toy_nu_samples), backend)[0]),
+            (drawn, VfaWeights(beta0=0.4, betas=np.random.default_rng(4).normal(0.0, 30.0, 20))),
+        ):
+            cont = toy_mdp.greedy_lookahead(toy_mdp.noise, bases, w, grid_pts)(states)
+            assert np.array_equal(cont, enumerated_lookahead(toy_mdp, bases, w, states, grid_pts))
+            assert np.array_equal(
+                _greedy(toy_mdp, bases, w, states, grid), greedy_enumerated(toy_mdp, bases, w, states, grid_pts)
+            )
+
+    def test_pic_matches_enumeration(self):
+        p = pic.instance_from_table(1)
+        mdp = pic.build_pic_mdp(p, demand_saa_size=200, demand_seed=3)
+        bases = sample_fourier(20, 3, (100.0, 1000.0), seed=4)
+        w = VfaWeights(beta0=150.0, betas=np.random.default_rng(9).normal(0.0, 40.0, 20))
+        states = uniform_plan(mdp, 10, split_rng(8, 0)).states
+        grid_pts = action_grid_points(mdp, 11)
+        cont = mdp.greedy_lookahead(mdp.noise, bases, w, grid_pts)(states)
+        ref = enumerated_lookahead(mdp, bases, w, states, grid_pts)
+        assert np.ptp(ref) > 1.0  # the VFA varies over the successors
+        np.testing.assert_allclose(cont, ref, rtol=1e-9, atol=0.0)
+        assert np.array_equal(_greedy(mdp, bases, w, states, 11), greedy_enumerated(mdp, bases, w, states, grid_pts))
+
+    def test_pic_empty_set_is_the_intercept(self):
+        mdp = pic.build_pic_mdp(pic.instance_from_table(1), demand_saa_size=50)
+        states = uniform_plan(mdp, 4, split_rng(8, 1)).states
+        cont = mdp.greedy_lookahead(mdp.noise, empty_stumps(3), VfaWeights.zero(0), action_grid_points(mdp, 5))
+        assert np.array_equal(cont(states), np.zeros((4, 5)))
+
+    def test_problem_without_lookahead_rejected(self, toy_mdp):
+        mdp = dataclasses.replace(toy_mdp, greedy_lookahead=None)
+        with pytest.raises(ValueError, match="greedy_lookahead"):
+            _greedy(mdp, fixed_fourier([2.0]), VfaWeights.zero(1), [[0.2]], grid=11)
 
 
 class TestConstantPolicyCost:
