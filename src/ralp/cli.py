@@ -62,6 +62,10 @@ GJR_TRACE_COLUMNS = ["iteration", "lp_objective", "min_slack"]
 _STUMP_SIGMA_STREAM = 41
 
 
+# config sections that the runs read with ``.get``
+_SECTIONS = ("loop", "sim", "lower_bound", "solver", "gjr")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -93,6 +97,9 @@ def load_config(path: str | Path) -> dict:
         model = cfg.get("model", "falp")
         if model not in ("falp", "fglp"):
             raise ConfigError(f"model: expected 'falp' or 'fglp', got {model!r}")
+    for section in _SECTIONS:
+        if section in cfg and not isinstance(cfg[section], dict):
+            raise ConfigError(f"{section}: expected an object, got {type(cfg[section]).__name__}")
     _require(cfg, "seed")
     _require(cfg, "output_dir")
     return cfg
@@ -324,12 +331,14 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
         _write_unconverged_bounds(run_dir, cfg)
         print(f"cut budget exhausted: {err}", file=sys.stderr)
         return 2
+    start = time.perf_counter()
     avg_cost = gjr_mod.simulate_average_cost(
         params, bases, result.solution,
         stages=int(g_cfg.get("stages", 4000)),
         k=int(g_cfg.get("k", 4)),
         search=search,
     )
+    simulate_s = time.perf_counter() - start
     gap = 1.0 - result.eta_lambda / avg_cost if avg_cost > 0 else float("nan")
 
     _write_csv(run_dir / "trace.csv", GJR_TRACE_COLUMNS, result.trace)
@@ -356,6 +365,8 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
         "cut_loop_separate_s": sum(r.separate_s for r in loops + [result]),
         "lp_iterations": sum(r.lp_iterations for r in loops + [result]),
         "separation_grid_points": sum(r.separation_grid_points for r in loops + [result]),
+        # wall time of the K-step greedy policy's simulation (the lookahead phase)
+        "simulate_s": simulate_s,
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return 0

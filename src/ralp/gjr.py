@@ -120,12 +120,24 @@ def feasible(p: GjrParams, states, actions) -> np.ndarray:
     An action is non-negative, keeps every item under its cap and the total
     under the shared capacity, replenishes something, and leaves every item
     stocked (otherwise the transition time is zero).
+
+    The item axis is walked column by column: the all/any run as chains of
+    ``&``/``|`` and the action total is summed left to right over the J
+    columns, which equals numpy's ``sum(axis=-1)`` for J <= 7 (pinned against
+    the axis-reduction form by ``tests/test_gjr.py``).  A reduction over a
+    short trailing axis costs numpy far more than the arithmetic.
     """
     states = np.asarray(states, dtype=float)
     actions = np.asarray(actions, dtype=float)
-    post = states + actions
-    ok = np.all((actions >= -FEAS_TOL) & (post <= p.s_bar + FEAS_TOL) & (post > FEAS_TOL), axis=-1)
-    return ok & (actions.sum(axis=-1) <= p.a_bar + FEAS_TOL) & np.any(actions > FEAS_TOL, axis=-1)
+    for j in range(p.num_items):
+        a = actions[..., j]
+        post = states[..., j] + a
+        col_ok = (a >= -FEAS_TOL) & (post <= p.s_bar[j] + FEAS_TOL) & (post > FEAS_TOL)
+        if j == 0:
+            ok, total, replenished = col_ok, a, a > FEAS_TOL
+        else:
+            ok, total, replenished = ok & col_ok, total + a, replenished | (a > FEAS_TOL)
+    return ok & (total <= p.a_bar + FEAS_TOL) & replenished
 
 
 def gjr_step(p: GjrParams, states, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,13 +147,33 @@ def gjr_step(p: GjrParams, states, actions) -> tuple[np.ndarray, np.ndarray, np.
     the fixed cost of the replenishment set plus the holding term.  The
     successor (s + a) - time * rates is not clamped: at the argmin it can hold
     float dust below zero.  Pairs are not checked; filter with ``feasible``.
+
+    As in ``feasible``, the min is a chain of ``np.minimum`` and the holding
+    sum runs left to right over the J columns (numpy's ``sum(axis=-1)`` for
+    J <= 7); each column keeps the elementwise operation order
+    ((2 s a + a^2) h) / (2 r).  The item fixed costs stay one matrix-vector
+    product, whose result depends on the batch it runs in.
     """
     states = np.asarray(states, dtype=float)
     actions = np.asarray(actions, dtype=float)
+    r = p.usage_rates
     successor = states + actions  # post-replenishment levels, consumed in place
-    time = np.min(successor / p.usage_rates, axis=-1)
-    successor -= time[..., None] * p.usage_rates
-    holding = np.sum((2.0 * states * actions + actions**2) * p.holding / (2.0 * p.usage_rates), axis=-1)
+    time = successor[..., 0] / r[0]
+    for j in range(1, p.num_items):
+        time = np.minimum(time, successor[..., j] / r[j])
+    for j in range(p.num_items):
+        successor[..., j] -= time * r[j]
+        a = actions[..., j]
+        # in place after the first product: on lookahead batches a fresh
+        # temporary costs more than the arithmetic
+        term = 2.0 * states[..., j] * a
+        term += a**2
+        term *= p.holding[j]
+        term /= 2.0 * r[j]
+        if j == 0:
+            holding = term
+        else:
+            holding += term
     cost = p.fixed_cost + (actions > FEAS_TOL) @ p.item_fixed_costs + holding
     return time, successor, cost
 
@@ -351,8 +383,7 @@ def _line_minimum(
     """
     r = p.usage_rates
     post = s + a
-    others = np.arange(p.num_items) != k
-    m = float(np.min(post[others] / r[others]))
+    m = float(min(post[i] / r[i] for i in range(p.num_items) if i != k))
     if on_state:
         # with a_k = 0 the end x = 0 is dropped as infeasible and not chased:
         # its limit is item k stocked out and not replenished, a zero-time
@@ -363,28 +394,35 @@ def _line_minimum(
     kinks = np.concatenate([bases.omega - eps, bases.omega + eps])
     item = np.concatenate([bases.q, bases.q]) - 1
     own = item == k
+    other = ~own
+    other_item = item[other]
     x_stock = m * r[k] - c0  # item k stocks out first below this point
     xs = [
         [lo, hi, x_stock],
-        (post[item[~own]] - kinks[~own]) * r[k] / r[item[~own]] - c0,  # successor kinks below x_stock
+        (post[other_item] - kinks[other]) * r[k] / r[other_item] - c0,  # successor kinks below x_stock
         kinks[own] - c0 + m * r[k],  # successor kinks above x_stock
     ]
     if on_state:
         xs.append(kinks[own])  # kinks of phi(s)
 
     def points(x):
-        states = np.repeat(s[None, :], len(x), axis=0)
-        actions = np.repeat(a[None, :], len(x), axis=0)
+        states = np.empty((len(x), p.num_items))
+        actions = np.empty((len(x), p.num_items))
+        states[:] = s
+        actions[:] = a
         (states if on_state else actions)[:, k] = x
         return states, actions
 
     x = np.concatenate(xs)
-    x = np.unique(x[(x >= lo) & (x <= hi)])
-    states, actions = points(x)
-    ok = feasible(p, states, actions)
-    if not ok.any():
+    x = np.sort(x[(x >= lo) & (x <= hi)])
+    distinct = np.empty(len(x), dtype=bool)  # the sorted distinct candidates, as np.unique
+    distinct[:1] = True
+    np.not_equal(x[1:], x[:-1], out=distinct[1:])
+    x = x[distinct]
+    x = x[feasible(p, *points(x))]
+    if len(x) == 0:
         return None
-    states, actions, x = states[ok], actions[ok], x[ok]
+    states, actions = points(x)
     slack = constraint_slack(p, bases, sol, states, actions, eps)
     h = p.holding[k]
     if not on_state and h > 0.0 and len(x) > 1:
@@ -593,29 +631,39 @@ def k_step_greedy(
     if k < 1:
         raise ValueError("k must be >= 1")
     s = np.asarray(s, dtype=float)
+    j = p.num_items
     eta = sol.eta(p.usage_rates)
-    fractions = _fraction_grid(p.num_items, search.action_grid)
+    fractions = _fraction_grid(j, search.action_grid)
     states = s[None, :]
     costs = np.zeros(1)
-    firsts: Optional[np.ndarray] = None
+    first = None  # per plan, the row of first_actions it started with
     for step in range(k):
-        caps = np.maximum(np.minimum(p.s_bar - states, p.a_bar), 0.0)
-        # plan and grid point of every feasible action; an action is a fraction of its plan's caps
-        plan, point = np.nonzero(feasible(p, states[:, None, :], fractions * caps[:, None, :]))
-        if len(plan) == 0:
+        # every plan's candidate actions, fractions of its caps, built item by item
+        cand = np.empty((len(states), len(fractions), j))
+        for i in range(j):
+            cap = np.maximum(np.minimum(p.s_bar[i] - states[:, i], p.a_bar), 0.0)
+            np.multiply.outer(cap, fractions[:, i], out=cand[:, :, i])
+        # flat (plan, grid point) index of every feasible action; np.take gathers
+        # rows of these narrow arrays several times faster than fancy indexing
+        flat = np.flatnonzero(feasible(p, states[:, None, :], cand))
+        if len(flat) == 0:
             raise InfeasiblePairError(f"no feasible lookahead action at {states}")
-        actions = fractions[point] * caps[plan]
-        firsts = actions if firsts is None else firsts[plan]
-        times, states, stage = gjr_step(p, states[plan], actions)
+        plan = flat // len(fractions)
+        if first is None:
+            first_actions, first = cand[0], flat  # one plan at the first step
+        else:
+            first = first[plan]
+        actions = np.take(cand.reshape(-1, j), flat, axis=0)
+        times, states, stage = gjr_step(p, np.take(states, plan, axis=0), actions)
         costs = costs[plan] + (stage - eta * times)
         np.maximum(states, 0.0, out=states)
         if step < k - 1 and len(costs) > search.beam_width:
             keep = np.argpartition(costs, search.beam_width)[: search.beam_width]
             keep = keep[np.argsort(costs[keep], kind="stable")]
-            costs, states, firsts = costs[keep], states[keep], firsts[keep]
+            costs, states, first = costs[keep], states[keep], first[keep]
     total = costs + sol.bias(bases, states, eps)
     # a copy: a view would keep every candidate alive for as long as the caller holds the action
-    return firsts[int(np.argmin(total))].copy()
+    return first_actions[first[int(np.argmin(total))]].copy()
 
 
 def simulate_average_cost(

@@ -143,10 +143,6 @@ class VisitHistogram:
     visit_mass: np.ndarray
 
     @property
-    def total(self) -> float:
-        return float(self.mass.sum())
-
-    @property
     def normalized(self) -> np.ndarray:
         return self.mass / self.mass.sum()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ralp import toy
+from ralp.gjr import FEAS_TOL, GjrParams, _fraction_grid
 from ralp.alp import (
     LpModel,
     ScipyBackend,
@@ -15,8 +16,8 @@ from ralp.alp import (
     vfa_values,
     vfa_weights,
 )
-from ralp.bases import BasisSet
-from ralp.mdp import DiscountedMdp, batch_expected_costs, batch_next_states, split_rng
+from ralp.bases import BasisSet, DEFAULT_STUMP_EPS
+from ralp.mdp import DiscountedMdp, InfeasiblePairError, batch_expected_costs, batch_next_states, split_rng
 
 TOY_STATES = np.linspace(0.0, 1.0, 1001)[:, None]
 TOY_ACTIONS = np.linspace(0.0, 1.0, 101)[:, None]
@@ -59,6 +60,57 @@ def greedy_enumerated(
     cont = enumerated_lookahead(mdp, bases, w, states, grid_pts)
     costs = batch_expected_costs(mdp, np.repeat(states, g, axis=0), np.tile(grid_pts, (m, 1))).reshape(m, g)
     return grid_pts[np.argmin(costs + mdp.gamma * cont, axis=1)]
+
+
+def reference_feasible(p: GjrParams, states, actions) -> np.ndarray:
+    """``gjr.feasible`` with numpy reductions over the item axis, the reference the column form must equal."""
+    states = np.asarray(states, dtype=float)
+    actions = np.asarray(actions, dtype=float)
+    post = states + actions
+    ok = np.all((actions >= -FEAS_TOL) & (post <= p.s_bar + FEAS_TOL) & (post > FEAS_TOL), axis=-1)
+    return ok & (actions.sum(axis=-1) <= p.a_bar + FEAS_TOL) & np.any(actions > FEAS_TOL, axis=-1)
+
+
+def reference_gjr_step(p: GjrParams, states, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``gjr.gjr_step`` with numpy reductions and broadcasts over the item axis."""
+    states = np.asarray(states, dtype=float)
+    actions = np.asarray(actions, dtype=float)
+    successor = states + actions  # post-replenishment levels, consumed in place
+    time = np.min(successor / p.usage_rates, axis=-1)
+    successor -= time[..., None] * p.usage_rates
+    holding = np.sum((2.0 * states * actions + actions**2) * p.holding / (2.0 * p.usage_rates), axis=-1)
+    cost = p.fixed_cost + (actions > FEAS_TOL) @ p.item_fixed_costs + holding
+    return time, successor, cost
+
+
+def reference_k_step_greedy(p, bases, sol, s, k, search, eps=DEFAULT_STUMP_EPS) -> np.ndarray:
+    """``gjr.k_step_greedy`` on the reference kernels, gathering candidate and first-step action rows."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    s = np.asarray(s, dtype=float)
+    eta = sol.eta(p.usage_rates)
+    fractions = _fraction_grid(p.num_items, search.action_grid)
+    states = s[None, :]
+    costs = np.zeros(1)
+    firsts = None
+    for step in range(k):
+        caps = np.maximum(np.minimum(p.s_bar - states, p.a_bar), 0.0)
+        # plan and grid point of every feasible action; an action is a fraction of its plan's caps
+        plan, point = np.nonzero(reference_feasible(p, states[:, None, :], fractions * caps[:, None, :]))
+        if len(plan) == 0:
+            raise InfeasiblePairError(f"no feasible lookahead action at {states}")
+        actions = fractions[point] * caps[plan]
+        firsts = actions if firsts is None else firsts[plan]
+        times, states, stage = reference_gjr_step(p, states[plan], actions)
+        costs = costs[plan] + (stage - eta * times)
+        np.maximum(states, 0.0, out=states)
+        if step < k - 1 and len(costs) > search.beam_width:
+            keep = np.argpartition(costs, search.beam_width)[: search.beam_width]
+            keep = keep[np.argsort(costs[keep], kind="stable")]
+            costs, states, firsts = costs[keep], states[keep], firsts[keep]
+    total = costs + sol.bias(bases, states, eps)
+    # a copy: a view would keep every candidate alive for as long as the caller holds the action
+    return firsts[int(np.argmin(total))].copy()
 
 
 class ToyBinShares(NamedTuple):

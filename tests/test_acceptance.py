@@ -161,9 +161,10 @@ def test_criterion_05_visit_frequency_concentration(toy_setup):
     expected = toy_constant_action_shares(bins=100, horizon=sim.horizon)
     tol = 0.002
     b = int(np.clip(np.searchsorted(hist.edges, action, side="right") - 1, 0, len(hist.mass) - 1))
-    share_total = float(hist.mass[b] / hist.total)
+    total = float(hist.mass.sum())
+    share_total = float(hist.mass[b] / total)
     share_visits = float(hist.visit_mass[b] / hist.visit_mass.sum())
-    share_other = float(np.max(np.delete(hist.mass, b)) / hist.total)
+    share_other = float(np.max(np.delete(hist.mass, b)) / total)
     checks = [
         (
             abs(share_total - expected.total) <= tol,

@@ -2,11 +2,12 @@
 
 A public module-level function or class counts as used when a module of
 ``src/ralp`` names it: as a bare name, in ``from ralp.x import name``, or as
-``alias.name`` for an alias bound to a ``ralp`` module.  A public method of a
-module-level class counts as used when its name appears as a name or an
-attribute anywhere in ``src/ralp``.  Code that only the tests call belongs in
-``tests/``, and the tests of a scalar twin belong on the batch API the runs
-call.
+``alias.name`` for an alias bound to a ``ralp`` module.  A public method or
+property of a module-level class counts as used when some module of
+``src/ralp`` reads it as an attribute, ``x.name``; a bare name or a local
+variable of the same name does not count.  Code that only the tests call
+belongs in ``tests/``, and the tests of a scalar twin belong on the batch API
+the runs call.
 """
 
 import ast
@@ -46,32 +47,31 @@ def _module_aliases(tree: ast.Module, modules: set[str]) -> set[str]:
 
 
 def _references(tree: ast.Module, modules: set[str]) -> tuple[set[str], set[str]]:
-    """(names that use a module-level definition, every name and attribute) of one module."""
+    """(names that use a module-level definition, attributes read) of one module."""
     aliases = _module_aliases(tree, modules)
-    names, anywhere = set(), set()
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
-            anywhere.add(node.id)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ralp."):
             names.update(a.name for a in node.names)
         elif isinstance(node, ast.Attribute):
-            anywhere.add(node.attr)
+            attributes.add(node.attr)
             if isinstance(node.value, ast.Name) and node.value.id in aliases:
                 names.add(node.attr)
-    return names, anywhere
+    return names, attributes
 
 
 def test_every_public_definition_is_referenced():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     modules = {name.removesuffix(".py") for name in trees}
-    used_names, used_anywhere = set(), set()
+    used_names, used_attributes = set(), set()
     for tree in trees.values():
-        names, anywhere = _references(tree, modules)
+        names, attributes = _references(tree, modules)
         used_names |= names
-        used_anywhere |= anywhere
+        used_attributes |= attributes
     definitions = [
-        (module, name, label, name in (used_anywhere if is_method else used_names))
+        (module, name, label, name in (used_attributes if is_method else used_names))
         for module, tree in trees.items()
         for name, label, is_method in _public_definitions(tree)
     ]

@@ -68,6 +68,17 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: problem:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("section", ["loop", "sim", "lower_bound", "solver", "gjr"])
+    def test_section_not_an_object(self, tmp_path, capsys, section):
+        cfg = _toy_config(tmp_path)
+        cfg[section] = 5
+        path = _write(tmp_path, cfg)
+        for command in ("validate-config", "run"):
+            assert cli.main([command, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {section}: expected an object") and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
     def test_missing_field(self, tmp_path, capsys):
         cfg = _toy_config(tmp_path)
         del cfg["output_dir"]
@@ -438,7 +449,7 @@ class TestRunGjr:
         assert header == ",".join(cli.GJR_TRACE_COLUMNS)
         # phase times go to the manifest only, where they cannot perturb trace.csv
         manifest = json.loads((Path(run_dir) / "manifest.json").read_text())
-        for key in ("cut_loop_lp_s", "cut_loop_separate_s"):
+        for key in ("cut_loop_lp_s", "cut_loop_separate_s", "simulate_s"):
             assert isinstance(manifest[key], float) and manifest[key] >= 0.0
         assert isinstance(manifest["lp_iterations"], int) and manifest["lp_iterations"] > 0
         # feasible points of the 25-point grid, per stocked-out item: its 24

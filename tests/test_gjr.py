@@ -7,6 +7,7 @@ from ralp import gjr
 from ralp.alp import LpModel, ScipyBackend
 from ralp.bases import DEFAULT_STUMP_EPS, empty_stumps, sample_fourier, sample_stumps
 from ralp.mdp import InfeasiblePairError, split_rng
+from tests.conftest import reference_feasible, reference_gjr_step, reference_k_step_greedy
 
 
 def _symmetric_params(**overrides):
@@ -146,6 +147,105 @@ class TestDynamics:
         s = np.array([0.0, 2.0, 2.0])
         assert gjr.feasible(p, s, [1.0, 0.5, 0.0])
         assert not gjr.feasible(p, s, [1.0, -0.5, 0.0])
+
+
+def _kernel_instance(j):
+    """A J-item instance with uneven rates and caps and positive holding costs."""
+    rng = split_rng(30 + j, 1)
+    s_bar = rng.uniform(2.0, 6.0, j)
+    return gjr.GjrParams(
+        usage_rates=rng.uniform(0.3, 4.0, j),
+        s_bar=s_bar,
+        a_bar=float(0.6 * s_bar.sum()),
+        fixed_cost=100.0,
+        item_fixed_costs=rng.uniform(0.0, 60.0, j),
+        holding=rng.uniform(0.1, 3.0, j),
+    )
+
+
+def _assert_kernels_match(p, states, actions):
+    got, want = gjr.feasible(p, states, actions), reference_feasible(p, states, actions)
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+    for got, want in zip(gjr.gjr_step(p, states, actions), reference_gjr_step(p, states, actions)):
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+class TestKernelColumns:
+    """The column-by-column kernels equal their axis-reduction references bit for bit."""
+
+    @pytest.mark.parametrize("j", [2, 3, 4, 5])
+    def test_random_pairs(self, j):
+        p = _kernel_instance(j)
+        rng = split_rng(40 + j, 1)
+        n, g = 300, 7
+        states = rng.uniform(0.0, 1.0, (n, j)) * p.s_bar
+        states[np.arange(n), rng.integers(j, size=n)] = 0.0  # one stocked-out item per state
+        actions = rng.uniform(-0.05, 0.7, (n, j)) * p.s_bar
+        ok = gjr.feasible(p, states, actions)
+        assert 0 < ok.sum() < n
+        _assert_kernels_match(p, states, actions)
+        _assert_kernels_match(p, states[0], actions[0])
+        # one state against a grid of actions, as the lookahead calls feasible
+        _assert_kernels_match(p, states[:, None, :], rng.uniform(-0.05, 0.7, (n, g, j)) * p.s_bar)
+
+    @pytest.mark.parametrize("j", [2, 3, 4, 5])
+    def test_boundary_pairs(self, j):
+        p = gjr.GjrParams(
+            usage_rates=np.linspace(0.5, 2.0, j),
+            s_bar=np.full(j, 4.0),
+            a_bar=3.0,
+            fixed_cost=100.0,
+            item_fixed_costs=np.arange(1.0, j + 1.0),
+            holding=np.full(j, 0.5),
+        )
+        tol = gjr.FEAS_TOL
+        # (levels, orders) of the first two items; the others hold 1 and order nothing
+        cases = [
+            ([0.0, 1.0], [1.0, 2.0], True),  # action sum exactly a_bar
+            ([0.0, 1.0], [1.0, 2.0 + 2 * tol], False),  # sum above a_bar + tol
+            ([0.0, 2.5], [1.0, 1.5], True),  # post level exactly s_bar
+            ([0.0, 2.5], [1.0, 1.5 + 2 * tol], False),  # post level above s_bar + tol
+            ([0.0, 1.0], [0.0, 0.0], False),  # zero action
+            ([0.0, 1.0], [tol, 1.0], False),  # post == FEAS_TOL: item 0 stays stocked out
+            ([0.0, 1.0], [2.0, -tol], True),  # an order of exactly -FEAS_TOL
+            ([0.0, 1.0], [1.0, 0.0], True),
+        ]
+        states, actions = np.ones((len(cases), j)), np.zeros((len(cases), j))
+        for row, (s, a, _) in enumerate(cases):
+            states[row, :2], actions[row, :2] = s, a
+        _assert_kernels_match(p, states, actions)
+        assert gjr.feasible(p, states, actions).tolist() == [ok for _, _, ok in cases]
+
+    def test_capacity_total_is_summed_left_to_right(self):
+        # left to right these orders sum to a_bar + FEAS_TOL exactly; summed
+        # pairwise, (a0 + a1) + (a2 + a3), they land one ulp above it
+        p = replace(_kernel_instance(4), s_bar=np.full(4, 4.0), a_bar=3.0)
+        a = np.array([0.19876119760602706, 0.2829173896786569, 0.355425840049718, 2.1628955736655984])
+        assert (a[0] + a[1]) + (a[2] + a[3]) > p.a_bar + gjr.FEAS_TOL
+        s = np.array([0.0, 1.0, 1.0, 1.0])
+        assert gjr.feasible(p, s, a) and reference_feasible(p, s, a)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_lookahead_desk_instance(self, desk_instance, desk_solution, k):
+        bases, result = desk_solution
+        search = gjr.SearchPlan()
+        for s in gjr.sample_gjr_states(desk_instance, 4, split_rng(44, 1)):
+            got = gjr.k_step_greedy(desk_instance, bases, result.solution, s, k, search)
+            want = reference_k_step_greedy(desk_instance, bases, result.solution, s, k, search)
+            assert np.array_equal(got, want)
+
+    def test_lookahead_three_items_with_holding(self):
+        p = replace(gjr.gjr_instance(3, "random", 67, split_rng(2, 1)), holding=np.array([0.5, 2.0, 1.0]))
+        bases = sample_stumps(6, 3, float(p.s_bar.max()), seed=45)
+        rng = split_rng(45, 1)
+        sol = gjr.BiasApprox(
+            eta_hat=40.0, intercept=0.0, beta1=rng.normal(0.0, 10.0, 3), beta2=rng.normal(0.0, 30.0, 6)
+        )
+        search = gjr.SearchPlan(beam_width=64, action_grid=9)
+        for s in gjr.sample_gjr_states(p, 3, rng):
+            for k in (1, 3):
+                got = gjr.k_step_greedy(p, bases, sol, s, k, search)
+                assert np.array_equal(got, reference_k_step_greedy(p, bases, sol, s, k, search))
 
 
 class TestAverageCostLp:

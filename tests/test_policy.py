@@ -214,7 +214,7 @@ class TestVisitFrequency:
         hist = estimate_visit_frequency(
             toy_mdp, None, None, bins=10, sim=sim, policy=lambda st: np.full((len(st), 1), 0.5)
         )
-        assert hist.total == pytest.approx(1.0, abs=1e-12)
+        assert float(hist.mass.sum()) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.abs(hist.mass - 0.1) < 0.03)  # uniform chi across 10 bins
         assert np.all(hist.visit_mass == 0.0)
 
@@ -245,7 +245,7 @@ class TestVisitFrequency:
             toy_mdp, None, None, bins=100, sim=sim, policy=lambda st: np.full((len(st), 1), 0.51)
         )
         # 1/(1-gamma) = 10 up to gamma^(H+1) truncation
-        assert hist.total == pytest.approx(10.0, abs=1e-6)
+        assert float(hist.mass.sum()) == pytest.approx(10.0, abs=1e-6)
 
     def test_toy_constant_policy_concentration(self, toy_mdp):
         # the action's bin holds the closed-form shares of the discounted
@@ -258,7 +258,7 @@ class TestVisitFrequency:
         expected = toy_constant_action_shares(bins=100, horizon=sim.horizon)
         b = _bin(hist, 0.513)
         assert hist.visit_mass[b] / hist.visit_mass.sum() == pytest.approx(expected.visits, abs=0.007)
-        assert hist.mass[b] / hist.total == pytest.approx(expected.total, abs=0.007)
+        assert hist.mass[b] / float(hist.mass.sum()) == pytest.approx(expected.total, abs=0.007)
 
     def test_bins_validation(self, toy_mdp):
         sim = SimConfig(horizon=5, replications=2, action_grid=11, rollout_seed=0)
