@@ -236,11 +236,31 @@ def test_pic_is_imported_on_use():
     assert "scipy.special" in _loaded_after("from ralp import *; pic.demand_quantile")
 
 
+def _shipped_config(tmp_path, name):
+    cfg = json.loads((REPO / "configs" / f"{name}.json").read_text())
+    cfg["output_dir"] = str(tmp_path / "runs")
+    return cfg
+
+
+def _short_gjr_config(tmp_path, **gjr_fields):
+    # configs/gjr2.json with 5 stumps, a 25-point grid and 500 stages
+    cfg = _shipped_config(tmp_path, "gjr2")
+    cfg["gjr"].update({"num_bases": 5, "grid_per_dim": 25, "stages": 500, **gjr_fields})
+    return cfg
+
+
+def _short_gjr_fglp_random_config(tmp_path):
+    cfg = _short_gjr_config(tmp_path)
+    cfg["problem"] = "gjr:" + json.dumps({"items": 2, "scheme": "random", "z": 100})
+    cfg["model"] = "fglp"
+    cfg["seed"] = 1
+    return cfg
+
+
 def test_toy_config_matches_golden_trace(tmp_path):
     # configs/toy.json takes the noise-enumeration path for every
     # expectation; its trace.csv is pinned byte-for-byte.
-    cfg = json.loads((REPO / "configs" / "toy.json").read_text())
-    cfg["output_dir"] = str(tmp_path / "runs")
+    cfg = _shipped_config(tmp_path, "toy")
     code, run_dir = cli.run_experiment(_write(tmp_path, cfg))
     assert code == 0
     golden = (Path(__file__).parent / "golden" / "toy_trace.csv").read_bytes()
@@ -279,9 +299,7 @@ def test_gjr2_config_matches_golden_trace(tmp_path):
 def test_short_gjr_config_matches_golden_trace(tmp_path):
     # configs/gjr2.json with 5 stumps, a 25-point grid and 500 stages:
     # separation, the cut LPs and the simulated average cost are pinned.
-    cfg = json.loads((REPO / "configs" / "gjr2.json").read_text())
-    cfg["output_dir"] = str(tmp_path / "runs")
-    cfg["gjr"].update({"num_bases": 5, "grid_per_dim": 25, "stages": 500})
+    cfg = _short_gjr_config(tmp_path)
     code, run_dir = cli.run_experiment(_write(tmp_path, cfg))
     assert code == 0
     golden = (Path(__file__).parent / "golden" / "gjr_short_trace.csv").read_bytes()
@@ -294,12 +312,7 @@ def test_short_gjr_config_matches_golden_trace(tmp_path):
 def test_short_gjr_fglp_random_rates_matches_golden_trace(tmp_path):
     # drawn usage rates leave float dust in the successor, and the FGLP model
     # adds the affine warm start, guide rows and sampled guide states.
-    cfg = json.loads((REPO / "configs" / "gjr2.json").read_text())
-    cfg["problem"] = "gjr:" + json.dumps({"items": 2, "scheme": "random", "z": 100})
-    cfg["model"] = "fglp"
-    cfg["seed"] = 1
-    cfg["output_dir"] = str(tmp_path / "runs")
-    cfg["gjr"].update({"num_bases": 5, "grid_per_dim": 25, "stages": 500})
+    cfg = _short_gjr_fglp_random_config(tmp_path)
     code, run_dir = cli.run_experiment(_write(tmp_path, cfg))
     assert code == 0
     golden = (Path(__file__).parent / "golden" / "gjr_fglp_random_trace.csv").read_bytes()
@@ -307,6 +320,47 @@ def test_short_gjr_fglp_random_rates_matches_golden_trace(tmp_path):
     bounds = json.loads((Path(run_dir) / "bounds.json").read_text())
     assert bounds["lb"] == GJR_RANDOM_LB
     assert bounds["pc"] == GJR_RANDOM_PC
+
+
+# configs whose bounds.json and manifest.json are pinned under tests/golden/,
+# with the exit code each run ends with
+_PINNED_RUNS = {
+    "toy": (lambda tmp_path: _shipped_config(tmp_path, "toy"), 0),
+    "gjr_short": (_short_gjr_config, 0),
+    "gjr_fglp_random": (_short_gjr_fglp_random_config, 0),
+    "gjr_cut_budget": (lambda tmp_path: _short_gjr_config(tmp_path, max_cuts=3), 2),
+}
+# manifest values that are wall-clock times
+_WALL_CLOCK_KEYS = {"wallclock_s", "phase_s", "cut_loop_lp_s", "cut_loop_separate_s", "simulate_s"}
+
+
+def _pinnable_manifest(manifest: dict) -> str:
+    """The manifest as JSON with wall-clock times and the output directory blanked."""
+    for key in _WALL_CLOCK_KEYS.intersection(manifest):
+        manifest[key] = None
+    manifest["config"]["output_dir"] = None
+    return json.dumps(manifest, indent=1)
+
+
+@pytest.mark.parametrize("name", list(_PINNED_RUNS))
+def test_run_artifacts_match_pins(tmp_path, name):
+    # bounds.json byte-for-byte; the manifest in key order with every value
+    # but the wall-clock times and the output directory.  A stopped run
+    # leaves no manifest.
+    make_config, exit_code = _PINNED_RUNS[name]
+    code, run_dir = cli.run_experiment(_write(tmp_path, make_config(tmp_path)))
+    assert code == exit_code
+    golden = Path(__file__).parent / "golden"
+    if name == "gjr_cut_budget":
+        # the three cuts finished within the budget, as the full run made them
+        trace = (Path(run_dir) / "trace.csv").read_text().splitlines()
+        assert trace == (golden / "gjr_short_trace.csv").read_text().splitlines()[:4]
+    assert (Path(run_dir) / "bounds.json").read_bytes() == (golden / f"{name}_bounds.json").read_bytes()
+    manifest = Path(run_dir) / "manifest.json"
+    expected = golden / f"{name}_manifest.json"
+    assert manifest.exists() == expected.exists()
+    if expected.exists():
+        assert _pinnable_manifest(json.loads(manifest.read_text())) + "\n" == expected.read_text()
 
 
 def test_artifacts_evaluate_incumbent_on_its_basis_prefix(tmp_path):
