@@ -28,11 +28,12 @@ from ralp.bases import BasisSet, features
 from ralp.mdp import DiscountedMdp, batch_expected_costs, expected_successor_phases
 
 class SolverError(RuntimeError):
-    """LP backend failure with a machine-readable status."""
+    """LP backend failure with a machine-readable status and the trace rows finished before it."""
 
-    def __init__(self, status: str, detail: str = ""):
+    def __init__(self, status: str, detail: str = "", trace: list = ()):
         super().__init__(f"LP solve failed: {status}" + (f" ({detail})" if detail else ""))
         self.status = status
+        self.trace = list(trace)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,20 @@ Subcommands:
     validate-config   parse and check a config file
     print-instance    show an instance's parameters
 
-Every run writes ``manifest.json`` (the fully resolved config and all seeds;
-sufficient to reproduce the run bit-for-bit), ``trace.csv`` (one row per
-iteration; deterministic columns only, wall-clock times live in the
-manifest), ``bounds.json`` (final bounds and gap), and plot-ready CSVs.
+A finished run writes ``manifest.json`` (the fully resolved config and all
+seeds; sufficient to reproduce the run bit-for-bit), ``trace.csv`` (one row
+per iteration or cut; deterministic columns only, wall-clock times live in
+the manifest), ``bounds.json`` (final bounds and gap), and plot-ready CSVs
+where the problem has an exact value function.  One writer serves both
+problem families and adds the fields they share: ``instance`` and ``model``
+in ``bounds.json``; ``schema``, ``config``, ``seed`` and ``trace_columns`` in
+the manifest.  A run stopped by a failed LP or by the cut budget keeps the
+trace rows it finished, writes ``bounds.json`` as ``{"instance", "model",
+"converged": false}`` and writes no manifest.
 
 Exit codes: 0 when the run converged to tolerance, 2 when the basis or cut
-budget was exhausted first, 1 on configuration or runtime errors.
+budget was exhausted first, 1 on configuration or runtime errors, a failed LP
+among them.
 """
 
 from __future__ import annotations
@@ -34,9 +41,9 @@ import numpy as np
 from ralp import gjr as gjr_mod
 from ralp import policy as policy_mod
 from ralp import toy as toy_mod
-from ralp.alp import ScipyBackend, grid_plan, vfa_values
+from ralp.alp import ScipyBackend, SolverError, grid_plan, vfa_values
 from ralp.bases import empty_stumps, sample_stumps
-from ralp.loop import LoopConfig, LoopError, fluctuation_stats, run as run_loop
+from ralp.loop import LoopConfig, fluctuation_stats, run as run_loop
 from ralp.lower_bound import SaddleConfig
 from ralp.mdp import split_rng
 from ralp.policy import SimConfig, default_horizon
@@ -144,19 +151,6 @@ def _make_run_dir(root: Path, label: str) -> Path:
     return path
 
 
-def _build_problem(cfg: dict, seed: int):
-    problem = cfg["problem"]
-    if problem == "toy":
-        return toy_mod.build_toy()
-    if problem.startswith("pic:"):
-        from ralp import pic as pic_mod
-
-        params = pic_mod.instance_from_table(int(problem[4:]))
-        saa = int(cfg.get("demand_saa_size", pic_mod.DEMAND_SAA_SIZE))
-        return pic_mod.build_pic_mdp(params, demand_saa_size=saa, demand_seed=seed)
-    raise ConfigError(f"not a discounted problem: {problem!r}")
-
-
 def _loop_config(cfg: dict, mdp, seed: int) -> LoopConfig:
     loop_cfg = cfg.get("loop", {})
     sim_cfg = cfg.get("sim", {})
@@ -199,36 +193,46 @@ def _loop_config(cfg: dict, mdp, seed: int) -> LoopConfig:
     )
 
 
-def _write_discounted_trace(run_dir: Path, records) -> None:
-    trace_rows = (
+def _discounted_rows(records) -> list:
+    """``trace.csv`` rows of the discounted loop's iteration records."""
+    return [
         [i, r.num_bases, r.lb, r.pc, r.pc_stderr, r.tau_star, r.lb_expectation, r.lb_saddle,
          r.lb_saddle_stderr, r.incumbent_lb, r.incumbent_pc, r.incumbent_lb_bases, r.incumbent_pc_bases]
         for i, r in enumerate(records, start=1)
-    )
-    _write_csv(run_dir / "trace.csv", TRACE_COLUMNS, trace_rows)
+    ]
 
 
-def _write_unconverged_bounds(run_dir: Path, cfg) -> None:
-    """``bounds.json`` of a run that stopped before it had bounds to report."""
-    (run_dir / "bounds.json").write_text(
-        json.dumps({"instance": cfg["problem"], "model": cfg.get("model", "falp"), "converged": False}, indent=1)
-    )
+def _write_artifacts(run_dir: Path, cfg, columns, rows, bounds: dict, manifest: dict | None = None) -> None:
+    """Write ``trace.csv``, ``bounds.json`` and, for a finished run, ``manifest.json``.
+
+    ``bounds`` and ``manifest`` hold a problem family's own fields; the fields
+    both families share are written here, ahead of them.
+    """
+    _write_csv(run_dir / "trace.csv", columns, rows)
+    bounds = {"instance": cfg["problem"], "model": cfg.get("model", "falp"), **bounds}
+    (run_dir / "bounds.json").write_text(json.dumps(bounds, indent=1))
+    if manifest is not None:
+        manifest = {"schema": TRACE_SCHEMA, "config": cfg, "seed": int(cfg["seed"]), "trace_columns": columns,
+                    **manifest}
+        (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
+
+
+def _run_discounted(cfg: dict, run_dir: Path, seed: int) -> int:
+    if cfg["problem"] == "toy":
+        mdp = toy_mod.build_toy()
+    else:
+        from ralp import pic as pic_mod
+
+        params = pic_mod.instance_from_table(int(cfg["problem"][4:]))
+        saa = int(cfg.get("demand_saa_size", pic_mod.DEMAND_SAA_SIZE))
+        mdp = pic_mod.build_pic_mdp(params, demand_saa_size=saa, demand_seed=seed)
+    loop_config = _loop_config(cfg, mdp, seed)
+    backend = ScipyBackend(var_bound=cfg.get("solver", {}).get("var_bound"))
+    result = run_loop(mdp, loop_config, backend)
+    return _write_discounted_artifacts(run_dir, cfg, mdp, loop_config, result)
 
 
 def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) -> int:
-    _write_discounted_trace(run_dir, result.records)
-    last = result.records[-1]
-    bounds = {
-        "instance": cfg["problem"],
-        "model": cfg.get("model", "falp"),
-        "lb": last.incumbent_lb,
-        "pc": last.incumbent_pc,
-        "tau_star": last.tau_star,
-        "num_bases": last.num_bases,
-        "converged": result.converged,
-    }
-    (run_dir / "bounds.json").write_text(json.dumps(bounds, indent=1))
-
     if mdp.exact_value is not None:
         # the policy-cost incumbent may predate the final basis set
         pc_bases = result.bases.prefix(len(result.pc_weights))
@@ -248,15 +252,19 @@ def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) ->
             zip(hist.edges[:-1], hist.edges[1:], hist.mass, hist.normalized),
         )
 
+    last = result.records[-1]
+    bounds = {
+        "lb": last.incumbent_lb,
+        "pc": last.incumbent_pc,
+        "tau_star": last.tau_star,
+        "num_bases": last.num_bases,
+        "converged": result.converged,
+    }
     fluct = None
     if len(result.records) >= 2:
         stats = fluctuation_stats(result.records)
         fluct = {"pct": stats.fluctuation_pct, "magnitude": stats.fluctuation_magnitude}
     manifest = {
-        "schema": TRACE_SCHEMA,
-        "config": cfg,
-        "seed": cfg["seed"],
-        "trace_columns": TRACE_COLUMNS,
         "num_constraints": int(result.plan.num_pairs),
         "sigma_draws": [s for s in result.bases.sigma.tolist() if not math.isnan(s)],
         "fluctuation": fluct,
@@ -268,7 +276,7 @@ def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) ->
             for r in result.records
         ],
     }
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    _write_artifacts(run_dir, cfg, TRACE_COLUMNS, _discounted_rows(result.records), bounds, manifest)
     return 0 if result.converged else 2
 
 
@@ -310,27 +318,22 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
     prev = None
     guide_states = None
     loops = []
-    try:
-        if cfg.get("model") == "fglp":
-            affine = gjr_mod.constraint_generation(
-                params, empty_stumps(params.num_items), *init_pairs, backend,
-                search=search, max_cuts=max_cuts, seed=seed,
-            )
-            prev = affine.solution
-            loops.append(affine)
-            guide_states = gjr_mod.sample_gjr_states(
-                params, int(g_cfg.get("guide_states", 5000)), split_rng(seed, 3)
-            )
-        result = gjr_mod.constraint_generation(
-            params, bases, *init_pairs, backend,
-            prev=prev, guide_states=guide_states,
+    if cfg.get("model") == "fglp":
+        affine = gjr_mod.constraint_generation(
+            params, empty_stumps(params.num_items), *init_pairs, backend,
             search=search, max_cuts=max_cuts, seed=seed,
         )
-    except gjr_mod.ConstraintGenerationError as err:
-        _write_csv(run_dir / "trace.csv", GJR_TRACE_COLUMNS, err.trace)
-        _write_unconverged_bounds(run_dir, cfg)
-        print(f"cut budget exhausted: {err}", file=sys.stderr)
-        return 2
+        prev = affine.solution
+        loops.append(affine)
+        guide_states = gjr_mod.sample_gjr_states(
+            params, int(g_cfg.get("guide_states", 5000)), split_rng(seed, 3)
+        )
+    result = gjr_mod.constraint_generation(
+        params, bases, *init_pairs, backend,
+        prev=prev, guide_states=guide_states,
+        search=search, max_cuts=max_cuts, seed=seed,
+    )
+    loops.append(result)
     start = time.perf_counter()
     avg_cost = gjr_mod.simulate_average_cost(
         params, bases, result.solution,
@@ -341,34 +344,26 @@ def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
     simulate_s = time.perf_counter() - start
     gap = 1.0 - result.eta_lambda / avg_cost if avg_cost > 0 else float("nan")
 
-    _write_csv(run_dir / "trace.csv", GJR_TRACE_COLUMNS, result.trace)
     bounds = {
-        "instance": cfg["problem"],
-        "model": cfg.get("model", "falp"),
         "lb": result.eta_lambda,
         "pc": avg_cost,
         "tau_star": gap,
         "num_cuts": len(result.trace),
         "converged": True,
     }
-    (run_dir / "bounds.json").write_text(json.dumps(bounds, indent=1))
     manifest = {
-        "schema": TRACE_SCHEMA,
-        "config": cfg,
-        "seed": seed,
-        "trace_columns": GJR_TRACE_COLUMNS,
         "instance_params": json.loads(params.to_json()),
         "stump_sigma": sigma,
         "num_constraints": len(result.states),
         # wall times of every cut loop of the run (FGLP's affine warm start included)
-        "cut_loop_lp_s": sum(r.lp_s for r in loops + [result]),
-        "cut_loop_separate_s": sum(r.separate_s for r in loops + [result]),
-        "lp_iterations": sum(r.lp_iterations for r in loops + [result]),
-        "separation_grid_points": sum(r.separation_grid_points for r in loops + [result]),
+        "cut_loop_lp_s": sum(r.lp_s for r in loops),
+        "cut_loop_separate_s": sum(r.separate_s for r in loops),
+        "lp_iterations": sum(r.lp_iterations for r in loops),
+        "separation_grid_points": sum(r.separation_grid_points for r in loops),
         # wall time of the K-step greedy policy's simulation (the lookahead phase)
         "simulate_s": simulate_s,
     }
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    _write_artifacts(run_dir, cfg, GJR_TRACE_COLUMNS, result.trace, bounds, manifest)
     return 0
 
 
@@ -389,24 +384,22 @@ def run_experiment(config_path: str | Path, seed_override: int | None = None) ->
     except OSError as err:
         print(f"error: cannot create output directory: {err}", file=sys.stderr)
         return 1, None
+    if cfg["problem"].startswith("gjr:"):
+        run_family, columns, trace_rows = _run_gjr, GJR_TRACE_COLUMNS, list
+    else:
+        run_family, columns, trace_rows = _run_discounted, TRACE_COLUMNS, _discounted_rows
     try:
-        if cfg["problem"].startswith("gjr:"):
-            code = _run_gjr(cfg, run_dir, seed)
-        else:
-            mdp = _build_problem(cfg, seed)
-            loop_config = _loop_config(cfg, mdp, seed)
-            backend = ScipyBackend(var_bound=cfg.get("solver", {}).get("var_bound"))
-            try:
-                result = run_loop(mdp, loop_config, backend)
-            except LoopError as err:
-                # the iterations before the failed LP, as the cut-budget path keeps them
-                _write_discounted_trace(run_dir, err.trace)
-                _write_unconverged_bounds(run_dir, cfg)
-                raise
-            code = _write_discounted_artifacts(run_dir, cfg, mdp, loop_config, result)
+        code = run_family(cfg, run_dir, seed)
+    except (SolverError, gjr_mod.ConstraintGenerationError) as err:
+        # a stopped run keeps the trace rows it finished and reports no bounds
+        _write_artifacts(run_dir, cfg, columns, trace_rows(err.trace), {"converged": False})
+        if isinstance(err, SolverError):
+            print(f"error: {err}", file=sys.stderr)
+            return 1, run_dir
+        print(f"cut budget exhausted: {err}", file=sys.stderr)
+        code = 2
     except (ValueError, RuntimeError) as err:
-        # configuration errors, a failed LP (LoopError, SolverError) and an MH
-        # chain that rejected every proposal
+        # configuration errors and an MH chain that rejected every proposal
         print(f"error: {err}", file=sys.stderr)
         return 1, run_dir
     print(run_dir)

@@ -561,7 +561,7 @@ def constraint_generation(
     enforced at the guide states; they are never separated since their
     violation does not threaten the lower bound.  Any other non-optimal LP
     status raises ``SolverError``; running out of ``max_cuts`` raises
-    ``ConstraintGenerationError``.
+    ``ConstraintGenerationError``.  Both carry the trace of the finished cuts.
     """
     if len(init_states) == 0:
         raise ValueError("need at least one initial constraint pair")
@@ -587,7 +587,7 @@ def constraint_generation(
             lp_sol = backend.solve(model)
             lp_iterations += lp_sol.iterations
         if lp_sol.status != "optimal":
-            raise SolverError(lp_sol.status, f"cut {iteration}")
+            raise SolverError(lp_sol.status, f"cut {iteration}", trace)
         sol = _unpack(p, lp_sol.x)
         lp_s += time.perf_counter() - start
         start = time.perf_counter()

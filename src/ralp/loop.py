@@ -45,14 +45,6 @@ _NU_STREAM = 22
 _CHI_STREAM = 23
 
 
-class LoopError(RuntimeError):
-    """Solver failure inside the loop; carries the partial trace."""
-
-    def __init__(self, message: str, trace: list):
-        super().__init__(message)
-        self.trace = trace
-
-
 @dataclass(frozen=True)
 class LoopConfig:
     batch: int
@@ -126,7 +118,8 @@ def _basis_prefix(config: LoopConfig, mdp: DiscountedMdp, count: int) -> BasisSe
 def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunResult:
     """Execute the loop; returns the full per-iteration trace.
 
-    A solver failure raises LoopError with the partial trace attached.
+    A failed LP raises ``SolverError`` carrying the records of the finished
+    iterations.
     """
     rng_plan = split_rng(config.seed, _PLAN_STREAM)
     rng_nu = split_rng(config.seed, _NU_STREAM)
@@ -165,7 +158,7 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
         try:
             weights = vfa_weights(sol)
         except alp.SolverError as err:
-            raise LoopError(f"iteration with {num_bases} bases: {err}", records) from err
+            raise alp.SolverError(err.status, f"iteration with {num_bases} bases", records) from err
 
         t_rollout = time.monotonic()
         pc_est = policy_mod.simulate_policy_cost(mdp, bases, weights, config.sim)

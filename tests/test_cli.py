@@ -446,30 +446,32 @@ class TestRunFailures:
     @pytest.mark.parametrize("problem", ["toy", "gjr"])
     def test_lp_failure_exit_one(self, tmp_path, monkeypatch, capsys, problem):
         # a backend that reports a numerical failure for every LP after the
-        # first toy iteration's
+        # first lps_solved, each of which finishes one trace row
         from ralp.alp import LpSolution, ScipyBackend
 
+        lps_solved = 1 if problem == "toy" else 3
         failed = LpSolution(status="numeric", x=None, objective=None, max_violation=None)
         solve, solved = ScipyBackend.solve, []
 
-        def first_toy_lp_only(self, model):
+        def first_lps_only(self, model):
             solved.append(model)
-            return solve(self, model) if problem == "toy" and len(solved) == 1 else failed
+            return solve(self, model) if len(solved) <= lps_solved else failed
 
-        monkeypatch.setattr(ScipyBackend, "solve", first_toy_lp_only)
+        monkeypatch.setattr(ScipyBackend, "solve", first_lps_only)
         cfg = _toy_config(tmp_path) if problem == "toy" else _small_gjr_config(tmp_path)
         path = _write(tmp_path, cfg)
         assert cli.main(["run", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "numeric" in err
         assert "Traceback" not in err
-        if problem == "toy":
-            # the iterations before the failed LP are kept, as with a cut budget
-            (run_dir,) = (tmp_path / "runs").iterdir()
-            trace = (run_dir / "trace.csv").read_text().splitlines()
-            assert trace[0] == ",".join(cli.TRACE_COLUMNS) and len(trace) == 2
-            bounds = json.loads((run_dir / "bounds.json").read_text())
-            assert bounds == {"instance": "toy", "model": cfg.get("model", "falp"), "converged": False}
+        # the rows finished before the failed LP are kept, as with a budget
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        trace = (run_dir / "trace.csv").read_text().splitlines()
+        columns = cli.TRACE_COLUMNS if problem == "toy" else cli.GJR_TRACE_COLUMNS
+        assert trace[0] == ",".join(columns) and len(trace) == 1 + lps_solved
+        bounds = json.loads((run_dir / "bounds.json").read_text())
+        assert bounds == {"instance": cfg["problem"], "model": cfg["model"], "converged": False}
+        assert not (run_dir / "manifest.json").exists()
 
     def test_gjr_spec_not_an_object(self, tmp_path, capsys):
         cfg = _small_gjr_config(tmp_path)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ralp import loop, toy
-from ralp.alp import LpModel, LpSolution, ScipyBackend, grid_plan, vfa_values
-from ralp.loop import FluctuationStats, IterationRecord, LoopConfig, LoopError, fluctuation_stats, run
+from ralp.alp import LpModel, LpSolution, ScipyBackend, SolverError, grid_plan, vfa_values
+from ralp.loop import FluctuationStats, IterationRecord, LoopConfig, fluctuation_stats, run
 from ralp.policy import SimConfig
 from tests.conftest import TOY_ACTIONS, TOY_STATES
 
@@ -98,7 +98,7 @@ class TestAlgorithmLoop:
                 return ScipyBackend().solve(model)
 
         cfg = _toy_config((2.0, -5.0), tolerance=0.001, max_bases=2, reps=50)
-        with pytest.raises(LoopError) as err:
+        with pytest.raises(SolverError) as err:
             run(toy_mdp, cfg, FailingBackend())
         assert len(err.value.trace) == 1
 
