@@ -98,36 +98,34 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class StateDistribution:
-    """A distribution over states: a sampler plus an optional degenerate atom.
+    """The uniform distribution on the box ``[lo, lo + width]``, or a point mass at ``atom``.
 
-    When ``atom`` is set the distribution is a point mass and expectations are
-    evaluated exactly at the atom instead of by sampling.
+    Build one with ``uniform_box`` or ``degenerate``.  For a point mass,
+    expectations are evaluated exactly at the atom instead of by sampling.
     """
 
-    sampler: Callable[[np.random.Generator], np.ndarray]
+    lo: np.ndarray
+    width: np.ndarray
     atom: Optional[np.ndarray] = None
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.atom is not None:
-            return np.array(self.atom, dtype=float)
-        return as_state(self.sampler(rng))
+            return np.array(self.atom)
+        return self.lo + self.width * rng.random(len(self.lo))
 
     def sample_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.atom is not None:
-            return np.tile(np.asarray(self.atom, dtype=float), (n, 1))
-        return np.stack([as_state(self.sampler(rng)) for _ in range(n)])
+        """``n`` states from the box, the same draws as ``n`` calls of ``sample``."""
+        return self.lo + self.width * rng.random((n, len(self.lo)))
 
 
 def degenerate(state) -> StateDistribution:
     s = as_state(state)
-    return StateDistribution(sampler=lambda rng: s, atom=s)
+    return StateDistribution(lo=s, width=np.zeros_like(s), atom=s)
 
 
 def uniform_box(lo, hi) -> StateDistribution:
     lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    width = hi - lo
-    return StateDistribution(sampler=lambda rng: lo + width * rng.random(len(lo)))
+    return StateDistribution(lo=lo, width=np.asarray(hi, dtype=float) - lo)
 
 
 @dataclass(frozen=True)

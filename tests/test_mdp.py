@@ -9,6 +9,7 @@ from ralp.mdp import (
     degenerate,
     noise_from_uniforms,
     split_rng,
+    uniform_box,
 )
 from tests.conftest import expected_next_values
 
@@ -86,6 +87,14 @@ def test_sample_initial_state_toy_support(toy_mdp):
     draws = [toy_mdp.initial_dist.sample(rng)[0] for _ in range(50)]
     assert all(0.0 <= d <= 1.0 for d in draws)
     assert len(set(draws)) > 1
+
+
+def test_uniform_box_batch_repeats_single_draws():
+    # one batch call consumes the stream as one sample call per state does
+    dist = uniform_box([0.0, -1.0, 2.0], [1.0, 3.0, 2.5])
+    rng = split_rng(6, 22)
+    singles = np.stack([dist.sample(rng) for _ in range(500)])
+    assert np.array_equal(dist.sample_batch(500, split_rng(6, 22)), singles)
 
 
 def test_degenerate_distribution_constant():
