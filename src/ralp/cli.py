@@ -233,6 +233,15 @@ def _run_discounted(cfg: dict, run_dir: Path, seed: int) -> int:
 
 
 def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) -> int:
+    last = result.records[-1]
+    bounds = {
+        "lb": last.incumbent_lb,
+        "pc": last.incumbent_pc,
+        "tau_star": last.tau_star,
+        "num_bases": last.num_bases,
+        "converged": result.converged,
+    }
+
     if mdp.exact_value is not None:
         # the policy-cost incumbent may predate the final basis set
         pc_bases = result.bases.prefix(len(result.pc_weights))
@@ -252,14 +261,6 @@ def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) ->
             zip(hist.edges[:-1], hist.edges[1:], hist.mass, hist.normalized),
         )
 
-    last = result.records[-1]
-    bounds = {
-        "lb": last.incumbent_lb,
-        "pc": last.incumbent_pc,
-        "tau_star": last.tau_star,
-        "num_bases": last.num_bases,
-        "converged": result.converged,
-    }
     fluct = None
     if len(result.records) >= 2:
         stats = fluctuation_stats(result.records)
