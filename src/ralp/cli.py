@@ -4,23 +4,23 @@ Subcommands:
 
     run               execute a configured experiment, write a run directory
     summarize         aggregate several run directories into a gap table
-    validate-config   parse and check a config file
+    validate-config   check a config file and build its run's inputs
     print-instance    show an instance's parameters
 
-A finished run writes ``manifest.json`` (the fully resolved config and all
-seeds; sufficient to reproduce the run bit-for-bit), ``trace.csv`` (one row
-per iteration or cut; deterministic columns only, wall-clock times live in
-the manifest), ``bounds.json`` (final bounds and gap), and plot-ready CSVs
-where the problem has an exact value function.  One writer serves both
-problem families and adds the fields they share: ``instance`` and ``model``
-in ``bounds.json``; ``schema``, ``config``, ``seed`` and ``trace_columns`` in
-the manifest.  A run stopped by a failed LP or by the cut budget keeps the
-trace rows it finished, writes ``bounds.json`` as ``{"instance", "model",
-"converged": false}`` and writes no manifest.
+A finished run writes ``manifest.json`` (the config as written plus any
+``--seed`` override; enough to reproduce the run bit-for-bit), ``trace.csv``
+(one row per iteration or cut; deterministic columns only, wall-clock times
+live in the manifest), ``bounds.json`` (final bounds and gap), and
+plot-ready CSVs where the problem has an exact value function.  One writer
+serves both problem families and adds the fields they share: ``instance``
+and ``model`` in ``bounds.json``; ``schema``, ``config``, ``seed`` and
+``trace_columns`` in the manifest.  A run stopped by a failed LP or by the
+cut budget keeps the trace rows it finished, writes ``bounds.json`` as
+``{"instance", "model", "converged": false}`` and writes no manifest.
 
 Exit codes: 0 when the run converged to tolerance, 2 when the basis or cut
-budget was exhausted first, 1 on configuration or runtime errors, a failed LP
-among them.
+budget was exhausted first, 1 on runtime errors (a failed LP among them) and
+on config errors, which ``read_run`` finds before the run directory exists.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from ralp import policy as policy_mod
 from ralp import toy as toy_mod
 from ralp.alp import ScipyBackend, SolverError, grid_plan, vfa_values
 from ralp.bases import empty_stumps, sample_stumps
-from ralp.loop import LoopConfig, fluctuation_stats, run as run_loop
+from ralp.loop import MODEL_FALP, MODEL_FGLP, LoopConfig, fluctuation_stats, run as run_loop
 from ralp.lower_bound import SaddleConfig
 from ralp.mdp import split_rng
 from ralp.policy import SimConfig, default_horizon
@@ -67,9 +67,9 @@ TRACE_COLUMNS = [
 GJR_TRACE_COLUMNS = ["iteration", "lp_objective", "min_slack"]
 
 _STUMP_SIGMA_STREAM = 41
+_GUIDE_STATES = 5000  # states sampled for the self-guiding rows of a gjr FGLP run
 
-
-# config sections that the runs read with ``.get``
+# config sections, each an object when present
 _SECTIONS = ("loop", "sim", "lower_bound", "solver", "gjr")
 
 
@@ -77,13 +77,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(cfg: dict, field: str, section: str = "config"):
-    if field not in cfg:
-        raise ConfigError(f"{section}: missing required field {field!r}")
-    return cfg[field]
-
-
 def load_config(path: str | Path) -> dict:
+    """The config as written; ``read_run`` checks its keys."""
     text = Path(path).read_text()
     try:
         cfg = json.loads(text)
@@ -91,25 +86,40 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"{path}: line {err.lineno} column {err.colno}: {err.msg}") from err
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    problem = _require(cfg, "problem")
-    if not isinstance(problem, str) or not (
-        problem == "toy"
-        or (problem.startswith("pic:") and problem[4:].isdigit())
-        or problem.startswith("gjr:")
-    ):
-        raise ConfigError(f"problem: expected 'toy', 'pic:<1-16>' or 'gjr:<json>', got {problem!r}")
-    if problem.startswith("gjr:"):
-        _gjr_spec(problem)
-    else:
-        model = cfg.get("model", "falp")
-        if model not in ("falp", "fglp"):
-            raise ConfigError(f"model: expected 'falp' or 'fglp', got {model!r}")
     for section in _SECTIONS:
         if section in cfg and not isinstance(cfg[section], dict):
             raise ConfigError(f"{section}: expected an object, got {type(cfg[section]).__name__}")
-    _require(cfg, "seed")
-    _require(cfg, "output_dir")
     return cfg
+
+
+def _flatten(section: dict, prefix: str = "") -> dict:
+    """A config as one dict of dotted keys (``loop.grid.states``)."""
+    parts = (_flatten(v, f"{prefix}{k}.") if isinstance(v, dict) else {prefix + k: v} for k, v in section.items())
+    return {key: value for part in parts for key, value in part.items()}
+
+
+def _take(flat: dict, key: str, convert=int, default=...):
+    """Pop dotted ``key`` from a flattened config, converted; if absent or null, ``default`` (required if none)."""
+    value = flat.pop(key, None)
+    if value is None and default is ...:
+        raise ConfigError(f"config: missing required field {key!r}")
+    try:
+        return default if value is None else convert(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{key}: {err}") from None
+
+
+def _given(flat: dict, prefix: str, **converts) -> dict:
+    """The keys of ``converts`` that a flattened config sets under ``prefix``, taken out and converted."""
+    return {k: v for k, convert in converts.items() if (v := _take(flat, prefix + k, convert, None)) is not None}
+
+
+def _build(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a value it rejects is an error in config section ``section``."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{section}: {err}") from None
 
 
 def _gjr_spec(problem: str) -> dict:
@@ -151,45 +161,31 @@ def _make_run_dir(root: Path, label: str) -> Path:
     return path
 
 
-def _loop_config(cfg: dict, mdp, seed: int) -> LoopConfig:
-    loop_cfg = cfg.get("loop", {})
-    sim_cfg = cfg.get("sim", {})
-    grid = loop_cfg.get("grid")
+def _loop_config(flat: dict, mdp, seed: int, model: str) -> LoopConfig:
+    """A discounted run's loop settings, taken out of a flattened config."""
     plan = None
-    if grid is not None:
-        states = np.linspace(mdp.state_lo[0], mdp.state_hi[0], int(grid["states"]))[:, None]
-        actions = np.linspace(mdp.action_lo[0], mdp.action_hi[0], int(grid["actions"]))[:, None]
+    if "loop.grid.states" in flat or "loop.grid.actions" in flat:
+        states = np.linspace(mdp.state_lo[0], mdp.state_hi[0], _take(flat, "loop.grid.states"))[:, None]
+        actions = np.linspace(mdp.action_lo[0], mdp.action_hi[0], _take(flat, "loop.grid.actions"))[:, None]
         plan = grid_plan(states, actions)
-    sim = SimConfig(
-        horizon=int(sim_cfg.get("horizon") or default_horizon(mdp.gamma)),
-        replications=int(sim_cfg.get("replications", 200)),
-        action_grid=int(sim_cfg.get("action_grid") or mdp.action_grid),
-        rollout_seed=seed,
-    )
-    lb_section = cfg.get("lower_bound", {})
-    saddle = SaddleConfig(
-        chains=int(lb_section.get("chains", 8)),
-        chain_length=int(lb_section.get("chain_length", 1500)),
-        burn_in=int(lb_section.get("burn_in", 1000)),
-        lam=lb_section.get("lambda"),
-        proposal_frac=float(lb_section.get("proposal_frac", 0.05)),
-        seed=seed,
-    )
-    fixed = loop_cfg.get("fixed_omegas")
-    return LoopConfig(
-        batch=int(loop_cfg.get("batch", 10)),
-        tolerance=float(loop_cfg.get("tolerance", 0.05)),
-        max_bases=int(loop_cfg.get("max_bases", 200)),
-        model_kind=cfg.get("model", "falp"),
-        seed=seed,
-        sim=sim,
-        num_constraints=(None if plan is not None else int(loop_cfg.get("num_constraints", 5000))),
-        plan=plan,
-        sigma_range=tuple(loop_cfg.get("sigma_range", (100.0, 1000.0))),
-        fixed_omegas=tuple(fixed) if fixed is not None else None,
-        lb_method=loop_cfg.get("lb_method", "saddle" if mdp.saddle_constants is not None else "expectation"),
-        saddle=saddle,
-        nu_sample_size=int(loop_cfg.get("nu_sample_size", 10_000)),
+    lb_method = _take(flat, "loop.lb_method", str, "saddle" if mdp.saddle_constants is not None else "expectation")
+    if lb_method == "saddle" and mdp.saddle_constants is None:
+        raise ConfigError("loop.lb_method: 'saddle' needs a problem with saddle constants (pic)")
+    saddle = _given(flat, "lower_bound.", chains=int, chain_length=int, burn_in=int, proposal_frac=float)
+    saddle.update(("lam", v) for v in _given(flat, "lower_bound.", **{"lambda": float}).values())  # SaddleConfig.lam
+    return _build(
+        "loop", LoopConfig, model_kind=model, seed=seed, plan=plan, lb_method=lb_method,
+        batch=_take(flat, "loop.batch", int, 10),
+        tolerance=_take(flat, "loop.tolerance", float, 0.05),
+        max_bases=_take(flat, "loop.max_bases", int, 200),
+        sim=_build("sim", SimConfig, rollout_seed=seed,
+                   horizon=_take(flat, "sim.horizon", int, None) or default_horizon(mdp.gamma),
+                   replications=_take(flat, "sim.replications", int, 200),
+                   action_grid=_take(flat, "sim.action_grid", int, None) or mdp.action_grid),
+        num_constraints=_take(flat, "loop.num_constraints", int, 5000),  # unused with a grid
+        fixed_omegas=_take(flat, "loop.fixed_omegas", tuple, None),
+        saddle=_build("lower_bound", SaddleConfig, seed=seed, **saddle),
+        **_given(flat, "loop.", sigma_range=tuple),
     )
 
 
@@ -209,27 +205,31 @@ def _write_artifacts(run_dir: Path, cfg, columns, rows, bounds: dict, manifest: 
     both families share are written here, ahead of them.
     """
     _write_csv(run_dir / "trace.csv", columns, rows)
-    bounds = {"instance": cfg["problem"], "model": cfg.get("model", "falp"), **bounds}
+    bounds = {"instance": cfg["problem"], "model": cfg.get("model", MODEL_FALP), **bounds}
     (run_dir / "bounds.json").write_text(json.dumps(bounds, indent=1))
     if manifest is not None:
-        manifest = {"schema": TRACE_SCHEMA, "config": cfg, "seed": int(cfg["seed"]), "trace_columns": columns,
+        manifest = {"schema": TRACE_SCHEMA, "config": cfg, "seed": cfg["seed"], "trace_columns": columns,
                     **manifest}
         (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
-def _run_discounted(cfg: dict, run_dir: Path, seed: int) -> int:
+def _read_discounted(cfg: dict, flat: dict, seed: int, model: str):
+    """Build the MDP, loop settings and backend of a toy or pic run; returns the run."""
     if cfg["problem"] == "toy":
         mdp = toy_mod.build_toy()
     else:
         from ralp import pic as pic_mod
 
-        params = pic_mod.instance_from_table(int(cfg["problem"][4:]))
-        saa = int(cfg.get("demand_saa_size", pic_mod.DEMAND_SAA_SIZE))
-        mdp = pic_mod.build_pic_mdp(params, demand_saa_size=saa, demand_seed=seed)
-    loop_config = _loop_config(cfg, mdp, seed)
-    backend = ScipyBackend(var_bound=cfg.get("solver", {}).get("var_bound"))
-    result = run_loop(mdp, loop_config, backend)
-    return _write_discounted_artifacts(run_dir, cfg, mdp, loop_config, result)
+        params = _build("problem", pic_mod.instance_from_table, int(cfg["problem"][4:]))
+        mdp = pic_mod.build_pic_mdp(params, demand_seed=seed, **_given(flat, "", demand_saa_size=int))
+    loop_config = _loop_config(flat, mdp, seed, model)
+    backend = ScipyBackend(**_given(flat, "solver.", var_bound=float))
+
+    def run(run_dir: Path) -> int:
+        result = run_loop(mdp, loop_config, backend)
+        return _write_discounted_artifacts(run_dir, cfg, mdp, loop_config, result)
+
+    return run
 
 
 def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) -> int:
@@ -283,114 +283,123 @@ def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) ->
 
 def _gjr_params(spec: dict, seed: int) -> gjr_mod.GjrParams:
     """The instance a ``gjr:`` spec names; unpinned draws come from the seed."""
-    return gjr_mod.gjr_instance(
-        num_items=int(spec.get("items", 2)),
-        scheme=spec.get("scheme", "constant"),
-        z_pct=int(spec.get("z", 100)),
+    params = gjr_mod.gjr_instance(
+        num_items=int(spec.pop("items", 2)),
+        scheme=spec.pop("scheme", "constant"),
+        z_pct=int(spec.pop("z", 100)),
         rng=split_rng(seed, 1),
-        usage_rates=spec.get("usage_rates"),
-        u=spec.get("u"),
-        alpha=spec.get("alpha"),
-        item_fixed_costs=spec.get("item_fixed_costs"),
+        usage_rates=spec.pop("usage_rates", None),
+        u=spec.pop("u", None),
+        alpha=spec.pop("alpha", None),
+        item_fixed_costs=spec.pop("item_fixed_costs", None),
     )
+    if spec:
+        raise ValueError(f"unknown key {next(iter(spec))!r}")
+    return params
 
 
-def _run_gjr(cfg: dict, run_dir: Path, seed: int) -> int:
-    g_cfg = cfg.get("gjr", {})
-    params = _gjr_params(_gjr_spec(cfg["problem"]), seed)
-    num_bases = int(g_cfg.get("num_bases", 20))
-    sigma_rng = split_rng(seed, _STUMP_SIGMA_STREAM)
-    sigma = float(sigma_rng.uniform(1.0, params.s_bar.max()))
-    bases = (
-        sample_stumps(num_bases, params.num_items, sigma, seed)
-        if num_bases > 0
-        else empty_stumps(params.num_items)
-    )
-    init_pairs = gjr_mod.sample_gjr_pairs(params, int(g_cfg.get("init_pairs", 200)), split_rng(seed, 2))
-    search = gjr_mod.SearchPlan(
-        grid_per_dim=int(g_cfg.get("grid_per_dim", 50)),
-        beam_width=int(g_cfg.get("beam_width", 128)),
-        action_grid=int(g_cfg.get("action_grid", 21)),
-    )
+def _read_gjr(cfg: dict, flat: dict, seed: int, model: str):
+    """Build the instance, stumps, initial pairs and search plan of a gjr run; returns the run."""
+    params = _build("problem", _gjr_params, _gjr_spec(cfg["problem"]), seed)
+    num_bases = _take(flat, "gjr.num_bases", int, 20)
+    sigma = float(split_rng(seed, _STUMP_SIGMA_STREAM).uniform(1.0, params.s_bar.max()))
+    j = params.num_items
+    bases = sample_stumps(num_bases, j, sigma, seed) if num_bases > 0 else empty_stumps(j)
+    init_pairs = gjr_mod.sample_gjr_pairs(params, _take(flat, "gjr.init_pairs", int, 200), split_rng(seed, 2))
+    search_plan = _given(flat, "gjr.", grid_per_dim=int, beam_width=int, action_grid=int)
+    search = _build("gjr", gjr_mod.SearchPlan, **search_plan)
+    budget = _given(flat, "gjr.", max_cuts=int)
+    stages, k = _take(flat, "gjr.stages", int, 4000), _take(flat, "gjr.k", int, 4)
+    if stages < 1 or k < 1:
+        raise ConfigError(f"gjr: stages and k must be >= 1, got {stages} and {k}")
+    fglp = model == MODEL_FGLP
+    guide_states = gjr_mod.sample_gjr_states(params, _GUIDE_STATES, split_rng(seed, 3)) if fglp else None
     backend = ScipyBackend()
 
-    max_cuts = int(g_cfg.get("max_cuts", 500))
-
-    prev = None
-    guide_states = None
-    loops = []
-    if cfg.get("model") == "fglp":
-        affine = gjr_mod.constraint_generation(
-            params, empty_stumps(params.num_items), *init_pairs, backend,
-            search=search, max_cuts=max_cuts, seed=seed,
+    def run(run_dir: Path) -> int:
+        prev, loops = None, []
+        if guide_states is not None:
+            try:
+                affine = gjr_mod.constraint_generation(params, empty_stumps(j), *init_pairs, backend,
+                                                       search=search, seed=seed, **budget)
+            except (SolverError, gjr_mod.ConstraintGenerationError) as err:
+                err.args, err.trace = (f"affine warm start: {err}",), []  # trace.csv holds stump-loop cuts only
+                raise
+            prev = affine.solution
+            loops.append(affine)
+        result = gjr_mod.constraint_generation(
+            params, bases, *init_pairs, backend,
+            prev=prev, guide_states=guide_states,
+            search=search, seed=seed, **budget,
         )
-        prev = affine.solution
-        loops.append(affine)
-        guide_states = gjr_mod.sample_gjr_states(
-            params, int(g_cfg.get("guide_states", 5000)), split_rng(seed, 3)
-        )
-    result = gjr_mod.constraint_generation(
-        params, bases, *init_pairs, backend,
-        prev=prev, guide_states=guide_states,
-        search=search, max_cuts=max_cuts, seed=seed,
-    )
-    loops.append(result)
-    start = time.perf_counter()
-    avg_cost = gjr_mod.simulate_average_cost(
-        params, bases, result.solution,
-        stages=int(g_cfg.get("stages", 4000)),
-        k=int(g_cfg.get("k", 4)),
-        search=search,
-    )
-    simulate_s = time.perf_counter() - start
-    gap = 1.0 - result.eta_lambda / avg_cost if avg_cost > 0 else float("nan")
+        loops.append(result)
+        start = time.perf_counter()
+        avg_cost = gjr_mod.simulate_average_cost(params, bases, result.solution, stages=stages, k=k, search=search)
+        simulate_s = time.perf_counter() - start
+        gap = 1.0 - result.eta_lambda / avg_cost if avg_cost > 0 else float("nan")
 
-    bounds = {
-        "lb": result.eta_lambda,
-        "pc": avg_cost,
-        "tau_star": gap,
-        "num_cuts": len(result.trace),
-        "converged": True,
-    }
-    manifest = {
-        "instance_params": json.loads(params.to_json()),
-        "stump_sigma": sigma,
-        "num_constraints": len(result.states),
-        # wall times of every cut loop of the run (FGLP's affine warm start included)
-        "cut_loop_lp_s": sum(r.lp_s for r in loops),
-        "cut_loop_separate_s": sum(r.separate_s for r in loops),
-        "lp_iterations": sum(r.lp_iterations for r in loops),
-        "separation_grid_points": sum(r.separation_grid_points for r in loops),
-        # wall time of the K-step greedy policy's simulation (the lookahead phase)
-        "simulate_s": simulate_s,
-    }
-    _write_artifacts(run_dir, cfg, GJR_TRACE_COLUMNS, result.trace, bounds, manifest)
-    return 0
+        bounds = {"lb": result.eta_lambda, "pc": avg_cost, "tau_star": gap, "num_cuts": len(result.trace),
+                  "converged": True}
+        manifest = {
+            "instance_params": json.loads(params.to_json()),
+            "stump_sigma": sigma,
+            "num_constraints": len(result.states),
+            # wall times of every cut loop of the run (FGLP's affine warm start included)
+            "cut_loop_lp_s": sum(r.lp_s for r in loops),
+            "cut_loop_separate_s": sum(r.separate_s for r in loops),
+            "lp_iterations": sum(r.lp_iterations for r in loops),
+            "separation_grid_points": sum(r.separation_grid_points for r in loops),
+            # wall time of the K-step greedy policy's simulation (the lookahead phase)
+            "simulate_s": simulate_s,
+        }
+        _write_artifacts(run_dir, cfg, GJR_TRACE_COLUMNS, result.trace, bounds, manifest)
+        return 0
+
+    return run
+
+
+def read_run(cfg: dict):
+    """Check a loaded config and build its run's inputs; returns the run, a function of the run directory.
+
+    The readers take their keys out of a flattened copy of ``cfg``; a key that none takes is an error.
+    """
+    flat = _flatten(cfg)
+    problem = _take(flat, "problem", str)
+    if not (problem == "toy" or (problem.startswith("pic:") and problem[4:].isdigit()) or problem.startswith("gjr:")):
+        raise ConfigError(f"problem: expected 'toy', 'pic:<1-16>' or 'gjr:<json>', got {problem!r}")
+    seed = flat.pop("seed", None)
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {seed!r}")
+    model = flat.pop("model", MODEL_FALP)
+    if model not in (MODEL_FALP, MODEL_FGLP):
+        raise ConfigError(f"model: expected 'falp' or 'fglp', got {model!r}")
+    _take(flat, "output_dir", Path)
+    run = (_read_gjr if problem.startswith("gjr:") else _read_discounted)(cfg, flat, seed, model)
+    if flat:
+        raise ConfigError(f"config: unknown key {next(iter(flat))!r}")
+    return run
 
 
 def run_experiment(config_path: str | Path, seed_override: int | None = None) -> tuple[int, Path | None]:
     """Execute one configured run; returns (exit code, run directory)."""
     try:
         cfg = load_config(config_path)
-    except ConfigError as err:
+        if seed_override is not None:
+            cfg["seed"] = int(seed_override)
+        run = read_run(cfg)
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1, None
-    if seed_override is not None:
-        cfg["seed"] = int(seed_override)
-    seed = int(cfg["seed"])
-    out_root = Path(cfg["output_dir"])
-    label = cfg["problem"].split(":")[0] + "-" + cfg.get("model", "falp") + f"-s{seed}"
+    label = cfg["problem"].split(":")[0] + "-" + cfg.get("model", MODEL_FALP) + f"-s{cfg['seed']}"
     try:
-        run_dir = _make_run_dir(out_root, label)
+        run_dir = _make_run_dir(Path(cfg["output_dir"]), label)
     except OSError as err:
         print(f"error: cannot create output directory: {err}", file=sys.stderr)
         return 1, None
-    if cfg["problem"].startswith("gjr:"):
-        run_family, columns, trace_rows = _run_gjr, GJR_TRACE_COLUMNS, list
-    else:
-        run_family, columns, trace_rows = _run_discounted, TRACE_COLUMNS, _discounted_rows
+    gjr = cfg["problem"].startswith("gjr:")
+    columns, trace_rows = (GJR_TRACE_COLUMNS, list) if gjr else (TRACE_COLUMNS, _discounted_rows)
     try:
-        code = run_family(cfg, run_dir, seed)
+        code = run(run_dir)
     except (SolverError, gjr_mod.ConstraintGenerationError) as err:
         # a stopped run keeps the trace rows it finished and reports no bounds
         _write_artifacts(run_dir, cfg, columns, trace_rows(err.trace), {"converged": False})
@@ -400,7 +409,7 @@ def run_experiment(config_path: str | Path, seed_override: int | None = None) ->
         print(f"cut budget exhausted: {err}", file=sys.stderr)
         code = 2
     except (ValueError, RuntimeError) as err:
-        # configuration errors and an MH chain that rejected every proposal
+        # an MH chain that rejected every proposal, or a fixed basis list used up
         print(f"error: {err}", file=sys.stderr)
         return 1, run_dir
     print(run_dir)
@@ -484,8 +493,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "validate-config":
         try:
-            load_config(args.config)
-        except ConfigError as err:
+            read_run(load_config(args.config))
+        except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
         print("ok")

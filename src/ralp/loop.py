@@ -43,6 +43,7 @@ MODEL_FGLP = "fglp"
 _PLAN_STREAM = 21
 _NU_STREAM = 22
 _CHI_STREAM = 23
+_NU_SAMPLE_SIZE = 10_000  # states in the objective's and the lower bound's sample sets
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,10 @@ class LoopConfig:
     sim: SimConfig
     num_constraints: Optional[int] = None  # ignored when an explicit plan is given
     plan: Optional[ConstraintSamplePlan] = None
-    sigma_range: tuple[float, float] = (1.0, 10.0)
+    sigma_range: tuple[float, float] = (100.0, 1000.0)
     fixed_omegas: Optional[tuple[float, ...]] = None  # overrides sampling (1-D problems)
     lb_method: str = "expectation"  # "expectation" | "saddle"
     saddle: Optional[SaddleConfig] = None
-    nu_sample_size: int = 10_000
 
     def __post_init__(self):
         if self.batch < 1:
@@ -123,11 +123,11 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
     """
     rng_plan = split_rng(config.seed, _PLAN_STREAM)
     rng_nu = split_rng(config.seed, _NU_STREAM)
-    nu_samples = nu_sample_set(mdp.state_relevance, config.nu_sample_size, rng_nu)
+    nu_samples = nu_sample_set(mdp.state_relevance, _NU_SAMPLE_SIZE, rng_nu)
     if mdp.initial_dist is mdp.state_relevance:
         chi_samples = nu_samples  # shared estimator keeps LB equal to the objective
     else:
-        chi_samples = nu_sample_set(mdp.initial_dist, config.nu_sample_size, split_rng(config.seed, _CHI_STREAM))
+        chi_samples = nu_sample_set(mdp.initial_dist, _NU_SAMPLE_SIZE, split_rng(config.seed, _CHI_STREAM))
 
     plan = config.plan if config.plan is not None else uniform_plan(mdp, config.num_constraints, rng_plan)
     prepared = prepare_plan(mdp, plan)

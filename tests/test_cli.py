@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -257,16 +258,6 @@ def _short_gjr_fglp_random_config(tmp_path):
     return cfg
 
 
-def test_toy_config_matches_golden_trace(tmp_path):
-    # configs/toy.json takes the noise-enumeration path for every
-    # expectation; its trace.csv is pinned byte-for-byte.
-    cfg = _shipped_config(tmp_path, "toy")
-    code, run_dir = cli.run_experiment(_write(tmp_path, cfg))
-    assert code == 0
-    golden = (Path(__file__).parent / "golden" / "toy_trace.csv").read_bytes()
-    assert (Path(run_dir) / "trace.csv").read_bytes() == golden
-
-
 def test_short_pic_config_matches_golden_trace(tmp_path):
     # configs/pic1.json shrunk to two FGLP iterations with the saddle bound:
     # the closed-form expectations, rollouts and MH chains are all pinned.
@@ -296,39 +287,21 @@ def test_gjr2_config_matches_golden_trace(tmp_path):
     assert bounds["pc"] == GJR2_PC
 
 
-def test_short_gjr_config_matches_golden_trace(tmp_path):
-    # configs/gjr2.json with 5 stumps, a 25-point grid and 500 stages:
-    # separation, the cut LPs and the simulated average cost are pinned.
-    cfg = _short_gjr_config(tmp_path)
-    code, run_dir = cli.run_experiment(_write(tmp_path, cfg))
-    assert code == 0
-    golden = (Path(__file__).parent / "golden" / "gjr_short_trace.csv").read_bytes()
-    assert (Path(run_dir) / "trace.csv").read_bytes() == golden
-    bounds = json.loads((Path(run_dir) / "bounds.json").read_text())
-    assert bounds["lb"] == GJR_SHORT_LB
-    assert bounds["pc"] == GJR_SHORT_PC
-
-
-def test_short_gjr_fglp_random_rates_matches_golden_trace(tmp_path):
-    # drawn usage rates leave float dust in the successor, and the FGLP model
-    # adds the affine warm start, guide rows and sampled guide states.
-    cfg = _short_gjr_fglp_random_config(tmp_path)
-    code, run_dir = cli.run_experiment(_write(tmp_path, cfg))
-    assert code == 0
-    golden = (Path(__file__).parent / "golden" / "gjr_fglp_random_trace.csv").read_bytes()
-    assert (Path(run_dir) / "trace.csv").read_bytes() == golden
-    bounds = json.loads((Path(run_dir) / "bounds.json").read_text())
-    assert bounds["lb"] == GJR_RANDOM_LB
-    assert bounds["pc"] == GJR_RANDOM_PC
-
-
-# configs whose bounds.json and manifest.json are pinned under tests/golden/,
-# with the exit code each run ends with
+# configs whose trace.csv, bounds.json and manifest.json are pinned under
+# tests/golden/, with the exit code each run ends with and its (lb, pc):
+# - toy: configs/toy.json, which takes the noise-enumeration path for every
+#   expectation;
+# - gjr_short: configs/gjr2.json with 5 stumps, a 25-point grid and 500
+#   stages; separation, the cut LPs and the simulated average cost are pinned;
+# - gjr_fglp_random: the same on drawn usage rates, which leave float dust in
+#   the successor, with the FGLP model's affine warm start, guide rows and
+#   sampled guide states;
+# - gjr_cut_budget: gjr_short stopped by a budget of 3 cuts.
 _PINNED_RUNS = {
-    "toy": (lambda tmp_path: _shipped_config(tmp_path, "toy"), 0),
-    "gjr_short": (_short_gjr_config, 0),
-    "gjr_fglp_random": (_short_gjr_fglp_random_config, 0),
-    "gjr_cut_budget": (lambda tmp_path: _short_gjr_config(tmp_path, max_cuts=3), 2),
+    "toy": (lambda tmp_path: _shipped_config(tmp_path, "toy"), 0, None),
+    "gjr_short": (_short_gjr_config, 0, (GJR_SHORT_LB, GJR_SHORT_PC)),
+    "gjr_fglp_random": (_short_gjr_fglp_random_config, 0, (GJR_RANDOM_LB, GJR_RANDOM_PC)),
+    "gjr_cut_budget": (lambda tmp_path: _short_gjr_config(tmp_path, max_cuts=3), 2, None),
 }
 # manifest values that are wall-clock times
 _WALL_CLOCK_KEYS = {"wallclock_s", "phase_s", "cut_loop_lp_s", "cut_loop_separate_s", "simulate_s"}
@@ -344,23 +317,91 @@ def _pinnable_manifest(manifest: dict) -> str:
 
 @pytest.mark.parametrize("name", list(_PINNED_RUNS))
 def test_run_artifacts_match_pins(tmp_path, name):
-    # bounds.json byte-for-byte; the manifest in key order with every value
-    # but the wall-clock times and the output directory.  A stopped run
-    # leaves no manifest.
-    make_config, exit_code = _PINNED_RUNS[name]
+    # trace.csv and bounds.json byte-for-byte; the manifest in key order with
+    # every value but the wall-clock times and the output directory.  A
+    # stopped run leaves no manifest.
+    make_config, exit_code, lb_pc = _PINNED_RUNS[name]
     code, run_dir = cli.run_experiment(_write(tmp_path, make_config(tmp_path)))
     assert code == exit_code
     golden = Path(__file__).parent / "golden"
+    trace = Path(run_dir) / "trace.csv"
     if name == "gjr_cut_budget":
         # the three cuts finished within the budget, as the full run made them
-        trace = (Path(run_dir) / "trace.csv").read_text().splitlines()
-        assert trace == (golden / "gjr_short_trace.csv").read_text().splitlines()[:4]
+        assert trace.read_text().splitlines() == (golden / "gjr_short_trace.csv").read_text().splitlines()[:4]
+    else:
+        assert trace.read_bytes() == (golden / f"{name}_trace.csv").read_bytes()
     assert (Path(run_dir) / "bounds.json").read_bytes() == (golden / f"{name}_bounds.json").read_bytes()
+    if lb_pc is not None:
+        bounds = json.loads((Path(run_dir) / "bounds.json").read_text())
+        assert (bounds["lb"], bounds["pc"]) == lb_pc
     manifest = Path(run_dir) / "manifest.json"
     expected = golden / f"{name}_manifest.json"
     assert manifest.exists() == expected.exists()
     if expected.exists():
         assert _pinnable_manifest(json.loads(manifest.read_text())) + "\n" == expected.read_text()
+
+
+def _gjr_problem(**spec):
+    return "gjr:" + json.dumps(spec)
+
+
+# configs that both commands reject before a run directory exists: the
+# shipped config each edits, the edit, and what its one error line names
+_REJECTED_CONFIGS = {
+    "seed_not_an_integer": ("toy", {"seed": "six"}, "seed"),
+    "negative_seed": ("gjr2", {"seed": -1}, "seed"),
+    "grid_without_actions": ("toy", {"loop.grid": {"states": 1001}}, "loop.grid.actions"),
+    "fixed_omegas_not_a_list": ("toy", {"loop.fixed_omegas": 3}, "loop.fixed_omegas"),
+    "zero_replications": ("toy", {"sim.replications": 0}, "sim: replications"),
+    "batch_not_an_integer": ("toy", {"loop.batch": "ten"}, "loop.batch"),
+    "saddle_bound_without_constants": ("toy", {"loop.lb_method": "saddle"}, "loop.lb_method"),
+    "misspelt_loop_key": ("toy", {"loop.max_basis": 200}, "unknown key 'loop.max_basis'"),
+    "removed_nu_sample_size": ("toy", {"loop.nu_sample_size": 100}, "unknown key 'loop.nu_sample_size'"),
+    "lambda_above_one": ("pic1", {"lower_bound.lambda": 2}, "lower_bound: lambda"),
+    "pic_id_outside_catalog": ("pic1", {"problem": "pic:99"}, "problem: instance id"),
+    "zero_lookahead_steps": ("gjr2", {"gjr.k": 0}, "gjr: stages and k"),
+    "unknown_gjr_scheme": ("gjr2", {"problem": _gjr_problem(items=2, scheme="bogus", z=100)}, "problem: scheme"),
+    "unknown_gjr_model": ("gjr2", {"model": "bogus"}, "model: expected"),
+    "misspelt_gjr_spec_key": ("gjr2", {"problem": _gjr_problem(itmes=3, scheme="constant", z=100)},
+                              "problem: unknown key 'itmes'"),
+    "removed_guide_states": ("gjr2", {"gjr.guide_states": 100}, "unknown key 'gjr.guide_states'"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REJECTED_CONFIGS))
+def test_both_commands_reject_config_before_run_dir(tmp_path, capsys, name):
+    base, edits, named = _REJECTED_CONFIGS[name]
+    cfg = _shipped_config(tmp_path, base)
+    for dotted, value in edits.items():
+        *sections, key = dotted.split(".")
+        target = cfg
+        for section in sections:
+            target = target[section]
+        target[key] = value
+    path = _write(tmp_path, cfg)
+    for command in ("validate-config", "run"):
+        assert cli.main([command, "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_shipped_and_benchmark_configs_validate(tmp_path, monkeypatch, capsys):
+    # configs/*.json (the pic catalog is instance data, not a run config) and
+    # the config of each benchmark workload
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    shipped = sorted(p.stem for p in (REPO / "configs").glob("*.json") if p.name != "pic_catalog.json")
+    assert shipped == ["gjr2", "pic1", "toy"]
+    configs = [_shipped_config(tmp_path, name) for name in shipped]
+    configs += [w.config(0, 0, str(tmp_path / "runs")) for w in workloads.WORKLOADS.values()]
+    for i, cfg in enumerate(configs):
+        assert cli.main(["validate-config", "--config", str(_write(tmp_path, cfg, f"config{i}.json"))]) == 0
+        assert capsys.readouterr() == ("ok\n", "")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_artifacts_evaluate_incumbent_on_its_basis_prefix(tmp_path):
@@ -373,7 +414,7 @@ def test_artifacts_evaluate_incumbent_on_its_basis_prefix(tmp_path):
     mdp = toy.build_toy()
     cfg = _toy_config(tmp_path, thetas=(2.0, -5.0, 3.0, 4.0))
     cfg["sim"]["replications"] = 20
-    loop_config = cli._loop_config(cfg, mdp, cfg["seed"])
+    loop_config = cli._loop_config(cli._flatten(cfg), mdp, cfg["seed"], "falp")
     bases = fixed_fourier([2.0, -5.0, 3.0, 4.0])
     incumbent = VfaWeights(beta0=0.3, betas=np.array([0.1, -0.2]))
     final = VfaWeights(beta0=0.2, betas=np.array([0.1, -0.2, 0.05, 0.01]))
@@ -405,9 +446,21 @@ def test_default_lb_method_follows_saddle_constants():
     from ralp import pic, toy
 
     pic_mdp = pic.build_pic_mdp(pic.instance_from_table(1), demand_saa_size=20, demand_seed=0)
-    assert cli._loop_config({}, toy.build_toy(), 0).lb_method == "expectation"
-    assert cli._loop_config({}, pic_mdp, 0).lb_method == "saddle"
-    assert cli._loop_config({"loop": {"lb_method": "expectation"}}, pic_mdp, 0).lb_method == "expectation"
+    assert cli._loop_config({}, toy.build_toy(), 0, "falp").lb_method == "expectation"
+    assert cli._loop_config({}, pic_mdp, 0, "falp").lb_method == "saddle"
+    flat = cli._flatten({"loop": {"lb_method": "expectation"}})
+    assert cli._loop_config(flat, pic_mdp, 0, "falp").lb_method == "expectation"
+
+
+def test_lower_bound_section_reaches_saddle_config():
+    # the config's "lambda" is SaddleConfig.lam; a key left unset keeps the dataclass default
+    from ralp import pic
+    from ralp.lower_bound import SaddleConfig
+
+    pic_mdp = pic.build_pic_mdp(pic.instance_from_table(1), demand_saa_size=20, demand_seed=0)
+    flat = cli._flatten({"lower_bound": {"chains": 4, "lambda": 0.5}})
+    assert cli._loop_config(flat, pic_mdp, 3, "falp").saddle == SaddleConfig(chains=4, lam=0.5, seed=3)
+    assert flat == {}
 
 
 def test_default_action_grid_per_problem():
@@ -416,8 +469,8 @@ def test_default_action_grid_per_problem():
 
     for instance, points in ((1, 11), (7, 31)):
         mdp = pic.build_pic_mdp(pic.instance_from_table(instance), demand_saa_size=20, demand_seed=0)
-        assert cli._loop_config({}, mdp, 0).sim.action_grid == points
-    assert cli._loop_config({}, toy.build_toy(), 0).sim.action_grid == 101
+        assert cli._loop_config({}, mdp, 0, "falp").sim.action_grid == points
+    assert cli._loop_config({}, toy.build_toy(), 0, "falp").sim.action_grid == 101
 
 
 class TestRunFailures:
@@ -471,6 +524,34 @@ class TestRunFailures:
         assert trace[0] == ",".join(columns) and len(trace) == 1 + lps_solved
         bounds = json.loads((run_dir / "bounds.json").read_text())
         assert bounds == {"instance": cfg["problem"], "model": cfg["model"], "converged": False}
+        assert not (run_dir / "manifest.json").exists()
+
+    @pytest.mark.parametrize("stop", ["cut_budget", "lp_failure"])
+    def test_fglp_stopped_in_affine_warm_start(self, tmp_path, monkeypatch, capsys, stop):
+        # trace.csv holds the stump loop's cuts, so a run stopped in the affine
+        # warm start leaves its header only, and the stop names the warm start
+        from ralp.alp import LpSolution, ScipyBackend
+
+        cfg = _short_gjr_fglp_random_config(tmp_path)
+        if stop == "cut_budget":
+            cfg["gjr"]["max_cuts"] = 3  # the warm start needs 5 cuts
+            expected_code, expected_err = 2, "cut budget exhausted: affine warm start: no convergence within 3 cuts\n"
+        else:
+            failed = LpSolution(status="numeric", x=None, objective=None, max_violation=None)
+            solve, solved = ScipyBackend.solve, []
+
+            def first_lps_only(self, model):
+                solved.append(model)
+                return solve(self, model) if len(solved) <= 2 else failed
+
+            monkeypatch.setattr(ScipyBackend, "solve", first_lps_only)
+            expected_code, expected_err = 1, "error: affine warm start: LP solve failed: numeric (cut 2)\n"
+        assert cli.main(["run", "--config", str(_write(tmp_path, cfg))]) == expected_code
+        assert capsys.readouterr().err == expected_err
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert (run_dir / "trace.csv").read_text() == ",".join(cli.GJR_TRACE_COLUMNS) + "\n"
+        bounds = json.loads((run_dir / "bounds.json").read_text())
+        assert bounds == {"instance": cfg["problem"], "model": "fglp", "converged": False}
         assert not (run_dir / "manifest.json").exists()
 
     def test_gjr_spec_not_an_object(self, tmp_path, capsys):
