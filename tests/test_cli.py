@@ -288,23 +288,66 @@ def test_gjr2_config_matches_golden_trace(tmp_path):
 
 
 # configs whose trace.csv, bounds.json and manifest.json are pinned under
-# tests/golden/, with the exit code each run ends with and its (lb, pc):
-# - toy: configs/toy.json, which takes the noise-enumeration path for every
-#   expectation;
-# - gjr_short: configs/gjr2.json with 5 stumps, a 25-point grid and 500
-#   stages; separation, the cut LPs and the simulated average cost are pinned;
-# - gjr_fglp_random: the same on drawn usage rates, which leave float dust in
-#   the successor, with the FGLP model's affine warm start, guide rows and
-#   sampled guide states;
+# tests/golden/, with the exit code each run ends with:
+# - toy: configs/toy.json;
+# - gjr_short: configs/gjr2.json with 5 stumps, a 25-point grid and 500 stages;
+# - gjr_fglp_random: the same on drawn usage rates with the FGLP model;
 # - gjr_cut_budget: gjr_short stopped by a budget of 3 cuts.
 _PINNED_RUNS = {
-    "toy": (lambda tmp_path: _shipped_config(tmp_path, "toy"), 0, None),
-    "gjr_short": (_short_gjr_config, 0, (GJR_SHORT_LB, GJR_SHORT_PC)),
-    "gjr_fglp_random": (_short_gjr_fglp_random_config, 0, (GJR_RANDOM_LB, GJR_RANDOM_PC)),
-    "gjr_cut_budget": (lambda tmp_path: _short_gjr_config(tmp_path, max_cuts=3), 2, None),
+    "toy": (lambda tmp_path: _shipped_config(tmp_path, "toy"), 0),
+    "gjr_short": (_short_gjr_config, 0),
+    "gjr_fglp_random": (_short_gjr_fglp_random_config, 0),
+    "gjr_cut_budget": (lambda tmp_path: _short_gjr_config(tmp_path, max_cuts=3), 2),
 }
 # manifest values that are wall-clock times
 _WALL_CLOCK_KEYS = {"wallclock_s", "phase_s", "cut_loop_lp_s", "cut_loop_separate_s", "simulate_s"}
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(scope="module")
+def pinned_run(tmp_path_factory):
+    """``pinned_run(name)`` is the (exit code, run directory) of that pinned
+    config, run once for every test of this module that reads it."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            tmp_path = tmp_path_factory.mktemp(name)
+            code, run_dir = cli.run_experiment(_write(tmp_path, _PINNED_RUNS[name][0](tmp_path)))
+            runs[name] = code, Path(run_dir)
+        return runs[name]
+
+    return run
+
+
+def test_toy_config_matches_golden_trace(pinned_run):
+    # configs/toy.json takes the noise-enumeration path for every
+    # expectation; its trace.csv is pinned byte-for-byte.
+    code, run_dir = pinned_run("toy")
+    assert code == 0
+    assert (run_dir / "trace.csv").read_bytes() == (GOLDEN / "toy_trace.csv").read_bytes()
+
+
+def test_short_gjr_config_matches_golden_trace(pinned_run):
+    # configs/gjr2.json with 5 stumps, a 25-point grid and 500 stages:
+    # separation, the cut LPs and the simulated average cost are pinned.
+    code, run_dir = pinned_run("gjr_short")
+    assert code == 0
+    assert (run_dir / "trace.csv").read_bytes() == (GOLDEN / "gjr_short_trace.csv").read_bytes()
+    bounds = json.loads((run_dir / "bounds.json").read_text())
+    assert bounds["lb"] == GJR_SHORT_LB
+    assert bounds["pc"] == GJR_SHORT_PC
+
+
+def test_short_gjr_fglp_random_rates_matches_golden_trace(pinned_run):
+    # drawn usage rates leave float dust in the successor, and the FGLP model
+    # adds the affine warm start, guide rows and sampled guide states.
+    code, run_dir = pinned_run("gjr_fglp_random")
+    assert code == 0
+    assert (run_dir / "trace.csv").read_bytes() == (GOLDEN / "gjr_fglp_random_trace.csv").read_bytes()
+    bounds = json.loads((run_dir / "bounds.json").read_text())
+    assert bounds["lb"] == GJR_RANDOM_LB
+    assert bounds["pc"] == GJR_RANDOM_PC
 
 
 def _pinnable_manifest(manifest: dict) -> str:
@@ -316,26 +359,19 @@ def _pinnable_manifest(manifest: dict) -> str:
 
 
 @pytest.mark.parametrize("name", list(_PINNED_RUNS))
-def test_run_artifacts_match_pins(tmp_path, name):
-    # trace.csv and bounds.json byte-for-byte; the manifest in key order with
-    # every value but the wall-clock times and the output directory.  A
-    # stopped run leaves no manifest.
-    make_config, exit_code, lb_pc = _PINNED_RUNS[name]
-    code, run_dir = cli.run_experiment(_write(tmp_path, make_config(tmp_path)))
-    assert code == exit_code
-    golden = Path(__file__).parent / "golden"
-    trace = Path(run_dir) / "trace.csv"
+def test_run_artifacts_match_pins(pinned_run, name):
+    # bounds.json byte-for-byte; the manifest in key order with every value
+    # but the wall-clock times and the output directory.  A stopped run
+    # leaves no manifest.
+    code, run_dir = pinned_run(name)
+    assert code == _PINNED_RUNS[name][1]
     if name == "gjr_cut_budget":
         # the three cuts finished within the budget, as the full run made them
-        assert trace.read_text().splitlines() == (golden / "gjr_short_trace.csv").read_text().splitlines()[:4]
-    else:
-        assert trace.read_bytes() == (golden / f"{name}_trace.csv").read_bytes()
-    assert (Path(run_dir) / "bounds.json").read_bytes() == (golden / f"{name}_bounds.json").read_bytes()
-    if lb_pc is not None:
-        bounds = json.loads((Path(run_dir) / "bounds.json").read_text())
-        assert (bounds["lb"], bounds["pc"]) == lb_pc
-    manifest = Path(run_dir) / "manifest.json"
-    expected = golden / f"{name}_manifest.json"
+        trace = (run_dir / "trace.csv").read_text().splitlines()
+        assert trace == (GOLDEN / "gjr_short_trace.csv").read_text().splitlines()[:4]
+    assert (run_dir / "bounds.json").read_bytes() == (GOLDEN / f"{name}_bounds.json").read_bytes()
+    manifest = run_dir / "manifest.json"
+    expected = GOLDEN / f"{name}_manifest.json"
     assert manifest.exists() == expected.exists()
     if expected.exists():
         assert _pinnable_manifest(json.loads(manifest.read_text())) + "\n" == expected.read_text()
