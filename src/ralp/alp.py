@@ -497,7 +497,6 @@ def build_fglp(
     bases: BasisSet,
     nu_samples: np.ndarray,
     prev: Optional[VfaWeights],
-    guide_tol: float = GUIDE_TOL,
 ) -> LpModel:
     """Self-guided model: Bellman rows plus V(s) >= V_prev(s) at each guide state.
 
@@ -514,13 +513,13 @@ def build_fglp(
     if len(guide) == 0:
         return falp
     prev_vals = vfa_values(bases.prefix(len(prev)), prev, guide)
-    # V(s; beta) >= prev - guide_tol stored as -V(s; beta) <= -(prev - guide_tol)
+    # V(s; beta) >= prev - GUIDE_TOL stored as -V(s; beta) <= -(prev - GUIDE_TOL)
     phi_g = features(bases, guide)
     guide_rows = -np.hstack([np.ones((len(guide), 1)), phi_g])
     return LpModel(
         objective=falp.objective,
         rows=np.vstack([falp.rows, guide_rows]),
-        rhs=np.concatenate([falp.rhs, -(prev_vals - guide_tol)]),
+        rhs=np.concatenate([falp.rhs, -(prev_vals - GUIDE_TOL)]),
     )
 
 

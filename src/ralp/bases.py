@@ -114,7 +114,7 @@ def sample_fourier(count: int, dim_state: int, sigma_range: Sequence[float], see
     Per entry the draw order is (sigma, q, omega), all from one stream, so a
     longer set sampled from the same seed starts with the same entries.
     """
-    lo, hi = float(sigma_range[0]), float(sigma_range[1])
+    lo, hi = map(float, sigma_range)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not 0.0 < lo <= hi:
@@ -179,20 +179,18 @@ def fixed_fourier(omegas: Sequence[Sequence[float]] | Sequence[float], dim_state
     )
 
 
-def features(basis_set: BasisSet, states: np.ndarray, eps: float = DEFAULT_STUMP_EPS) -> np.ndarray:
+def features(basis_set: BasisSet, states: np.ndarray) -> np.ndarray:
     """Feature matrix Phi with Phi[i, j] = basis_j(states[i]); states shape (n, d) or (d,).
 
     Stumps use the piecewise-linear sign surrogate: x/eps clipped to [-1, 1]
-    for x = s_q - omega.
+    for x = s_q - omega, with eps = ``DEFAULT_STUMP_EPS``.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.shape[1] != basis_set.dim_state:
         raise ValueError(f"state dimension {states.shape[1]} != {basis_set.dim_state}")
     if basis_set.kind == "fourier":
         return np.cos(states @ basis_set.omega.T + basis_set.q)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return np.clip((states[:, basis_set.q - 1] - basis_set.omega) / eps, -1.0, 1.0)
+    return np.clip((states[:, basis_set.q - 1] - basis_set.omega) / DEFAULT_STUMP_EPS, -1.0, 1.0)
 
 
 @dataclass(frozen=True)

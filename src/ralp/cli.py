@@ -41,8 +41,8 @@ import numpy as np
 from ralp import gjr as gjr_mod
 from ralp import policy as policy_mod
 from ralp import toy as toy_mod
-from ralp.alp import ScipyBackend, SolverError, grid_plan, vfa_values
-from ralp.bases import empty_stumps, sample_stumps
+from ralp.alp import ScipyBackend, SolverError, grid_plan, uniform_plan, vfa_values
+from ralp.bases import empty_stumps, fixed_fourier, sample_fourier, sample_stumps
 from ralp.loop import MODEL_FALP, MODEL_FGLP, LoopConfig, fluctuation_stats, run as run_loop
 from ralp.lower_bound import SaddleConfig
 from ralp.mdp import split_rng
@@ -66,6 +66,7 @@ TRACE_COLUMNS = [
 ]
 GJR_TRACE_COLUMNS = ["iteration", "lp_objective", "min_slack"]
 
+_PLAN_STREAM = 21
 _STUMP_SIGMA_STREAM = 41
 _GUIDE_STATES = 5000  # states sampled for the self-guiding rows of a gjr FGLP run
 
@@ -107,6 +108,17 @@ def _take(flat: dict, key: str, convert=int, default=...):
         return default if value is None else convert(value)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{key}: {err}") from None
+
+
+def _at_least(least: int):
+    """A ``_take`` conversion to an integer no smaller than ``least``."""
+
+    def convert(value) -> int:
+        if int(value) < least:
+            raise ValueError(f"expected an integer >= {least}, got {value!r}")
+        return int(value)
+
+    return convert
 
 
 def _given(flat: dict, prefix: str, **converts) -> dict:
@@ -162,30 +174,45 @@ def _make_run_dir(root: Path, label: str) -> Path:
 
 
 def _loop_config(flat: dict, mdp, seed: int, model: str) -> LoopConfig:
-    """A discounted run's loop settings, taken out of a flattened config."""
-    plan = None
+    """A discounted run's loop settings, row plan and basis set, taken out of a flattened config.
+
+    The rows are a grid or ``loop.num_constraints`` uniform pairs; the bases are
+    ``loop.fixed_omegas`` or Fourier bases drawn from ``loop.sigma_range``.  The
+    first half of each pair leaves the second unread, so a config that sets both
+    is rejected by the unknown-key rule.
+    """
     if "loop.grid.states" in flat or "loop.grid.actions" in flat:
         states = np.linspace(mdp.state_lo[0], mdp.state_hi[0], _take(flat, "loop.grid.states"))[:, None]
         actions = np.linspace(mdp.action_lo[0], mdp.action_hi[0], _take(flat, "loop.grid.actions"))[:, None]
         plan = grid_plan(states, actions)
+    else:
+        num_pairs = _take(flat, "loop.num_constraints", _at_least(1), 5000)
+        plan = uniform_plan(mdp, num_pairs, split_rng(seed, _PLAN_STREAM))
+    batch = _take(flat, "loop.batch", _at_least(1), 10)
+    max_bases = _take(flat, "loop.max_bases", _at_least(1), 200)
+    reach = -(-max_bases // batch) * batch  # the budget rounded up to whole batches
+    omegas = _take(flat, "loop.fixed_omegas", tuple, None)
+    if omegas is None:
+        sigma_range = _take(flat, "loop.sigma_range", tuple, (100.0, 1000.0))
+        bases = _build("loop.sigma_range", sample_fourier, reach, mdp.dim_state, sigma_range, seed)
+    elif len(omegas) < reach:
+        raise ConfigError(f"loop.fixed_omegas: max_bases {max_bases} in batches of {batch} needs {reach} entries, "
+                          f"got {len(omegas)}")
+    else:
+        bases = _build("loop.fixed_omegas", fixed_fourier, omegas[:reach], dim_state=mdp.dim_state)
     lb_method = _take(flat, "loop.lb_method", str, "saddle" if mdp.saddle_constants is not None else "expectation")
     if lb_method == "saddle" and mdp.saddle_constants is None:
         raise ConfigError("loop.lb_method: 'saddle' needs a problem with saddle constants (pic)")
     saddle = _given(flat, "lower_bound.", chains=int, chain_length=int, burn_in=int, proposal_frac=float)
     saddle.update(("lam", v) for v in _given(flat, "lower_bound.", **{"lambda": float}).values())  # SaddleConfig.lam
     return _build(
-        "loop", LoopConfig, model_kind=model, seed=seed, plan=plan, lb_method=lb_method,
-        batch=_take(flat, "loop.batch", int, 10),
+        "loop", LoopConfig, model_kind=model, seed=seed, plan=plan, bases=bases, lb_method=lb_method, batch=batch,
         tolerance=_take(flat, "loop.tolerance", float, 0.05),
-        max_bases=_take(flat, "loop.max_bases", int, 200),
         sim=_build("sim", SimConfig, rollout_seed=seed,
                    horizon=_take(flat, "sim.horizon", int, None) or default_horizon(mdp.gamma),
                    replications=_take(flat, "sim.replications", int, 200),
                    action_grid=_take(flat, "sim.action_grid", int, None) or mdp.action_grid),
-        num_constraints=_take(flat, "loop.num_constraints", int, 5000),  # unused with a grid
-        fixed_omegas=_take(flat, "loop.fixed_omegas", tuple, None),
         saddle=_build("lower_bound", SaddleConfig, seed=seed, **saddle),
-        **_given(flat, "loop.", sigma_range=tuple),
     )
 
 
@@ -221,7 +248,7 @@ def _read_discounted(cfg: dict, flat: dict, seed: int, model: str):
         from ralp import pic as pic_mod
 
         params = _build("problem", pic_mod.instance_from_table, int(cfg["problem"][4:]))
-        mdp = pic_mod.build_pic_mdp(params, demand_seed=seed, **_given(flat, "", demand_saa_size=int))
+        mdp = _build("config", pic_mod.build_pic_mdp, params, demand_seed=seed, **_given(flat, "", demand_saa_size=int))
     loop_config = _loop_config(flat, mdp, seed, model)
     backend = ScipyBackend(**_given(flat, "solver.", var_bound=float))
 
@@ -301,14 +328,14 @@ def _gjr_params(spec: dict, seed: int) -> gjr_mod.GjrParams:
 def _read_gjr(cfg: dict, flat: dict, seed: int, model: str):
     """Build the instance, stumps, initial pairs and search plan of a gjr run; returns the run."""
     params = _build("problem", _gjr_params, _gjr_spec(cfg["problem"]), seed)
-    num_bases = _take(flat, "gjr.num_bases", int, 20)
+    num_bases = _take(flat, "gjr.num_bases", _at_least(0), 20)
     sigma = float(split_rng(seed, _STUMP_SIGMA_STREAM).uniform(1.0, params.s_bar.max()))
     j = params.num_items
     bases = sample_stumps(num_bases, j, sigma, seed) if num_bases > 0 else empty_stumps(j)
-    init_pairs = gjr_mod.sample_gjr_pairs(params, _take(flat, "gjr.init_pairs", int, 200), split_rng(seed, 2))
+    init_pairs = gjr_mod.sample_gjr_pairs(params, _take(flat, "gjr.init_pairs", _at_least(1), 200), split_rng(seed, 2))
     search_plan = _given(flat, "gjr.", grid_per_dim=int, beam_width=int, action_grid=int)
     search = _build("gjr", gjr_mod.SearchPlan, **search_plan)
-    budget = _given(flat, "gjr.", max_cuts=int)
+    budget = _given(flat, "gjr.", max_cuts=_at_least(1))
     stages, k = _take(flat, "gjr.stages", int, 4000), _take(flat, "gjr.k", int, 4)
     if stages < 1 or k < 1:
         raise ConfigError(f"gjr: stages and k must be >= 1, got {stages} and {k}")
@@ -409,7 +436,7 @@ def run_experiment(config_path: str | Path, seed_override: int | None = None) ->
         print(f"cut budget exhausted: {err}", file=sys.stderr)
         code = 2
     except (ValueError, RuntimeError) as err:
-        # an MH chain that rejected every proposal, or a fixed basis list used up
+        # an MH chain that rejected every proposal, or a gjr lookahead with no feasible action
         print(f"error: {err}", file=sys.stderr)
         return 1, run_dir
     print(run_dir)

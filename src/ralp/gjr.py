@@ -196,10 +196,10 @@ class BiasApprox:
     def eta(self, usage_rates: np.ndarray) -> float:
         return float(self.eta_hat + self.beta1 @ usage_rates)
 
-    def bias(self, bases: BasisSet, states: np.ndarray, eps: float = DEFAULT_STUMP_EPS) -> np.ndarray:
+    def bias(self, bases: BasisSet, states: np.ndarray) -> np.ndarray:
         """u(s) = intercept - beta1 . s - beta2 . phi(s)."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        return self.intercept - states @ self.beta1 - features(bases, states, eps) @ self.beta2
+        return self.intercept - states @ self.beta1 - features(bases, states) @ self.beta2
 
 
 def build_avg_alp(
@@ -209,7 +209,6 @@ def build_avg_alp(
     actions: np.ndarray,
     prev: Optional[BiasApprox] = None,
     guide_states: Optional[np.ndarray] = None,
-    eps: float = DEFAULT_STUMP_EPS,
 ) -> LpModel:
     """LP over (eta_hat, intercept, beta1, beta2) maximizing eta_hat + beta1 . rates.
 
@@ -223,7 +222,7 @@ def build_avg_alp(
     j = p.num_items
     n_b = len(bases)
     num_vars = 2 + j + n_b
-    times, rhs, dphi = _step_terms(p, bases, states, actions, eps)
+    times, rhs, dphi = _step_terms(p, bases, states, actions)
     rows = np.zeros((len(states), num_vars))
     rows[:, 0] = times
     rows[:, 2 : 2 + j] = actions
@@ -233,11 +232,11 @@ def build_avg_alp(
         guide_states = np.atleast_2d(np.asarray(guide_states, dtype=float))
         if len(prev.beta2) > n_b:
             raise ValueError("previous solution uses more bases than the current set")
-        prev_bias = prev.bias(bases.prefix(len(prev.beta2)), guide_states, eps)
+        prev_bias = prev.bias(bases.prefix(len(prev.beta2)), guide_states)
         g_rows = np.zeros((len(guide_states), num_vars))
         g_rows[:, 1] = -1.0
         g_rows[:, 2 : 2 + j] = guide_states
-        g_rows[:, 2 + j :] = features(bases, guide_states, eps)
+        g_rows[:, 2 + j :] = features(bases, guide_states)
         rows = np.vstack([rows, g_rows])
         rhs = np.concatenate([rhs, -prev_bias])
 
@@ -248,11 +247,11 @@ def build_avg_alp(
 
 
 def _step_terms(
-    p: GjrParams, bases: BasisSet, states: np.ndarray, actions: np.ndarray, eps: float
+    p: GjrParams, bases: BasisSet, states: np.ndarray, actions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solution-free terms of the rows of (s, a) pairs: time T, cost c and phi(s') - phi(s)."""
     times, nxt, costs = gjr_step(p, states, actions)
-    return times, costs, features(bases, nxt, eps) - features(bases, states, eps)
+    return times, costs, features(bases, nxt) - features(bases, states)
 
 
 def _unpack(p: GjrParams, x: np.ndarray) -> BiasApprox:
@@ -291,12 +290,11 @@ def constraint_slack(
     sol: BiasApprox,
     states: np.ndarray,
     actions: np.ndarray,
-    eps: float = DEFAULT_STUMP_EPS,
 ) -> np.ndarray:
     """c(s,a) - eta_hat T - beta1 . a - beta2 . (phi(s') - phi(s)) per row."""
     states = np.atleast_2d(states)
     actions = np.atleast_2d(actions)
-    times, costs, dphi = _step_terms(p, bases, states, actions, eps)
+    times, costs, dphi = _step_terms(p, bases, states, actions)
     return _slack(sol, times, costs, actions, dphi)
 
 
@@ -340,9 +338,7 @@ class GridBranch:
             getattr(self, f).setflags(write=False)
 
 
-def separation_grid(
-    p: GjrParams, bases: BasisSet, search: SearchPlan = SearchPlan(), eps: float = DEFAULT_STUMP_EPS
-) -> list[GridBranch]:
+def separation_grid(p: GjrParams, bases: BasisSet, search: SearchPlan = SearchPlan()) -> list[GridBranch]:
     """The branches of ``separate`` that have a feasible grid point, in search order.
 
     Branches pair a stocked-out item (state face) with a replenishment
@@ -361,12 +357,12 @@ def separation_grid(
             if not mask.any():
                 continue
             states, actions = states[mask], actions[mask]
-            grid.append(GridBranch(face, states, actions, *_step_terms(p, bases, states, actions, eps)))
+            grid.append(GridBranch(face, states, actions, *_step_terms(p, bases, states, actions)))
     return grid
 
 
 def _line_minimum(
-    p: GjrParams, bases: BasisSet, sol: BiasApprox, s: np.ndarray, a: np.ndarray, k: int, on_state: bool, eps: float
+    p: GjrParams, bases: BasisSet, sol: BiasApprox, s: np.ndarray, a: np.ndarray, k: int, on_state: bool
 ) -> Optional[tuple[np.ndarray, np.ndarray, float]]:
     """Exact minimum of the slack along coordinate ``k`` of the state (or of the action).
 
@@ -391,7 +387,7 @@ def _line_minimum(
         c0, lo, hi = a[k], 0.0, p.s_bar[k] - a[k]
     else:  # a_k -> 0 leaves the branch's support: the nearest point inside it
         c0, lo, hi = s[k], 2.0 * FEAS_TOL, min(p.s_bar[k] - s[k], p.a_bar - (a.sum() - a[k]))
-    kinks = np.concatenate([bases.omega - eps, bases.omega + eps])
+    kinks = np.concatenate([bases.omega - DEFAULT_STUMP_EPS, bases.omega + DEFAULT_STUMP_EPS])
     item = np.concatenate([bases.q, bases.q]) - 1
     own = item == k
     other = ~own
@@ -423,7 +419,7 @@ def _line_minimum(
     if len(x) == 0:
         return None
     states, actions = points(x)
-    slack = constraint_slack(p, bases, sol, states, actions, eps)
+    slack = constraint_slack(p, bases, sol, states, actions)
     h = p.holding[k]
     if not on_state and h > 0.0 and len(x) > 1:
         # between candidates the slack is linear + h (2 s_k x + x^2) / (2 r_k)
@@ -432,13 +428,13 @@ def _line_minimum(
         inner = (x_flat > x[:-1]) & (x_flat < x[1:])
         if inner.any():
             more_states, more_actions = points(x_flat[inner])
-            slack = np.concatenate([slack, constraint_slack(p, bases, sol, more_states, more_actions, eps)])
+            slack = np.concatenate([slack, constraint_slack(p, bases, sol, more_states, more_actions)])
             states, actions = np.vstack([states, more_states]), np.vstack([actions, more_actions])
     i = int(np.argmin(slack))
     return states[i], actions[i], float(slack[i])
 
 
-def _refine_point(p, bases, sol, s, a, best, face, eps) -> tuple[np.ndarray, np.ndarray, float]:
+def _refine_point(p, bases, sol, s, a, best, face) -> tuple[np.ndarray, np.ndarray, float]:
     """Coordinate descent on the slack from a grid point with slack ``best``, staying in the branch.
 
     Each coordinate line is minimized exactly by ``_line_minimum``; a move is
@@ -448,7 +444,7 @@ def _refine_point(p, bases, sol, s, a, best, face, eps) -> tuple[np.ndarray, np.
         improved = False
         for k in range(p.num_items):
             for on_state in (True, False) if k != face else (False,):
-                found = _line_minimum(p, bases, sol, s, a, k, on_state, eps)
+                found = _line_minimum(p, bases, sol, s, a, k, on_state)
                 if found is not None and found[2] < best - 1e-12:
                     s, a, best = found
                     improved = True
@@ -462,7 +458,6 @@ def separate(
     bases: BasisSet,
     sol: BiasApprox,
     search: SearchPlan = SearchPlan(),
-    eps: float = DEFAULT_STUMP_EPS,
     grid: Optional[list[GridBranch]] = None,
 ) -> SeparationResult:
     """Most violated constraint found by support enumeration, a grid and exact line search.
@@ -476,12 +471,12 @@ def separate(
     if bases.kind != "stump":
         raise ValueError(f"separation needs stump bases, got {bases.kind!r}")
     if grid is None:
-        grid = separation_grid(p, bases, search, eps)
+        grid = separation_grid(p, bases, search)
     best: Optional[tuple[np.ndarray, np.ndarray, float]] = None
     for b in grid:
         slacks = _slack(sol, b.times, b.costs, b.actions, b.dphi)
         idx = int(np.argmin(slacks))
-        s_r, a_r, v_r = _refine_point(p, bases, sol, b.states[idx], b.actions[idx], float(slacks[idx]), b.face, eps)
+        s_r, a_r, v_r = _refine_point(p, bases, sol, b.states[idx], b.actions[idx], float(slacks[idx]), b.face)
         if best is None or v_r < best[2]:
             best = (s_r, a_r, v_r)
     if best is None:
@@ -551,7 +546,6 @@ def constraint_generation(
     guide_states: Optional[np.ndarray] = None,
     search: SearchPlan = SearchPlan(),
     max_cuts: int = 500,
-    eps: float = DEFAULT_STUMP_EPS,
     seed: int = 0,
 ) -> CutLoopResult:
     """Solve, separate, append the violated pair, repeat until feasible.
@@ -570,20 +564,20 @@ def constraint_generation(
     rng = split_rng(seed, _PAIR_STREAM)
     trace: list[tuple[int, float, float]] = []
     start = time.perf_counter()
-    grid = separation_grid(p, bases, search, eps)
+    grid = separation_grid(p, bases, search)
     separate_s = time.perf_counter() - start
     lp_s = 0.0
     lp_iterations = 0
     for iteration in range(max_cuts):
         start = time.perf_counter()
-        model = build_avg_alp(p, bases, states, actions, prev, guide_states, eps)
+        model = build_avg_alp(p, bases, states, actions, prev, guide_states)
         lp_sol = backend.solve(model)
         lp_iterations += lp_sol.iterations
         while lp_sol.status == "unbounded":
             more_states, more_actions = sample_gjr_pairs(p, 200, rng)
             states = np.vstack([states, more_states])
             actions = np.vstack([actions, more_actions])
-            model = build_avg_alp(p, bases, states, actions, prev, guide_states, eps)
+            model = build_avg_alp(p, bases, states, actions, prev, guide_states)
             lp_sol = backend.solve(model)
             lp_iterations += lp_sol.iterations
         if lp_sol.status != "optimal":
@@ -591,7 +585,7 @@ def constraint_generation(
         sol = _unpack(p, lp_sol.x)
         lp_s += time.perf_counter() - start
         start = time.perf_counter()
-        sep = separate(p, bases, sol, search, eps, grid)
+        sep = separate(p, bases, sol, search, grid)
         separate_s += time.perf_counter() - start
         trace.append((iteration, float(lp_sol.objective), float(sep.slack)))
         if sep.status == "feasible":
@@ -620,7 +614,6 @@ def k_step_greedy(
     s,
     k: int,
     search: SearchPlan = SearchPlan(),
-    eps: float = DEFAULT_STUMP_EPS,
 ) -> np.ndarray:
     """First action of the K-step lookahead minimizing sum(c - eta T) + u(s_K).
 
@@ -661,7 +654,7 @@ def k_step_greedy(
             keep = np.argpartition(costs, search.beam_width)[: search.beam_width]
             keep = keep[np.argsort(costs[keep], kind="stable")]
             costs, states, first = costs[keep], states[keep], first[keep]
-    total = costs + sol.bias(bases, states, eps)
+    total = costs + sol.bias(bases, states)
     # a copy: a view would keep every candidate alive for as long as the caller holds the action
     return first_actions[first[int(np.argmin(total))]].copy()
 
@@ -673,13 +666,11 @@ def simulate_average_cost(
     stages: int,
     k: int,
     search: SearchPlan = SearchPlan(),
-    start=None,
-    eps: float = DEFAULT_STUMP_EPS,
 ) -> float:
-    """Long-run cost per unit time of the K-step greedy policy from a fixed start."""
+    """Long-run cost per unit time of the K-step greedy policy from the empty state."""
     if stages < 1:
         raise ValueError("stages must be >= 1")
-    s = np.zeros(p.num_items) if start is None else np.asarray(start, dtype=float)
+    s = np.zeros(p.num_items)
     total_cost = 0.0
     total_time = 0.0
     # deterministic dynamics revisit states exactly, so whole steps are memoizable:
@@ -689,7 +680,7 @@ def simulate_average_cost(
         key = s.tobytes()
         step = steps.get(key)
         if step is None:
-            a = k_step_greedy(p, bases, sol, s, k, search, eps)
+            a = k_step_greedy(p, bases, sol, s, k, search)
             if not feasible(p, s, a):
                 raise InfeasiblePairError(f"action {a} infeasible at state {s}")
             t, nxt, cost = gjr_step(p, s, a)

@@ -1,13 +1,13 @@
 """Iterative basis generation: sample a batch, solve the LP, evaluate bounds.
 
-Each iteration extends the basis set by ``batch`` entries, solves the chosen
-model (standard or self-guided), simulates the greedy policy cost, computes a
-lower bound, updates the incumbent bound-holders only on improvement, and
-stops once the optimality gap 1 - LB/PC drops to the tolerance or the basis
-budget is exhausted.
+Iteration k solves the chosen model (standard or self-guided) on the first
+k * ``batch`` entries of the run's basis set, simulates the greedy policy
+cost, computes a lower bound, updates the incumbent bound-holders only on
+improvement, and stops once the optimality gap 1 - LB/PC drops to the
+tolerance or the basis set is used up.
 
-The constraint-sample plan is drawn once per run and reused across
-iterations so that iterates differ only through their basis sets.  Rollout
+The constraint-sample plan and the basis set are inputs, fixed for the run,
+so iterates differ only through the length of their basis prefix.  Rollout
 seeds are likewise fixed per run.
 """
 
@@ -29,10 +29,9 @@ from ralp.alp import (
     lb_expectation,
     nu_sample_set,
     prepare_plan,
-    uniform_plan,
     vfa_weights,
 )
-from ralp.bases import BasisSet, fixed_fourier, sample_fourier
+from ralp.bases import BasisSet
 from ralp.lower_bound import SaddleConfig
 from ralp.mdp import DiscountedMdp, split_rng
 from ralp.policy import SimConfig
@@ -40,7 +39,6 @@ from ralp.policy import SimConfig
 MODEL_FALP = "falp"
 MODEL_FGLP = "fglp"
 
-_PLAN_STREAM = 21
 _NU_STREAM = 22
 _CHI_STREAM = 23
 _NU_SAMPLE_SIZE = 10_000  # states in the objective's and the lower bound's sample sets
@@ -50,28 +48,25 @@ _NU_SAMPLE_SIZE = 10_000  # states in the objective's and the lower bound's samp
 class LoopConfig:
     batch: int
     tolerance: float
-    max_bases: int
     model_kind: str
     seed: int
     sim: SimConfig
-    num_constraints: Optional[int] = None  # ignored when an explicit plan is given
-    plan: Optional[ConstraintSamplePlan] = None
-    sigma_range: tuple[float, float] = (100.0, 1000.0)
-    fixed_omegas: Optional[tuple[float, ...]] = None  # overrides sampling (1-D problems)
+    plan: ConstraintSamplePlan  # the Bellman rows of every iteration
+    bases: BasisSet  # iteration k solves on the first k * batch entries
     lb_method: str = "expectation"  # "expectation" | "saddle"
     saddle: Optional[SaddleConfig] = None
 
     def __post_init__(self):
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
+        if len(self.bases) == 0 or len(self.bases) % self.batch:
+            raise ValueError(f"need a positive multiple of batch {self.batch} bases, got {len(self.bases)}")
         if not 0.0 < self.tolerance <= 1.0:
             raise ValueError("tolerance must be in (0, 1]")
         if self.model_kind not in (MODEL_FALP, MODEL_FGLP):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if self.lb_method not in ("expectation", "saddle"):
             raise ValueError(f"unknown lb method {self.lb_method!r}")
-        if self.plan is None and self.num_constraints is None:
-            raise ValueError("either an explicit plan or num_constraints is required")
 
 
 @dataclass(frozen=True)
@@ -107,21 +102,12 @@ class RunResult:
     iterate_weights: list[VfaWeights]
 
 
-def _basis_prefix(config: LoopConfig, mdp: DiscountedMdp, count: int) -> BasisSet:
-    if config.fixed_omegas is not None:
-        if count > len(config.fixed_omegas):
-            raise ValueError("fixed basis list exhausted before reaching max_bases")
-        return fixed_fourier(config.fixed_omegas[:count], dim_state=mdp.dim_state)
-    return sample_fourier(count, mdp.dim_state, config.sigma_range, config.seed)
-
-
 def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunResult:
     """Execute the loop; returns the full per-iteration trace.
 
     A failed LP raises ``SolverError`` carrying the records of the finished
     iterations.
     """
-    rng_plan = split_rng(config.seed, _PLAN_STREAM)
     rng_nu = split_rng(config.seed, _NU_STREAM)
     nu_samples = nu_sample_set(mdp.state_relevance, _NU_SAMPLE_SIZE, rng_nu)
     if mdp.initial_dist is mdp.state_relevance:
@@ -129,8 +115,7 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
     else:
         chi_samples = nu_sample_set(mdp.initial_dist, _NU_SAMPLE_SIZE, split_rng(config.seed, _CHI_STREAM))
 
-    plan = config.plan if config.plan is not None else uniform_plan(mdp, config.num_constraints, rng_plan)
-    prepared = prepare_plan(mdp, plan)
+    prepared = prepare_plan(mdp, config.plan)
 
     records: list[IterationRecord] = []
     iterate_weights: list[VfaWeights] = []
@@ -140,14 +125,13 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
     incumbent_lb_bases = 0
     incumbent_pc_bases = 0
     pc_weights = VfaWeights.zero(0)
-    bases: Optional[BasisSet] = None
     num_bases = 0
     converged = False
     started = time.monotonic()
 
     while True:
         num_bases += config.batch
-        bases = _basis_prefix(config, mdp, num_bases)
+        bases = config.bases.prefix(num_bases)
         t_build = time.monotonic()
         if config.model_kind == MODEL_FGLP:
             model = build_fglp(prepared, bases, nu_samples, prev_weights)
@@ -170,7 +154,7 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
         if config.lb_method == "saddle":
             consts = _saddle_constants(mdp, weights)
             saddle_cfg = config.saddle if config.saddle is not None else SaddleConfig(seed=config.seed)
-            est = lb_mod.estimate_lower_bound(mdp, bases, weights, saddle_cfg, consts)
+            est = lb_mod.estimate_lower_bound(mdp, bases, weights, saddle_cfg, consts, lb_exp)
             lb_saddle = est.bound
             lb_saddle_stderr = est.stderr
             saddle_acceptance = est.acceptance_rates
@@ -226,7 +210,7 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
         if tau_star <= config.tolerance:
             converged = True
             break
-        if num_bases >= config.max_bases:
+        if num_bases == len(config.bases):
             break
 
     return RunResult(
@@ -234,7 +218,7 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
         bases=bases,
         pc_weights=pc_weights,
         converged=converged,
-        plan=plan,
+        plan=config.plan,
         iterate_weights=iterate_weights,
     )
 

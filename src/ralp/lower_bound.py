@@ -89,20 +89,6 @@ class LowerBoundEstimate:
     acceptance_rates: tuple[float, ...]
 
 
-def chi_value(
-    mdp: DiscountedMdp,
-    bases: BasisSet,
-    w: VfaWeights,
-    chi_samples: Optional[np.ndarray] = None,
-) -> float:
-    """E_chi[V]; exact at a degenerate atom, SAA otherwise."""
-    if chi_samples is None:
-        if mdp.initial_dist.atom is None:
-            raise ValueError("chi_samples required for a non-degenerate initial distribution")
-        chi_samples = np.atleast_2d(mdp.initial_dist.atom)
-    return float(vfa_values(bases, w, np.atleast_2d(chi_samples)).mean())
-
-
 def _bellman_terms(mdp, bases, w):
     """``terms(states, actions) -> (V(s), E[V(s') | s, a])``, each (m,), on a kernel built once."""
     expect = expected_successor_phases(mdp, bases)
@@ -130,9 +116,12 @@ def estimate_lower_bound(
     w: VfaWeights,
     cfg: SaddleConfig,
     consts: LipschitzConstants,
-    chi_samples: Optional[np.ndarray] = None,
+    e_chi: float,
 ) -> LowerBoundEstimate:
     """MH estimate of E_Y[y] plus the analytic correction term.
+
+    ``e_chi`` is E_chi[V] of the weights ``w``, as ``alp.lb_expectation``
+    computes it.
 
     Chains start at independent uniform draws over the state-action box and
     move by componentwise Gaussian steps reflected at the boundaries.  The
@@ -155,7 +144,6 @@ def estimate_lower_bound(
     d = len(lo)
     ds = mdp.dim_state
     chains, length = cfg.chains, cfg.chain_length
-    e_chi = chi_value(mdp, bases, w, chi_samples)
     terms = _bellman_terms(mdp, bases, w)
 
     def evaluate(points):

@@ -285,6 +285,8 @@ def pic_constants(p: PicParams, w: VfaWeights) -> LipschitzConstants:
 
 def build_pic_mdp(p: PicParams, demand_saa_size: int = DEMAND_SAA_SIZE, demand_seed: int = 0) -> DiscountedMdp:
     """Assemble the MDP with a fixed demand SAA set shared by every expectation."""
+    if demand_saa_size < 1:
+        raise ValueError(f"demand_saa_size must be >= 1, got {demand_saa_size}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((demand_seed, 7))))
     demand_set = sample_demand(p, rng, demand_saa_size)
     chi = degenerate(INITIAL_STATE)

@@ -48,9 +48,9 @@ class PolicyCostEstimate:
     tail_weight: float
 
 
-def default_horizon(gamma: float, tail: float = 1e-3) -> int:
-    """Smallest H with gamma^H <= tail."""
-    return int(math.ceil(math.log(tail) / math.log(gamma)))
+def default_horizon(gamma: float) -> int:
+    """Smallest H with gamma^H <= 1e-3."""
+    return int(math.ceil(math.log(1e-3) / math.log(gamma)))
 
 
 def action_grid_points(mdp: DiscountedMdp, grid: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from ralp.alp import (
     vfa_values,
     vfa_weights,
 )
-from ralp.bases import BasisSet, DEFAULT_STUMP_EPS
+from ralp.bases import BasisSet
 from ralp.mdp import DiscountedMdp, InfeasiblePairError, batch_expected_costs, batch_next_states, split_rng
 
 TOY_STATES = np.linspace(0.0, 1.0, 1001)[:, None]
@@ -83,7 +83,7 @@ def reference_gjr_step(p: GjrParams, states, actions) -> tuple[np.ndarray, np.nd
     return time, successor, cost
 
 
-def reference_k_step_greedy(p, bases, sol, s, k, search, eps=DEFAULT_STUMP_EPS) -> np.ndarray:
+def reference_k_step_greedy(p, bases, sol, s, k, search) -> np.ndarray:
     """``gjr.k_step_greedy`` on the reference kernels, gathering candidate and first-step action rows."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -108,7 +108,7 @@ def reference_k_step_greedy(p, bases, sol, s, k, search, eps=DEFAULT_STUMP_EPS) 
             keep = np.argpartition(costs, search.beam_width)[: search.beam_width]
             keep = keep[np.argsort(costs[keep], kind="stable")]
             costs, states, firsts = costs[keep], states[keep], firsts[keep]
-    total = costs + sol.bias(bases, states, eps)
+    total = costs + sol.bias(bases, states)
     # a copy: a view would keep every candidate alive for as long as the caller holds the action
     return firsts[int(np.argmin(total))].copy()
 

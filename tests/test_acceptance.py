@@ -21,6 +21,7 @@ from ralp.alp import (
     grid_plan,
     nu_sample_set,
     prepare_plan,
+    uniform_plan,
     vfa_values,
 )
 from ralp.bases import BoundConstants, falp_sample_bound, fixed_fourier, sample_fourier, sample_stumps
@@ -117,12 +118,11 @@ def test_criterion_04_fglp_monotone_chain(toy_mdp):
         cfg = LoopConfig(
             batch=2,
             tolerance=1e-9,
-            max_bases=20,  # 10 iterations at B = 2
             model_kind="fglp",
             seed=seed,
             sim=SimConfig(horizon=66, replications=250, action_grid=101, rollout_seed=seed),
             plan=grid_plan(TOY_STATES, TOY_ACTIONS),
-            sigma_range=(0.2, 1.0),
+            bases=sample_fourier(20, 1, (0.2, 1.0), seed),  # 10 iterations at B = 2
         )
         result = run_loop(toy_mdp, cfg, backend)
         iterations += len(result.records)
@@ -194,12 +194,11 @@ def pic_desk_runs(backend):
             cfg = LoopConfig(
                 batch=10,
                 tolerance=1e-6,  # run the full basis budget
-                max_bases=50,
                 model_kind=model,
                 seed=seed,
                 sim=SimConfig(horizon=183, replications=16, action_grid=11, rollout_seed=seed),
-                num_constraints=5000,
-                sigma_range=(100.0, 1000.0),
+                plan=uniform_plan(mdp, 5000, split_rng(seed, 21)),
+                bases=sample_fourier(50, mdp.dim_state, (100.0, 1000.0), seed),
                 lb_method="saddle" if model == "falp" else "expectation",
                 saddle=SaddleConfig(seed=seed),
             )

@@ -79,3 +79,65 @@ def test_every_public_definition_is_referenced():
     assert unused == [], "public definitions that no module of src/ralp references"
     # an allowed name must still be defined and still be unreferenced
     assert set(ALLOWED) <= {name for _, name, _, used in definitions if not used}
+
+
+# (function, parameter) -> why its default may be the only value src/ralp passes
+DEFAULT_ONLY = {
+    ("simulate_policy_cost", "policy"): "tests price fixed reference policies against the greedy one",
+    ("estimate_visit_frequency", "policy"): "tests take the occupancy of fixed reference policies",
+    ("main", "argv"): "the console script passes sys.argv; tests pass an argument list",
+    ("fourier_omega_const", "lipschitz"): "sampling-guarantee helper, waits for the convergence criterion (ROADMAP item 8)",
+}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(callee name, parameter, positional index or None) of each parameter with a default.
+
+    Covers module-level functions and the methods of module-level classes; a
+    method's index skips ``self``, and ``__init__`` is called by its class name.
+    """
+    functions = [(node, node.name, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        functions += [(item, cls.name if item.name == "__init__" else item.name, 1)
+                      for item in cls.body if isinstance(item, ast.FunctionDef)]
+    for fn, name, skip in functions:
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            yield name, arg.arg, index - skip
+        yield from ((name, arg.arg, None) for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None)
+
+
+def _passes(call: ast.Call, param: str, index) -> bool:
+    """Whether ``call`` may set ``param``: by keyword, by position, or through ``*`` / ``**`` expansion."""
+    keywords = {k.arg for k in call.keywords}  # None for a ** expansion
+    if param in keywords or None in keywords:
+        return True
+    return index is not None and (len(call.args) > index or any(isinstance(x, ast.Starred) for x in call.args))
+
+
+def _calls(tree: ast.Module):
+    """(callee name, call) of each call in a module.
+
+    A name handed to a call, as ``partial(f, x)`` or ``_build(section, f, x)``
+    hand ``f``, counts as called with the arguments after it and every keyword.
+    """
+    for node in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        for i, func in enumerate([node.func, *node.args]):
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            yield name, node if i == 0 else ast.Call(func=func, args=node.args[i:], keywords=node.keywords)
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a parameter that no call of src/ralp sets is a knob that only its default reaches
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    calls: dict[str, list[ast.Call]] = {}
+    for name, call in (c for tree in trees for c in _calls(tree)):
+        calls.setdefault(name, []).append(call)
+    defaulted = [d for tree in trees for d in _defaulted_parameters(tree)]
+    unpassed = {(name, param) for name, param, index in defaulted
+                if not any(_passes(call, param, index) for call in calls.get(name, []))}
+    assert sorted(unpassed - set(DEFAULT_ONLY)) == [], "parameters whose default is the only value src/ralp passes"
+    # an allowed parameter must still exist and still be unpassed
+    assert set(DEFAULT_ONLY) <= unpassed

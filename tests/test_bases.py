@@ -100,21 +100,17 @@ class TestEvaluation:
 
     def test_stump_surrogate_values(self):
         b = _stump(q_index=1, omega=0.0, sigma=1.0)
-        assert features(b, [0.5], eps=0.01)[0, 0] == 1.0
-        assert features(b, [0.0], eps=0.01)[0, 0] == 0.0
-        assert features(b, [0.005], eps=0.01)[0, 0] == 0.5
-        assert features(b, [-0.5], eps=0.01)[0, 0] == -1.0
-
-    def test_stump_eps_validation(self):
-        with pytest.raises(ValueError):
-            features(_stump(1, 0.0, 1.0), [0.5], eps=0.0)
+        assert features(b, [0.5])[0, 0] == 1.0
+        assert features(b, [0.0])[0, 0] == 0.0
+        assert features(b, [0.005])[0, 0] == 0.5
+        assert features(b, [-0.5])[0, 0] == -1.0
 
     @given(st.floats(-5.0, 5.0))
     @settings(max_examples=200, deadline=None)
     def test_stump_matches_sign_outside_band(self, x):
         b = _stump(q_index=1, omega=0.0, sigma=5.0)
         if abs(x) > 0.01:
-            assert features(b, [x], eps=0.01)[0, 0] == np.sign(x)
+            assert features(b, [x])[0, 0] == np.sign(x)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
@@ -125,7 +121,7 @@ class TestEvaluation:
 
     def test_stump_selects_its_coordinate(self):
         # the second coordinate, 1-based, against threshold 0.5
-        phi = features(_stump(q_index=2, omega=0.5, sigma=1.0, dim_state=3), [[9.0, 0.505, -9.0]], eps=0.01)
+        phi = features(_stump(q_index=2, omega=0.5, sigma=1.0, dim_state=3), [[9.0, 0.505, -9.0]])
         assert phi[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_fixed_fourier_matches_scalar_form(self):

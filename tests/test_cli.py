@@ -401,6 +401,16 @@ _REJECTED_CONFIGS = {
     "misspelt_gjr_spec_key": ("gjr2", {"problem": _gjr_problem(itmes=3, scheme="constant", z=100)},
                               "problem: unknown key 'itmes'"),
     "removed_guide_states": ("gjr2", {"gjr.guide_states": 100}, "unknown key 'gjr.guide_states'"),
+    # toy.json runs 3 bases in batches of 1
+    "fixed_omegas_short_of_budget": ("toy", {"loop.fixed_omegas": [2.0]}, "needs 3 entries, got 1"),
+    "sigma_range_not_numeric": ("pic1", {"loop.sigma_range": ["a", "b"]}, "loop.sigma_range"),
+    # a key of the other half of an either/or pair is left unread
+    "num_constraints_beside_grid": ("toy", {"loop.num_constraints": 100}, "unknown key 'loop.num_constraints'"),
+    "sigma_range_beside_fixed_omegas": ("toy", {"loop.sigma_range": [1, 10]}, "unknown key 'loop.sigma_range'"),
+    "zero_demand_saa_size": ("pic1", {"demand_saa_size": 0}, "demand_saa_size must be >= 1"),
+    "negative_num_bases": ("gjr2", {"gjr.num_bases": -3}, "gjr.num_bases: expected an integer >= 0"),
+    "zero_max_cuts": ("gjr2", {"gjr.max_cuts": 0}, "gjr.max_cuts: expected an integer >= 1"),
+    "zero_init_pairs": ("gjr2", {"gjr.init_pairs": 0}, "gjr.init_pairs: expected an integer >= 1"),
 }
 
 

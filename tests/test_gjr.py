@@ -5,7 +5,7 @@ import pytest
 
 from ralp import gjr
 from ralp.alp import LpModel, ScipyBackend
-from ralp.bases import DEFAULT_STUMP_EPS, empty_stumps, sample_fourier, sample_stumps
+from ralp.bases import empty_stumps, sample_fourier, sample_stumps
 from ralp.mdp import InfeasiblePairError, split_rng
 from tests.conftest import reference_feasible, reference_gjr_step, reference_k_step_greedy
 
@@ -417,7 +417,7 @@ class TestLineMinimum:
             for s, a in zip(*starts):
                 for k in range(j):
                     for on_state in (True, False):
-                        found = gjr._line_minimum(p, bases, sol, s, a, k, on_state, DEFAULT_STUMP_EPS)
+                        found = gjr._line_minimum(p, bases, sol, s, a, k, on_state)
                         scan = _scan_line(p, bases, sol, s, a, k, on_state)
                         if found is None:
                             assert scan == np.inf

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ralp import loop, toy
-from ralp.alp import LpModel, LpSolution, ScipyBackend, SolverError, grid_plan, vfa_values
+from ralp.alp import LpModel, LpSolution, ScipyBackend, SolverError, grid_plan, uniform_plan, vfa_values
+from ralp.bases import fixed_fourier, sample_fourier
 from ralp.loop import FluctuationStats, IterationRecord, LoopConfig, fluctuation_stats, run
+from ralp.mdp import split_rng
 from ralp.policy import SimConfig
 from tests.conftest import TOY_ACTIONS, TOY_STATES
 
@@ -13,16 +15,15 @@ from tests.conftest import TOY_ACTIONS, TOY_STATES
 # seed 6 reproduces the reference third-iteration policy flip in scenario 2;
 # the competing VFA minima are nearly tied, so the sampled state-relevance
 # estimate decides which LP vertex is optimal
-def _toy_config(thetas, batch=1, tolerance=0.01, max_bases=None, model="falp", seed=6, reps=400):
+def _toy_config(thetas, batch=1, tolerance=0.01, model="falp", seed=6, reps=400):
     return LoopConfig(
         batch=batch,
         tolerance=tolerance,
-        max_bases=max_bases if max_bases is not None else len(thetas),
         model_kind=model,
         seed=seed,
         sim=SimConfig(horizon=66, replications=reps, action_grid=101, rollout_seed=seed),
         plan=grid_plan(TOY_STATES, TOY_ACTIONS),
-        fixed_omegas=tuple(thetas),
+        bases=fixed_fourier(thetas),
     )
 
 
@@ -38,7 +39,7 @@ def scenario2(backend, toy_mdp):
 
 class TestAlgorithmLoop:
     def test_tolerance_one_stops_after_first_iteration(self, toy_mdp, backend):
-        cfg = _toy_config((2.0, -5.0), tolerance=1.0, max_bases=2)
+        cfg = _toy_config((2.0, -5.0), tolerance=1.0)
         result = run(toy_mdp, cfg, backend)
         assert len(result.records) == 1
         assert result.converged
@@ -81,7 +82,7 @@ class TestAlgorithmLoop:
             assert (a.lb, a.pc, a.pc_stderr, a.tau_star) == (b.lb, b.pc, b.pc_stderr, b.tau_star)
 
     def test_max_bases_cap_reported(self, toy_mdp, backend):
-        cfg = _toy_config((2.0, -5.0), tolerance=0.001, max_bases=2)
+        cfg = _toy_config((2.0, -5.0), tolerance=0.001)
         result = run(toy_mdp, cfg, backend)
         assert not result.converged
         assert result.records[-1].num_bases == 2
@@ -97,7 +98,7 @@ class TestAlgorithmLoop:
                     return LpSolution(status="numeric", x=None, objective=None, max_violation=None)
                 return ScipyBackend().solve(model)
 
-        cfg = _toy_config((2.0, -5.0), tolerance=0.001, max_bases=2, reps=50)
+        cfg = _toy_config((2.0, -5.0), tolerance=0.001, reps=50)
         with pytest.raises(SolverError) as err:
             run(toy_mdp, cfg, FailingBackend())
         assert len(err.value.trace) == 1
@@ -106,12 +107,11 @@ class TestAlgorithmLoop:
         cfg = LoopConfig(
             batch=2,
             tolerance=0.01,
-            max_bases=10,
             model_kind="fglp",
             seed=31,
             sim=SimConfig(horizon=66, replications=100, action_grid=101, rollout_seed=31),
-            num_constraints=2000,
-            sigma_range=(0.2, 1.0),
+            plan=uniform_plan(toy_mdp, 2000, split_rng(31, 21)),
+            bases=sample_fourier(10, 1, (0.2, 1.0), 31),
         )
         result = run(toy_mdp, cfg, backend)
         assert len(result.records) == 5
@@ -170,11 +170,16 @@ def _rec(i, pc):
 class TestLoopConfigValidation:
     def test_bad_values(self):
         sim = SimConfig(horizon=10, replications=5, action_grid=11, rollout_seed=0)
+        fields = dict(model_kind="falp", seed=0, sim=sim, plan=grid_plan(TOY_STATES, TOY_ACTIONS))
+        bases = fixed_fourier([2.0, -5.0, 3.0, 4.0])
         with pytest.raises(ValueError):
-            LoopConfig(batch=0, tolerance=0.1, max_bases=5, model_kind="falp", seed=0, sim=sim, num_constraints=10)
+            LoopConfig(**fields, batch=0, tolerance=0.1, bases=bases)
         with pytest.raises(ValueError):
-            LoopConfig(batch=1, tolerance=0.0, max_bases=5, model_kind="falp", seed=0, sim=sim, num_constraints=10)
+            LoopConfig(**fields, batch=1, tolerance=0.0, bases=bases)
         with pytest.raises(ValueError):
-            LoopConfig(batch=1, tolerance=0.1, max_bases=5, model_kind="elp", seed=0, sim=sim, num_constraints=10)
-        with pytest.raises(ValueError):
-            LoopConfig(batch=1, tolerance=0.1, max_bases=5, model_kind="falp", seed=0, sim=sim)
+            LoopConfig(**{**fields, "model_kind": "elp"}, batch=1, tolerance=0.1, bases=bases)
+        # the last batch would run past the end of the basis set
+        with pytest.raises(ValueError, match="multiple of batch 3"):
+            LoopConfig(**fields, batch=3, tolerance=0.1, bases=bases)
+        with pytest.raises(ValueError, match="multiple of batch 1"):
+            LoopConfig(**fields, batch=1, tolerance=0.1, bases=bases[:0])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ralp import pic, policy, toy
-from ralp.alp import VfaWeights, build_falp, padded_rows
+from ralp.alp import VfaWeights, build_falp, lb_expectation, padded_rows
 from ralp.bases import empty_stumps, fixed_fourier, sample_fourier
 from ralp import lower_bound as lb_mod
 from ralp.lower_bound import (
@@ -53,14 +53,20 @@ def toy_vfa(toy_grid_prepared, toy_nu_samples, backend):
     return bases, w, consts
 
 
-def _reference_mh(mdp, bases, w, cfg, consts, chi_samples=None):
+def _e_chi(mdp, bases, w, chi_samples=None):
+    """E_chi[V] over ``chi_samples``, by default the atom of a degenerate initial distribution."""
+    if chi_samples is None:
+        chi_samples = np.atleast_2d(mdp.initial_dist.atom)
+    return lb_expectation(bases, w, chi_samples)
+
+
+def _reference_mh(mdp, bases, w, cfg, consts, e_chi):
     """The step-by-step Metropolis-Hastings loop: one ``_y_batch`` call per step."""
     lam = cfg.lam if cfg.lam is not None else consts.default_lam()
     lo = np.concatenate([mdp.state_lo, mdp.action_lo])
     hi = np.concatenate([mdp.state_hi, mdp.action_hi])
     step = cfg.proposal_frac * (hi - lo)
     d, ds = len(lo), mdp.dim_state
-    e_chi = lb_mod.chi_value(mdp, bases, w, chi_samples)
     terms = lb_mod._bellman_terms(mdp, bases, w)
     rngs = [split_rng(cfg.seed, 211, c) for c in range(cfg.chains)]
     x = np.stack([lo + (hi - lo) * rngs[c].random(d) for c in range(cfg.chains)])
@@ -92,7 +98,7 @@ def _reference_mh(mdp, bases, w, cfg, consts, chi_samples=None):
 
 def _y(mdp, bases, w, states, actions, chi_samples=None):
     """y per (state, action) row, as the MH chains evaluate it."""
-    e_chi = lb_mod.chi_value(mdp, bases, w, chi_samples)
+    e_chi = _e_chi(mdp, bases, w, chi_samples)
     terms = lb_mod._bellman_terms(mdp, bases, w)
     return lb_mod._y_batch(mdp, terms, np.array(states, dtype=float), np.array(actions, dtype=float), e_chi)
 
@@ -163,9 +169,8 @@ class TestEstimator:
         )
         consts = LipschitzConstants(l_c=1.0, l_y=1.0, big_lambda=-5.0, d_sa=2, radius=0.5, diameter=2.0)
         cfg = SaddleConfig(chains=3, chain_length=50, burn_in=10, lam=0.5, seed=1)
-        est = estimate_lower_bound(
-            const_mdp, fixed_fourier([2.0]), VfaWeights.zero(1), cfg, consts, chi_samples=toy_nu_samples
-        )
+        bases, w = fixed_fourier([2.0]), VfaWeights.zero(1)
+        est = estimate_lower_bound(const_mdp, bases, w, cfg, consts, _e_chi(const_mdp, bases, w, toy_nu_samples))
         k = 0.7 / 0.1
         assert est.mean_y == pytest.approx(k, abs=1e-9)
         assert est.bound == pytest.approx(k + 0.5 * (-5.0 + 2 * math.log(0.5)), abs=1e-9)
@@ -175,22 +180,23 @@ class TestEstimator:
         # with constants valid for the VFA, the bound must sit below the optimal cost
         bases, w, consts = toy_vfa
         cfg = SaddleConfig(chains=6, chain_length=400, burn_in=200, seed=3)
-        est = estimate_lower_bound(toy_mdp, bases, w, cfg, consts, chi_samples=toy_nu_samples)
+        est = estimate_lower_bound(toy_mdp, bases, w, cfg, consts, _e_chi(toy_mdp, bases, w, toy_nu_samples))
         assert est.bound <= 0.25 / 0.91 + 1e-3
 
     def test_deterministic_given_seed(self, pic1_mdp):
         w = VfaWeights.zero(0)
         consts = pic_constants(pic.instance_from_table(1), w)
         cfg = SaddleConfig(chains=3, chain_length=100, burn_in=50, seed=5)
-        a = estimate_lower_bound(pic1_mdp, empty_stumps(3), w, cfg, consts)
-        b = estimate_lower_bound(pic1_mdp, empty_stumps(3), w, cfg, consts)
+        e_chi = _e_chi(pic1_mdp, empty_stumps(3), w)
+        a = estimate_lower_bound(pic1_mdp, empty_stumps(3), w, cfg, consts, e_chi)
+        b = estimate_lower_bound(pic1_mdp, empty_stumps(3), w, cfg, consts, e_chi)
         assert a.bound == b.bound and a.stderr == b.stderr
 
     def test_acceptance_rates_reported(self, pic1_mdp):
         w = VfaWeights.zero(0)
         consts = pic_constants(pic.instance_from_table(1), w)
         cfg = SaddleConfig(chains=4, chain_length=80, burn_in=40, seed=6)
-        est = estimate_lower_bound(pic1_mdp, empty_stumps(3), w, cfg, consts)
+        est = estimate_lower_bound(pic1_mdp, empty_stumps(3), w, cfg, consts, _e_chi(pic1_mdp, empty_stumps(3), w))
         assert len(est.acceptance_rates) == 4
         assert all(0.0 <= r <= 1.0 for r in est.acceptance_rates)
 
@@ -200,7 +206,7 @@ class TestEstimator:
         bases = empty_stumps(3)
         consts = pic_constants(pic.instance_from_table(1), w)
         cfg = SaddleConfig(chains=4, chain_length=400, burn_in=200, seed=7)
-        est = estimate_lower_bound(pic1_mdp, bases, w, cfg, consts)
+        est = estimate_lower_bound(pic1_mdp, bases, w, cfg, consts, _e_chi(pic1_mdp, bases, w))
         sim = policy.SimConfig(horizon=183, replications=12, action_grid=11, rollout_seed=7)
         pc = policy.simulate_policy_cost(pic1_mdp, bases, w, sim)
         assert est.bound <= pc.mean + 3.0 * (pc.stderr + est.stderr)
@@ -219,7 +225,7 @@ class TestEstimator:
         consts = pic_constants(pic.instance_from_table(1), w)
         cfg = SaddleConfig(chains=2, chain_length=20, burn_in=5, lam=1e-12, seed=8)
         with pytest.raises(RuntimeError, match="rejected"):
-            lb_mod.estimate_lower_bound(pic1_mdp, empty_stumps(3), w, cfg, consts)
+            lb_mod.estimate_lower_bound(pic1_mdp, empty_stumps(3), w, cfg, consts, _e_chi(pic1_mdp, empty_stumps(3), w))
 
 
 class TestSpeculativeBlocks:
@@ -230,8 +236,9 @@ class TestSpeculativeBlocks:
     def test_pic_equals_step_by_step(self, pic1_mdp, pic1_vfa, chains, length, burn_in):
         bases, w, consts = pic1_vfa
         cfg = SaddleConfig(chains=chains, chain_length=length, burn_in=burn_in, seed=12)
-        est = estimate_lower_bound(pic1_mdp, bases, w, cfg, consts)
-        ref = _reference_mh(pic1_mdp, bases, w, cfg, consts)
+        e_chi = _e_chi(pic1_mdp, bases, w)
+        est = estimate_lower_bound(pic1_mdp, bases, w, cfg, consts, e_chi)
+        ref = _reference_mh(pic1_mdp, bases, w, cfg, consts, e_chi)
         assert 0.0 < sum(ref.acceptance_rates) < chains  # chains both stay and move
         assert est == ref
 
@@ -239,9 +246,8 @@ class TestSpeculativeBlocks:
     def test_toy_vfa_equals_step_by_step(self, toy_mdp, toy_nu_samples, toy_vfa, chains):
         bases, w, consts = toy_vfa
         cfg = SaddleConfig(chains=chains, chain_length=150, burn_in=70, lam=0.3, proposal_frac=0.1, seed=2)
-        args = (toy_mdp, bases, w, cfg, consts)
-        est = estimate_lower_bound(*args, chi_samples=toy_nu_samples)
-        assert est == _reference_mh(*args, chi_samples=toy_nu_samples)
+        args = (toy_mdp, bases, w, cfg, consts, _e_chi(toy_mdp, bases, w, toy_nu_samples))
+        assert estimate_lower_bound(*args) == _reference_mh(*args)
 
     @pytest.mark.parametrize("chains", [2, 3, 6])
     def test_other_chain_counts_agree_to_the_last_bits(self, pic1_mdp, pic1_vfa, toy_mdp, toy_nu_samples, toy_vfa, chains):
@@ -251,13 +257,11 @@ class TestSpeculativeBlocks:
         cfg = SaddleConfig(chains=chains, chain_length=200, burn_in=90, seed=3)
         toy_bases, toy_w, toy_consts = toy_vfa
         toy_cfg = SaddleConfig(chains=chains, chain_length=150, burn_in=70, lam=0.3, proposal_frac=0.1, seed=2)
-        toy_args = (toy_mdp, toy_bases, toy_w, toy_cfg, toy_consts)
+        pic_args = (pic1_mdp, bases, w, cfg, consts, _e_chi(pic1_mdp, bases, w))
+        toy_args = (toy_mdp, toy_bases, toy_w, toy_cfg, toy_consts, _e_chi(toy_mdp, toy_bases, toy_w, toy_nu_samples))
         for est, ref in (
-            (estimate_lower_bound(pic1_mdp, bases, w, cfg, consts), _reference_mh(pic1_mdp, bases, w, cfg, consts)),
-            (
-                estimate_lower_bound(*toy_args, chi_samples=toy_nu_samples),
-                _reference_mh(*toy_args, chi_samples=toy_nu_samples),
-            ),
+            (estimate_lower_bound(*pic_args), _reference_mh(*pic_args)),
+            (estimate_lower_bound(*toy_args), _reference_mh(*toy_args)),
         ):
             assert est.acceptance_rates == ref.acceptance_rates
             for f in ("bound", "stderr", "mean_y"):
@@ -273,7 +277,7 @@ class TestSpeculativeBlocks:
         lo = np.concatenate([mdp.state_lo, mdp.action_lo])
         hi = np.concatenate([mdp.state_hi, mdp.action_hi])
         points = lo + (hi - lo) * np.random.default_rng(5).random((40, len(lo)))
-        e_chi = lb_mod.chi_value(mdp, bases, w)
+        e_chi = _e_chi(mdp, bases, w)
         terms = lb_mod._bellman_terms(mdp, bases, w)
         ds = mdp.dim_state
 
@@ -310,8 +314,7 @@ class TestChainStationarity:
         assert exact == pytest.approx(0.499773, abs=1e-6)
         consts = LipschitzConstants(l_c=1.0, l_y=10.0, big_lambda=-5.0, d_sa=2, radius=0.5, diameter=2.0)
         cfg = SaddleConfig(chains=8, chain_length=20_000, burn_in=1000, lam=lam, proposal_frac=0.2, seed=1)
-        est = estimate_lower_bound(
-            toy_mdp, empty_stumps(1), VfaWeights.zero(0), cfg, consts, chi_samples=np.array([[0.5]])
-        )
+        bases, w = empty_stumps(1), VfaWeights.zero(0)
+        est = estimate_lower_bound(toy_mdp, bases, w, cfg, consts, _e_chi(toy_mdp, bases, w, np.array([[0.5]])))
         assert est.stderr > 0.0
         assert abs(est.mean_y - exact) <= 4.0 * est.stderr
