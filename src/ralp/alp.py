@@ -96,6 +96,7 @@ class LpSolution:
 
 
 class SolverBackend(Protocol):
+    def open(self, model: LpModel) -> "LiveLp": ...
     def solve(self, model: LpModel) -> LpSolution: ...
 
 
@@ -112,46 +113,8 @@ ROWGEN_ADD = 150
 class ScipyBackend:
     """HiGHS through scipy's bundled bindings; variables are free.
 
-    Random cosine features can produce nearly collinear LP columns (tiny or
-    nearly duplicated frequencies), on which the simplex breaks down.  The
-    backend therefore solves in preconditioned variables x = M y, with M the
-    inverse R-factor of a QR over sampled rows, which makes the columns
-    near-orthonormal without changing the program: the feasible region and
-    optimum map exactly through the invertible M.
-
-    Tight feasibility tolerances keep chained models consistent: guide rows
-    built from a previous solution stay satisfiable only if that solution
-    honored its own rows to well below the guide slack.
-
-    Sampled ALPs have thousands of rows but only about as many binding rows
-    as variables, so each model is solved by row generation on one live
-    HiGHS model.  The model starts with ``ROWGEN_START`` evenly spaced rows
-    plus every box row, with the options ``linprog(method="highs")`` passes.
-    After each solve, up to ``ROWGEN_ADD`` of the remaining rows violated by
-    more than ``HIGHS_TOL * (1 + |rhs|)`` are appended, the most violated
-    first, and the dual simplex continues from the kept basis (added rows
-    leave it dual feasible), until no row outside the model is violated.
-
-    A model of at most ``ROWGEN_START`` rows is therefore one solve over all
-    of its rows, with the same bits as ``linprog``.  A solve of more than
-    one round returns the vertex of its final basis: the nonbasic rows,
-    solved in model row order, so that the weights depend on the final
-    basis and not on the path the warm starts took.  When that basis is not
-    a vertex (some column is nonbasic, as a zero column can be), HiGHS's own
-    primal values are returned.
-
-    An infeasible subproblem proves the model infeasible.  A warm round that
-    ends unbounded or numeric is solved again cold (rows added to a
-    bounded LP cannot unbound it, so such a status is a numerical failure of
-    the warm start).  An unbounded or numeric subproblem that still lacks
-    rows is solved once more over all rows by a cold ``linprog`` call, whose
-    status is the one reported.
-
-    The live model uses ``scipy.optimize._highspy._core``, a private
-    extension module that scipy has shipped since 1.15 and that ``linprog``
-    wraps too.  It is loaded by file path, so solving does not import the
-    ``scipy.optimize`` package; the all-rows fall-back imports it on its
-    first call.
+    ``open(model)`` loads a model into a ``LiveLp``, which solves it and
+    takes more rows; ``solve(model)`` opens a model and solves it once.
     """
 
     def __init__(self, var_bound: Optional[float] = None):
@@ -163,70 +126,146 @@ class ScipyBackend:
         # enough never to bind at solutions of interest.
         self.var_bound = var_bound
 
-    def _preconditioner(self, model: LpModel) -> Optional[np.ndarray]:
-        n, v = model.num_rows, model.num_vars
-        if n < 2 * v or v < 2:
-            return None
-        idx = np.linspace(0, n - 1, min(n, PRECONDITION_ROWS)).astype(int)
-        _, r = np.linalg.qr(model.rows[idx])
-        diag = np.abs(np.diag(r))
-        floor = 1e-10 * max(float(diag.max()), 1.0)
-        r = r + np.diag(np.where(diag < floor, floor, 0.0))
-        return np.linalg.solve(r, np.eye(v))
+    def open(self, model: LpModel) -> "LiveLp":
+        return LiveLp(model, self.var_bound)
 
     def solve(self, model: LpModel) -> LpSolution:
+        return self.open(model).solve()
+
+
+def _preconditioner(rows: np.ndarray) -> Optional[np.ndarray]:
+    """The inverse R factor of a QR over sampled ``rows``, or None for too few rows or columns."""
+    n, v = rows.shape
+    if n < 2 * v or v < 2:
+        return None
+    idx = np.linspace(0, n - 1, min(n, PRECONDITION_ROWS)).astype(int)
+    r = np.linalg.qr(rows[idx], mode="r")
+    diag = np.abs(np.diag(r))
+    floor = 1e-10 * max(float(diag.max()), 1.0)
+    r = r + np.diag(np.where(diag < floor, floor, 0.0))
+    return np.linalg.solve(r, np.eye(v))
+
+
+class LiveLp:
+    """One live HiGHS model of an ``LpModel`` that takes more rows between solves.
+
+    Random cosine features can produce nearly collinear LP columns (tiny or
+    nearly duplicated frequencies), on which the simplex breaks down.  The
+    model is therefore solved in preconditioned variables x = M y, with M
+    the inverse R-factor of a QR over rows sampled from the model it is
+    opened on, which makes the columns near-orthonormal without changing the
+    program: the feasible region and optimum map exactly through the
+    invertible M.  M stays fixed for the life of the object, so rows added
+    later are solved in the same variables.
+
+    Tight feasibility tolerances keep chained models consistent: guide rows
+    built from a previous solution stay satisfiable only if that solution
+    honored its own rows to well below the guide slack.
+
+    Sampled ALPs have thousands of rows but only about as many binding rows
+    as variables, so each solve is row generation on the live model.  The
+    model is loaded with ``ROWGEN_START`` evenly spaced rows plus every box
+    row, with the options ``linprog(method="highs")`` passes.  After each
+    round, up to ``ROWGEN_ADD`` of the known rows outside it violated by
+    more than ``HIGHS_TOL * (1 + |rhs|)`` are appended, the most violated
+    first, and the dual simplex continues from the kept basis (added rows
+    leave it dual feasible), until no known row is violated.  ``add_rows``
+    appends rows straight into the model, and the next solve continues from
+    the basis of the last one.
+
+    A model of at most ``ROWGEN_START`` rows is therefore one solve over all
+    of its rows, with the same bits as ``linprog``.  A solve of more than
+    one round returns the vertex of its final basis: the nonbasic rows,
+    solved in row order, so that the weights depend on the final basis and
+    not on the path the warm starts took.  When that basis is not a vertex
+    (some column is nonbasic, as a zero column can be), and after a solve of
+    one round (the first solve of a small model, or a warm solve after
+    ``add_rows``), HiGHS's own primal values are returned.
+
+    An infeasible subproblem proves the model infeasible.  A warm round that
+    ends unbounded or numeric is solved again cold (rows added to a bounded
+    LP cannot unbound it, so such a status is a numerical failure of the
+    warm start).  An unbounded or numeric subproblem that still lacks rows
+    is solved once more over all known rows by a cold ``linprog`` call,
+    whose status is the one reported, and the live model is loaded again
+    over all known rows.
+
+    The live model uses ``scipy.optimize._highspy._core``, a private
+    extension module that scipy has shipped since 1.15 and that ``linprog``
+    wraps too.  It is loaded by file path, so solving does not import the
+    ``scipy.optimize`` package; the all-rows fall-back imports it on its
+    first call.
+    """
+
+    def __init__(self, model: LpModel, var_bound: Optional[float]):
         rows, rhs = model.rows, model.rhs
-        if self.var_bound is not None:
+        self._box = 0
+        if var_bound is not None:
             # box rows compose with the preconditioner (plain variable bounds
             # would not survive the change of variables)
             v = model.num_vars
             eye = np.eye(v)
             rows = np.vstack([rows, eye, -eye])
-            rhs = np.concatenate([rhs, np.full(2 * v, self.var_bound)])
-        m = self._preconditioner(model)
-        a_ub = rows if m is None else rows @ m
-        c = model.objective if m is None else m.T @ model.objective
+            rhs = np.concatenate([rhs, np.full(2 * v, var_bound)])
+            self._box = 2 * v
+        self.rows, self.rhs = model.rows, model.rhs  # the model's rows in their own variables
+        self.m = _preconditioner(model.rows)
+        self.c = model.objective if self.m is None else self.m.T @ model.objective
+        # every known row, preconditioned, box rows included: the model's, the box, then added ones
+        self.a_ub, self.b_ub = (rows if self.m is None else rows @ self.m), rhs
         n = model.num_rows
-        active = np.ones(len(rhs), dtype=bool)
+        self.held = np.ones(len(rhs), dtype=bool)
         if n > ROWGEN_START:
-            active[:n] = False
-            active[np.linspace(0, n - 1, ROWGEN_START).astype(int)] = True
-        order = np.flatnonzero(active)  # model row of each HiGHS row, in insertion order
-        highs = _highs_model(c, a_ub[order], rhs[order])
-        add_tol = HIGHS_TOL * (1.0 + np.abs(rhs))
+            self.held[:n] = False
+            self.held[np.linspace(0, n - 1, ROWGEN_START).astype(int)] = True
+        self.order = np.flatnonzero(self.held)  # known row of each HiGHS row, in insertion order
+        self.highs = _highs_model(self.c, self.a_ub[self.order], self.b_ub[self.order])
+        self.warm = False  # whether HiGHS holds a basis to start from
+
+    def add_rows(self, rows: np.ndarray, rhs: np.ndarray) -> None:
+        """Append rows (in the model's variables) and load them into HiGHS."""
+        a_ub = rows if self.m is None else rows @ self.m
+        _highs_add_rows(self.highs, a_ub, rhs)
+        self.order = np.concatenate([self.order, len(self.b_ub) + np.arange(len(rhs))])
+        self.held = np.concatenate([self.held, np.ones(len(rhs), dtype=bool)])
+        self.a_ub, self.b_ub = np.vstack([self.a_ub, a_ub]), np.concatenate([self.b_ub, rhs])
+        self.rows, self.rhs = np.vstack([self.rows, rows]), np.concatenate([self.rhs, rhs])
+
+    def solve(self) -> LpSolution:
+        a_ub, b_ub = self.a_ub, self.b_ub
+        add_tol = HIGHS_TOL * (1.0 + np.abs(b_ub))
         rounds = iterations = 0
-        warm = False  # whether the next run starts from a kept basis
         while True:
-            status, y, fun, nit = _highs_run(highs, rhs[order])
+            status, y, fun, nit = _highs_run(self.highs, b_ub[self.order])
             rounds += 1
             iterations += nit
+            warm, self.warm = self.warm, True
             if warm and status in ("unbounded", "numeric"):
                 # added rows cannot unbound a bounded LP, so a warm start that
                 # fails failed numerically: solve the subproblem again from a cleared basis
-                highs.clearSolver()
-                warm = False
+                self.highs.clearSolver()
+                self.warm = False
                 continue
             if status == "optimal":
-                # rows outside the subproblem that its solution violates, most violated first
-                viol = a_ub @ y - rhs
-                cand = np.flatnonzero(~active & (viol > add_tol))
+                # known rows outside the subproblem that its solution violates, most violated first
+                viol = a_ub @ y - b_ub
+                cand = np.flatnonzero(~self.held & (viol > add_tol))
                 if len(cand):
                     new = np.sort(cand[np.argsort(-viol[cand], kind="stable")[:ROWGEN_ADD]])
-                    _highs_add_rows(highs, a_ub[new], rhs[new])
-                    active[new] = True
-                    order = np.concatenate([order, new])
-                    warm = True
+                    _highs_add_rows(self.highs, a_ub[new], b_ub[new])
+                    self.held[new] = True
+                    self.order = np.concatenate([self.order, new])
                     continue
                 if rounds > 1:
-                    y = _basis_vertex(highs, order, a_ub, rhs, y)
-                    fun = -float(c @ y)
-            elif status != "infeasible" and not active.all():
-                # unbounded or numeric is reported for the full model only
+                    y = _basis_vertex(self.highs, self.order, a_ub, b_ub, y)
+                    fun = -float(self.c @ y)
+            elif status != "infeasible" and not self.held.all():
+                # unbounded or numeric is reported for all known rows only
                 res = linprog(
-                    c=-c,
+                    c=-self.c,
                     A_ub=a_ub,
-                    b_ub=rhs,
-                    bounds=[(None, None)] * model.num_vars,
+                    b_ub=b_ub,
+                    bounds=[(None, None)] * len(self.c),
                     method="highs",
                     options={
                         "primal_feasibility_tolerance": HIGHS_TOL,
@@ -236,14 +275,17 @@ class ScipyBackend:
                 status, y, fun = _LINPROG_STATUS.get(res.status, "numeric"), res.x, res.fun
                 rounds += 1
                 iterations += res.nit
-                active[:] = True
+                self.held[:] = True
+                self.order = np.arange(len(b_ub))
+                self.highs = _highs_model(self.c, a_ub, b_ub)
+                self.warm = False
             break
-        rows_solved = int(active[:n].sum())
+        rows_solved = len(self.order) - self._box
         if status != "optimal":
             return LpSolution(status=status, x=None, objective=None, max_violation=None,
                               rounds=rounds, rows_solved=rows_solved, iterations=iterations)
-        x = np.asarray(y) if m is None else m @ np.asarray(y)
-        viol = float(np.max(model.rows @ x - model.rhs)) if model.num_rows else 0.0
+        x = np.asarray(y) if self.m is None else self.m @ np.asarray(y)
+        viol = float(np.max(self.rows @ x - self.rhs)) if len(self.rhs) else 0.0
         return LpSolution(status="optimal", x=x, objective=float(-fun), max_violation=viol,
                           rounds=rounds, rows_solved=rows_solved, iterations=iterations)
 

@@ -99,8 +99,15 @@ def _flatten(section: dict, prefix: str = "") -> dict:
     return {key: value for part in parts for key, value in part.items()}
 
 
-def _take(flat: dict, key: str, convert=int, default=...):
-    """Pop dotted ``key`` from a flattened config, converted; if absent or null, ``default`` (required if none)."""
+def _integer(value) -> int:
+    """A JSON integer as it is; a float, a bool or a string is an error, not truncated or converted."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _take(flat: dict, key: str, convert=_integer, default=...):
+    """Pop ``key`` from a flattened config (or a gjr spec), converted; if absent or null, ``default`` (required if none)."""
     value = flat.pop(key, None)
     if value is None and default is ...:
         raise ConfigError(f"config: missing required field {key!r}")
@@ -114,9 +121,9 @@ def _at_least(least: int):
     """A ``_take`` conversion to an integer no smaller than ``least``."""
 
     def convert(value) -> int:
-        if int(value) < least:
+        if _integer(value) < least:
             raise ValueError(f"expected an integer >= {least}, got {value!r}")
-        return int(value)
+        return value
 
     return convert
 
@@ -177,10 +184,12 @@ def _loop_config(flat: dict, mdp, seed: int, model: str) -> LoopConfig:
     """A discounted run's loop settings, row plan and basis set, taken out of a flattened config.
 
     The rows are a grid or ``loop.num_constraints`` uniform pairs; the bases are
-    ``loop.fixed_omegas`` or Fourier bases drawn from ``loop.sigma_range``.  The
-    first half of each pair leaves the second unread, so a config that sets both
-    is rejected by the unknown-key rule.
+    ``loop.fixed_omegas`` or Fourier bases drawn from ``loop.sigma_range``.  A
+    config that sets both halves of a pair is rejected.
     """
+    for first, second in (("loop.grid", "loop.num_constraints"), ("loop.fixed_omegas", "loop.sigma_range")):
+        if second in flat and any(key == first or key.startswith(first + ".") for key in flat):
+            raise ConfigError(f"config: {first} and {second} exclude each other; set one of them")
     if "loop.grid.states" in flat or "loop.grid.actions" in flat:
         states = np.linspace(mdp.state_lo[0], mdp.state_hi[0], _take(flat, "loop.grid.states"))[:, None]
         actions = np.linspace(mdp.action_lo[0], mdp.action_hi[0], _take(flat, "loop.grid.actions"))[:, None]
@@ -203,15 +212,16 @@ def _loop_config(flat: dict, mdp, seed: int, model: str) -> LoopConfig:
     lb_method = _take(flat, "loop.lb_method", str, "saddle" if mdp.saddle_constants is not None else "expectation")
     if lb_method == "saddle" and mdp.saddle_constants is None:
         raise ConfigError("loop.lb_method: 'saddle' needs a problem with saddle constants (pic)")
-    saddle = _given(flat, "lower_bound.", chains=int, chain_length=int, burn_in=int, proposal_frac=float)
+    saddle = _given(flat, "lower_bound.", chains=_integer, chain_length=_integer, burn_in=_integer,
+                    proposal_frac=float)
     saddle.update(("lam", v) for v in _given(flat, "lower_bound.", **{"lambda": float}).values())  # SaddleConfig.lam
     return _build(
         "loop", LoopConfig, model_kind=model, seed=seed, plan=plan, bases=bases, lb_method=lb_method, batch=batch,
         tolerance=_take(flat, "loop.tolerance", float, 0.05),
         sim=_build("sim", SimConfig, rollout_seed=seed,
-                   horizon=_take(flat, "sim.horizon", int, None) or default_horizon(mdp.gamma),
-                   replications=_take(flat, "sim.replications", int, 200),
-                   action_grid=_take(flat, "sim.action_grid", int, None) or mdp.action_grid),
+                   horizon=_take(flat, "sim.horizon", default=None) or default_horizon(mdp.gamma),
+                   replications=_take(flat, "sim.replications", default=200),
+                   action_grid=_take(flat, "sim.action_grid", default=None) or mdp.action_grid),
         saddle=_build("lower_bound", SaddleConfig, seed=seed, **saddle),
     )
 
@@ -248,7 +258,7 @@ def _read_discounted(cfg: dict, flat: dict, seed: int, model: str):
         from ralp import pic as pic_mod
 
         params = _build("problem", pic_mod.instance_from_table, int(cfg["problem"][4:]))
-        mdp = _build("config", pic_mod.build_pic_mdp, params, demand_seed=seed, **_given(flat, "", demand_saa_size=int))
+        mdp = _build("config", pic_mod.build_pic_mdp, params, demand_seed=seed, **_given(flat, "", demand_saa_size=_integer))
     loop_config = _loop_config(flat, mdp, seed, model)
     backend = ScipyBackend(**_given(flat, "solver.", var_bound=float))
 
@@ -311,9 +321,9 @@ def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) ->
 def _gjr_params(spec: dict, seed: int) -> gjr_mod.GjrParams:
     """The instance a ``gjr:`` spec names; unpinned draws come from the seed."""
     params = gjr_mod.gjr_instance(
-        num_items=int(spec.pop("items", 2)),
+        num_items=_take(spec, "items", default=2),
         scheme=spec.pop("scheme", "constant"),
-        z_pct=int(spec.pop("z", 100)),
+        z_pct=_take(spec, "z", default=100),
         rng=split_rng(seed, 1),
         usage_rates=spec.pop("usage_rates", None),
         u=spec.pop("u", None),
@@ -333,10 +343,10 @@ def _read_gjr(cfg: dict, flat: dict, seed: int, model: str):
     j = params.num_items
     bases = sample_stumps(num_bases, j, sigma, seed) if num_bases > 0 else empty_stumps(j)
     init_pairs = gjr_mod.sample_gjr_pairs(params, _take(flat, "gjr.init_pairs", _at_least(1), 200), split_rng(seed, 2))
-    search_plan = _given(flat, "gjr.", grid_per_dim=int, beam_width=int, action_grid=int)
+    search_plan = _given(flat, "gjr.", grid_per_dim=_integer, beam_width=_integer, action_grid=_integer)
     search = _build("gjr", gjr_mod.SearchPlan, **search_plan)
     budget = _given(flat, "gjr.", max_cuts=_at_least(1))
-    stages, k = _take(flat, "gjr.stages", int, 4000), _take(flat, "gjr.k", int, 4)
+    stages, k = _take(flat, "gjr.stages", default=4000), _take(flat, "gjr.k", default=4)
     if stages < 1 or k < 1:
         raise ConfigError(f"gjr: stages and k must be >= 1, got {stages} and {k}")
     fglp = model == MODEL_FGLP
@@ -375,6 +385,7 @@ def _read_gjr(cfg: dict, flat: dict, seed: int, model: str):
             "cut_loop_lp_s": sum(r.lp_s for r in loops),
             "cut_loop_separate_s": sum(r.separate_s for r in loops),
             "lp_iterations": sum(r.lp_iterations for r in loops),
+            "cut_loop_max_violation": max(r.max_violation for r in loops),
             "separation_grid_points": sum(r.separation_grid_points for r in loops),
             # wall time of the K-step greedy policy's simulation (the lookahead phase)
             "simulate_s": simulate_s,

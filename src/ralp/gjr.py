@@ -533,6 +533,7 @@ class CutLoopResult:
     lp_s: float  # wall time building and solving the cut LPs
     separate_s: float  # wall time in separation, the grid build included
     lp_iterations: int  # simplex iterations over the cut LPs, unbounded re-solves included
+    max_violation: float  # largest row violation max(rows.x - rhs) over the cut LPs
     separation_grid_points: int  # feasible points of the separation grid
 
 
@@ -550,12 +551,19 @@ def constraint_generation(
 ) -> CutLoopResult:
     """Solve, separate, append the violated pair, repeat until feasible.
 
-    Unbounded intermediate programs pick up extra sampled pairs until the
-    optimum is finite.  Self-guiding rows (when ``prev`` is given) are only
-    enforced at the guide states; they are never separated since their
-    violation does not threaten the lower bound.  Any other non-optimal LP
-    status raises ``SolverError``; running out of ``max_cuts`` raises
-    ``ConstraintGenerationError``.  Both carry the trace of the finished cuts.
+    The loop solves one live LP (``backend.open``): each cut appends its
+    pair's row, and with ``prev`` the row of the new guide state, and the
+    next solve continues from the previous basis.  A solution that still
+    violates the cut it was solved for by more than ``sep_tol`` is solved
+    again cold on a live LP opened over the same rows.  Unbounded
+    intermediate programs pick up extra sampled pairs until the optimum is
+    finite.
+    Self-guiding rows (when ``prev`` is given) are only enforced at the
+    guide states and at the states of the cuts; they are never separated
+    since their violation does not threaten the lower bound.  Any other
+    non-optimal LP status raises ``SolverError``; running out of
+    ``max_cuts`` raises ``ConstraintGenerationError``.  Both carry the trace
+    of the finished cuts.
     """
     if len(init_states) == 0:
         raise ValueError("need at least one initial constraint pair")
@@ -566,22 +574,35 @@ def constraint_generation(
     start = time.perf_counter()
     grid = separation_grid(p, bases, search)
     separate_s = time.perf_counter() - start
-    lp_s = 0.0
+    start = time.perf_counter()
+    model = build_avg_alp(p, bases, states, actions, prev, guide_states)
+    lp = backend.open(model)
+    lp_s = time.perf_counter() - start
     lp_iterations = 0
+    max_violation = -np.inf
+    cut = None  # the last cut's rows, its pair's row first
     for iteration in range(max_cuts):
         start = time.perf_counter()
-        model = build_avg_alp(p, bases, states, actions, prev, guide_states)
-        lp_sol = backend.solve(model)
+        lp_sol = lp.solve()
         lp_iterations += lp_sol.iterations
+        if cut is not None and lp_sol.status == "optimal" and cut.rows[0] @ lp_sol.x - cut.rhs[0] > sep_tol(p):
+            # separation would return this cut again: in the live LP's fixed
+            # preconditioned variables the row holds, in the model's it does
+            # not.  A new live LP gets a preconditioner of its own rows.
+            lp = backend.open(LpModel(model.objective, lp.rows, lp.rhs))
+            lp_sol = lp.solve()
+            lp_iterations += lp_sol.iterations
         while lp_sol.status == "unbounded":
             more_states, more_actions = sample_gjr_pairs(p, 200, rng)
             states = np.vstack([states, more_states])
             actions = np.vstack([actions, more_actions])
-            model = build_avg_alp(p, bases, states, actions, prev, guide_states)
-            lp_sol = backend.solve(model)
+            more = build_avg_alp(p, bases, more_states, more_actions)
+            lp.add_rows(more.rows, more.rhs)
+            lp_sol = lp.solve()
             lp_iterations += lp_sol.iterations
         if lp_sol.status != "optimal":
             raise SolverError(lp_sol.status, f"cut {iteration}", trace)
+        max_violation = max(max_violation, lp_sol.max_violation)
         sol = _unpack(p, lp_sol.x)
         lp_s += time.perf_counter() - start
         start = time.perf_counter()
@@ -591,13 +612,16 @@ def constraint_generation(
         if sep.status == "feasible":
             return CutLoopResult(
                 solution=sol, eta_lambda=sol.eta(p.usage_rates), trace=trace, states=states, actions=actions,
-                lp_s=lp_s, separate_s=separate_s, lp_iterations=lp_iterations,
+                lp_s=lp_s, separate_s=separate_s, lp_iterations=lp_iterations, max_violation=max_violation,
                 separation_grid_points=sum(len(b.states) for b in grid),
             )
-        states = np.vstack([states, sep.state[None, :]])
-        actions = np.vstack([actions, sep.action[None, :]])
-        if guide_states is not None:
-            guide_states = np.vstack([guide_states, sep.state[None, :]])
+        start = time.perf_counter()
+        state, action = sep.state[None, :], sep.action[None, :]
+        states = np.vstack([states, state])
+        actions = np.vstack([actions, action])
+        cut = build_avg_alp(p, bases, state, action, prev, None if guide_states is None else state)
+        lp.add_rows(cut.rows, cut.rhs)
+        lp_s += time.perf_counter() - start
     raise ConstraintGenerationError(f"no convergence within {max_cuts} cuts", trace)
 
 

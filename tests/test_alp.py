@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -130,7 +131,7 @@ def _full_solve(backend: ScipyBackend, model: LpModel) -> tuple[np.ndarray, floa
         eye = np.eye(model.num_vars)
         rows = np.vstack([rows, eye, -eye])
         rhs = np.concatenate([rhs, np.full(2 * model.num_vars, backend.var_bound)])
-    m = backend._preconditioner(model)
+    m = alp._preconditioner(model.rows)
     a_ub = rows if m is None else rows @ m
     c = model.objective if m is None else m.T @ model.objective
     res = linprog(
@@ -153,7 +154,7 @@ def _cold_round_iterations(backend: ScipyBackend, model: LpModel) -> int:
     over its active rows; the summed ``nit`` is the reference a warm start
     must beat.
     """
-    m = backend._preconditioner(model)
+    m = alp._preconditioner(model.rows)
     a_ub = model.rows if m is None else model.rows @ m
     c = model.objective if m is None else m.T @ model.objective
     rhs = model.rhs
@@ -427,20 +428,37 @@ class TestHighsBinding:
         assert np.array_equal(value, ref.data)
 
 
+# the methods of scipy's private HiGHS binding that alp calls on a model
+_HIGHS_METHODS = {"passModel", "addRows", "run", "clearSolver", "getBasis", "getSolution", "getInfo",
+                  "getModelStatus", "setOptionValue"}
+
+
+def test_private_highs_binding_has_what_alp_uses():
+    # alp drives scipy's private _highspy._core directly; a scipy release that
+    # drops or renames a method fails here instead of in the middle of a solve
+    source = Path(alp.__file__).read_text()
+    assert set(re.findall(r"\bhighs\.(\w+)\(", source)) == _HIGHS_METHODS
+    assert [m for m in sorted(_HIGHS_METHODS) if not callable(getattr(alp._highs._Highs, m, None))] == []
+    # the binding's types and enums that alp reads
+    names = set(re.findall(r"\b_highs\.(\w+)", source))
+    assert {"HighsLp", "MatrixFormat", "HighsModelStatus", "HighsBasisStatus", "_Highs"} <= names
+    assert [n for n in sorted(names) if not hasattr(alp._highs, n)] == []
+
+
 _SAME_BINDING = """
 import sys
 import numpy as np
 {first}
 {second}
 from scipy.optimize import linprog
-from ralp.alp import HIGHS_TOL, LpModel, ScipyBackend, _highs
+from ralp.alp import HIGHS_TOL, LpModel, ScipyBackend, _highs, _preconditioner
 assert sys.modules["scipy.optimize._highspy._core"] is _highs
 rng = np.random.default_rng(3)
 model = LpModel(objective=rng.normal(size=6), rows=rng.normal(size=(300, 6)),
                 rhs=1.0 + rng.random(300))
 backend = ScipyBackend()
 sol = backend.solve(model)
-m = backend._preconditioner(model)
+m = _preconditioner(model.rows)
 res = linprog(c=-(m.T @ model.objective), A_ub=model.rows @ m, b_ub=model.rhs,
               bounds=[(None, None)] * 6, method="highs",
               options={{"primal_feasibility_tolerance": HIGHS_TOL, "dual_feasibility_tolerance": HIGHS_TOL}})

@@ -404,9 +404,15 @@ _REJECTED_CONFIGS = {
     # toy.json runs 3 bases in batches of 1
     "fixed_omegas_short_of_budget": ("toy", {"loop.fixed_omegas": [2.0]}, "needs 3 entries, got 1"),
     "sigma_range_not_numeric": ("pic1", {"loop.sigma_range": ["a", "b"]}, "loop.sigma_range"),
-    # a key of the other half of an either/or pair is left unread
-    "num_constraints_beside_grid": ("toy", {"loop.num_constraints": 100}, "unknown key 'loop.num_constraints'"),
-    "sigma_range_beside_fixed_omegas": ("toy", {"loop.sigma_range": [1, 10]}, "unknown key 'loop.sigma_range'"),
+    # both halves of an either/or pair
+    "num_constraints_beside_grid": ("toy", {"loop.num_constraints": 100},
+                                    "config: loop.grid and loop.num_constraints exclude each other"),
+    "sigma_range_beside_fixed_omegas": ("toy", {"loop.sigma_range": [1, 10]},
+                                        "config: loop.fixed_omegas and loop.sigma_range exclude each other"),
+    # integer keys take JSON integers only: no truncation, no bool
+    "fractional_batch": ("toy", {"loop.batch": 1.7}, "loop.batch: expected an integer, got 1.7"),
+    "boolean_replications": ("toy", {"sim.replications": True}, "sim.replications: expected an integer, got True"),
+    "fractional_max_cuts": ("gjr2", {"gjr.max_cuts": 2.5}, "gjr.max_cuts: expected an integer, got 2.5"),
     "zero_demand_saa_size": ("pic1", {"demand_saa_size": 0}, "demand_saa_size must be >= 1"),
     "negative_num_bases": ("gjr2", {"gjr.num_bases": -3}, "gjr.num_bases: expected an integer >= 0"),
     "zero_max_cuts": ("gjr2", {"gjr.max_cuts": 0}, "gjr.max_cuts: expected an integer >= 1"),
@@ -544,19 +550,21 @@ class TestRunFailures:
 
     @pytest.mark.parametrize("problem", ["toy", "gjr"])
     def test_lp_failure_exit_one(self, tmp_path, monkeypatch, capsys, problem):
-        # a backend that reports a numerical failure for every LP after the
-        # first lps_solved, each of which finishes one trace row
-        from ralp.alp import LpSolution, ScipyBackend
+        # a live LP that reports a numerical failure for every solve after the
+        # first lps_solved, each of which finishes one trace row (the toy's
+        # backend solves each model on a live LP of its own, the gjr cut loop
+        # solves all its cuts on one)
+        from ralp.alp import LiveLp, LpSolution
 
         lps_solved = 1 if problem == "toy" else 3
         failed = LpSolution(status="numeric", x=None, objective=None, max_violation=None)
-        solve, solved = ScipyBackend.solve, []
+        solve, solved = LiveLp.solve, []
 
-        def first_lps_only(self, model):
-            solved.append(model)
-            return solve(self, model) if len(solved) <= lps_solved else failed
+        def first_lps_only(self):
+            solved.append(self)
+            return solve(self) if len(solved) <= lps_solved else failed
 
-        monkeypatch.setattr(ScipyBackend, "solve", first_lps_only)
+        monkeypatch.setattr(LiveLp, "solve", first_lps_only)
         cfg = _toy_config(tmp_path) if problem == "toy" else _small_gjr_config(tmp_path)
         path = _write(tmp_path, cfg)
         assert cli.main(["run", "--config", str(path)]) == 1
@@ -576,7 +584,7 @@ class TestRunFailures:
     def test_fglp_stopped_in_affine_warm_start(self, tmp_path, monkeypatch, capsys, stop):
         # trace.csv holds the stump loop's cuts, so a run stopped in the affine
         # warm start leaves its header only, and the stop names the warm start
-        from ralp.alp import LpSolution, ScipyBackend
+        from ralp.alp import LiveLp, LpSolution
 
         cfg = _short_gjr_fglp_random_config(tmp_path)
         if stop == "cut_budget":
@@ -584,13 +592,13 @@ class TestRunFailures:
             expected_code, expected_err = 2, "cut budget exhausted: affine warm start: no convergence within 3 cuts\n"
         else:
             failed = LpSolution(status="numeric", x=None, objective=None, max_violation=None)
-            solve, solved = ScipyBackend.solve, []
+            solve, solved = LiveLp.solve, []
 
-            def first_lps_only(self, model):
-                solved.append(model)
-                return solve(self, model) if len(solved) <= 2 else failed
+            def first_lps_only(self):
+                solved.append(self)
+                return solve(self) if len(solved) <= 2 else failed
 
-            monkeypatch.setattr(ScipyBackend, "solve", first_lps_only)
+            monkeypatch.setattr(LiveLp, "solve", first_lps_only)
             expected_code, expected_err = 1, "error: affine warm start: LP solve failed: numeric (cut 2)\n"
         assert cli.main(["run", "--config", str(_write(tmp_path, cfg))]) == expected_code
         assert capsys.readouterr().err == expected_err

@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ralp import gjr
+from scipy.optimize import linprog
+
+from ralp import alp, gjr
 from ralp.alp import LpModel, ScipyBackend
 from ralp.bases import empty_stumps, sample_fourier, sample_stumps
 from ralp.mdp import InfeasiblePairError, split_rng
@@ -461,11 +463,17 @@ class TestConstraintGeneration:
         assert result.eta_lambda == pytest.approx(result.solution.eta(desk_instance.usage_rates))
 
     def test_covering_pairs_converges_in_one_solve(self, desk_instance, desk_solution):
+        # the final pairs certify the loop's optimum: a rerun on them starts at
+        # that objective, and the loop's own solution separates as feasible.
+        # The rerun's cold first solve may land elsewhere on the degenerate
+        # optimal face and take more cuts there (8 at the same objective).
         bases, result = desk_solution
         rerun = gjr.constraint_generation(
             desk_instance, bases, result.states, result.actions, ScipyBackend(), seed=1
         )
-        assert len(rerun.trace) == 1
+        final = result.trace[-1][1]
+        assert abs(rerun.trace[0][1] - final) <= 1e-9 * abs(final)
+        assert gjr.separate(desk_instance, bases, result.solution).status == "feasible"
 
     def test_validity_against_simulation(self, desk_instance, desk_solution):
         bases, result = desk_solution
@@ -485,6 +493,63 @@ class TestConstraintGeneration:
         with pytest.raises(gjr.ConstraintGenerationError) as err:
             gjr.constraint_generation(desk_instance, bases, *init, ScipyBackend(), max_cuts=2, seed=42)
         assert len(err.value.trace) == 2
+
+
+def _cold_objective(objective: np.ndarray, rows: np.ndarray, rhs: np.ndarray, var_bound=None) -> float:
+    """The optimum of one cold linprog call over all rows and the box, in preconditioned variables as the backend solves."""
+    m = alp._preconditioner(rows)
+    if var_bound is not None:
+        eye = np.eye(len(objective))
+        rows, rhs = np.vstack([rows, eye, -eye]), np.concatenate([rhs, np.full(2 * len(objective), var_bound)])
+    res = linprog(
+        c=-(objective if m is None else m.T @ objective),
+        A_ub=rows if m is None else rows @ m,
+        b_ub=rhs,
+        bounds=[(None, None)] * len(objective),
+        method="highs",
+        options={"primal_feasibility_tolerance": alp.HIGHS_TOL, "dual_feasibility_tolerance": alp.HIGHS_TOL},
+    )
+    assert res.status == 0
+    return float(-res.fun)
+
+
+class TestLiveCutLp:
+    @pytest.mark.parametrize("model", ["falp", "fglp"])
+    def test_every_cut_matches_a_cold_all_rows_solve(self, desk_instance, monkeypatch, model):
+        # the cut loop solves each cut warm on one live LP; a cold solve of the
+        # same rows reaches the same objective.  The FGLP model starts with 350
+        # rows, so its first solve also generates rows.  Its intercept appears
+        # in the guide rows only and not in the objective, so without a box the
+        # solutions reach 1e19, where row activities lose whole units and the
+        # objectives agree to about 4e-8 only; a 1e6 box keeps it well posed.
+        sigma = float(split_rng(42, 41).uniform(1.0, desk_instance.s_bar.max()))
+        bases = sample_stumps(10, 2, sigma, seed=42)
+        init = gjr.sample_gjr_pairs(desk_instance, 150, split_rng(42, 2))
+        prev = guides = var_bound = None
+        if model == "fglp":
+            prev = gjr.constraint_generation(desk_instance, empty_stumps(2), *init, ScipyBackend(), seed=42).solution
+            guides = gjr.sample_gjr_states(desk_instance, 200, split_rng(42, 3))
+            var_bound = 1e6
+        solves, live_solve = [], alp.LiveLp.solve
+
+        def recorded(lp):
+            sol = live_solve(lp)
+            solves.append((lp.rows.copy(), lp.rhs.copy(), sol))
+            return sol
+
+        monkeypatch.setattr(alp.LiveLp, "solve", recorded)
+        result = gjr.constraint_generation(
+            desk_instance, bases, *init, ScipyBackend(var_bound), prev=prev, guide_states=guides, seed=42
+        )
+        objective = gjr.build_avg_alp(desk_instance, bases, *init).objective
+        assert len(solves) >= len(result.trace) > 1
+        # the first model's rows, then each cut's pair row (and guide row) but the last's
+        first, per_cut = (len(init[0]), 1) if guides is None else (len(init[0]) + len(guides), 2)
+        assert len(solves[-1][1]) == first + per_cut * (len(result.trace) - 1)
+        for rows, rhs, sol in solves:
+            assert sol.status == "optimal"
+            ref = _cold_objective(objective, rows, rhs, var_bound)
+            assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
 class TestKStepPolicy:
