@@ -107,7 +107,7 @@ def _integer(value) -> int:
 
 
 def _take(flat: dict, key: str, convert=_integer, default=...):
-    """Pop ``key`` from a flattened config (or a gjr spec), converted; if absent or null, ``default`` (required if none)."""
+    """Pop ``key`` from a flattened config or gjr spec, converted; if absent or null, ``default`` (required if none)."""
     value = flat.pop(key, None)
     if value is None and default is ...:
         raise ConfigError(f"config: missing required field {key!r}")
@@ -258,7 +258,8 @@ def _read_discounted(cfg: dict, flat: dict, seed: int, model: str):
         from ralp import pic as pic_mod
 
         params = _build("problem", pic_mod.instance_from_table, int(cfg["problem"][4:]))
-        mdp = _build("config", pic_mod.build_pic_mdp, params, demand_seed=seed, **_given(flat, "", demand_saa_size=_integer))
+        saa = _given(flat, "", demand_saa_size=_integer)
+        mdp = _build("config", pic_mod.build_pic_mdp, params, demand_seed=seed, **saa)
     loop_config = _loop_config(flat, mdp, seed, model)
     backend = ScipyBackend(**_given(flat, "solver.", var_bound=float))
 

@@ -496,7 +496,7 @@ class TestConstraintGeneration:
 
 
 def _cold_objective(objective: np.ndarray, rows: np.ndarray, rhs: np.ndarray, var_bound=None) -> float:
-    """The optimum of one cold linprog call over all rows and the box, in preconditioned variables as the backend solves."""
+    """The optimum of one cold linprog over all rows and the box, in preconditioned variables as the backend solves."""
     m = alp._preconditioner(rows)
     if var_bound is not None:
         eye = np.eye(len(objective))
