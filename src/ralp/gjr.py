@@ -36,10 +36,9 @@ class GjrParams:
     a_bar: float  # shared replenishment capacity
     fixed_cost: float  # charged at every replenishment epoch
     item_fixed_costs: np.ndarray  # extra fixed cost per replenished item
-    holding: np.ndarray  # per-item holding cost rates (zero on catalog instances)
 
     def __post_init__(self):
-        for f in ("usage_rates", "s_bar", "item_fixed_costs", "holding"):
+        for f in ("usage_rates", "s_bar", "item_fixed_costs"):
             arr = np.asarray(getattr(self, f), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, f, arr)
@@ -110,7 +109,6 @@ def gjr_instance(
         a_bar=a_bar,
         fixed_cost=100.0,
         item_fixed_costs=c2,
-        holding=np.zeros(j),
     )
 
 
@@ -144,15 +142,13 @@ def gjr_step(p: GjrParams, states, actions) -> tuple[np.ndarray, np.ndarray, np.
     """Transition of (s, a) pairs over ``(..., J)``: (time, successor, cost).
 
     The time is the first stockout min_j (s_j + a_j) / rate_j and the cost is
-    the fixed cost of the replenishment set plus the holding term.  The
+    the fixed cost plus the fixed costs of the replenished items.  The
     successor (s + a) - time * rates is not clamped: at the argmin it can hold
     float dust below zero.  Pairs are not checked; filter with ``feasible``.
 
-    As in ``feasible``, the min is a chain of ``np.minimum`` and the holding
-    sum runs left to right over the J columns (numpy's ``sum(axis=-1)`` for
-    J <= 7); each column keeps the elementwise operation order
-    ((2 s a + a^2) h) / (2 r).  The item fixed costs stay one matrix-vector
-    product, whose result depends on the batch it runs in.
+    As in ``feasible``, the min is a chain of ``np.minimum`` over the J
+    columns.  The item fixed costs stay one matrix-vector product, whose
+    result depends on the batch it runs in.
     """
     states = np.asarray(states, dtype=float)
     actions = np.asarray(actions, dtype=float)
@@ -163,18 +159,7 @@ def gjr_step(p: GjrParams, states, actions) -> tuple[np.ndarray, np.ndarray, np.
         time = np.minimum(time, successor[..., j] / r[j])
     for j in range(p.num_items):
         successor[..., j] -= time * r[j]
-        a = actions[..., j]
-        # in place after the first product: on lookahead batches a fresh
-        # temporary costs more than the arithmetic
-        term = 2.0 * states[..., j] * a
-        term += a**2
-        term *= p.holding[j]
-        term /= 2.0 * r[j]
-        if j == 0:
-            holding = term
-        else:
-            holding += term
-    cost = p.fixed_cost + (actions > FEAS_TOL) @ p.item_fixed_costs + holding
+    cost = p.fixed_cost + (actions > FEAS_TOL) @ p.item_fixed_costs
     return time, successor, cost
 
 
@@ -368,14 +353,12 @@ def _line_minimum(
 
     With x the moving coordinate, item k's post-replenishment level is
     x + c0 and the transition time min(m, (x + c0) / r_k), with m the time
-    to the first stockout among the other items.  Stumps are clipped ramps and the fixed
-    cost is constant while a_k > 0, so the slack is piecewise linear in x,
-    plus the convex holding quadratic on an action line.  Its minimum over
-    the feasible interval sits at an end, at a kink (the stockout switch,
-    a successor stump crossing omega +- eps, or on a state line a stump of
-    s_k itself) or at the stationary point of a quadratic piece.  Returns
-    the best candidate as (state, action, slack), or None when none is
-    feasible.
+    to the first stockout among the other items.  Stumps are clipped ramps and the
+    cost is constant while a_k > 0, so the slack is piecewise linear in x.
+    Its minimum over the feasible interval sits at an end or at a kink (the
+    stockout switch, a successor stump crossing omega +- eps, or on a state
+    line a stump of s_k itself).  Returns the best candidate as
+    (state, action, slack), or None when none is feasible.
     """
     r = p.usage_rates
     post = s + a
@@ -420,16 +403,6 @@ def _line_minimum(
         return None
     states, actions = points(x)
     slack = constraint_slack(p, bases, sol, states, actions)
-    h = p.holding[k]
-    if not on_state and h > 0.0 and len(x) > 1:
-        # between candidates the slack is linear + h (2 s_k x + x^2) / (2 r_k)
-        linear = slack - h * (2.0 * s[k] * x + x**2) / (2.0 * r[k])
-        x_flat = -(np.diff(linear) / np.diff(x)) * r[k] / h - s[k]
-        inner = (x_flat > x[:-1]) & (x_flat < x[1:])
-        if inner.any():
-            more_states, more_actions = points(x_flat[inner])
-            slack = np.concatenate([slack, constraint_slack(p, bases, sol, more_states, more_actions)])
-            states, actions = np.vstack([states, more_states]), np.vstack([actions, more_actions])
     i = int(np.argmin(slack))
     return states[i], actions[i], float(slack[i])
 

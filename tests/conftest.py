@@ -78,8 +78,7 @@ def reference_gjr_step(p: GjrParams, states, actions) -> tuple[np.ndarray, np.nd
     successor = states + actions  # post-replenishment levels, consumed in place
     time = np.min(successor / p.usage_rates, axis=-1)
     successor -= time[..., None] * p.usage_rates
-    holding = np.sum((2.0 * states * actions + actions**2) * p.holding / (2.0 * p.usage_rates), axis=-1)
-    cost = p.fixed_cost + (actions > FEAS_TOL) @ p.item_fixed_costs + holding
+    cost = p.fixed_cost + (actions > FEAS_TOL) @ p.item_fixed_costs
     return time, successor, cost
 
 

@@ -19,7 +19,6 @@ def _symmetric_params(**overrides):
         a_bar=5.0,
         fixed_cost=100.0,
         item_fixed_costs=np.array([0.0, 0.0]),
-        holding=np.zeros(2),
     )
     base.update(overrides)
     return gjr.GjrParams(**base)
@@ -67,7 +66,6 @@ class TestInstanceGeneration:
         p = gjr.gjr_instance(4, "constant", 100, split_rng(10, 1))
         assert p.fixed_cost == 100.0
         assert np.all((p.item_fixed_costs >= 0.0) & (p.item_fixed_costs <= 60.0))
-        assert np.all(p.holding == 0.0)
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -108,19 +106,6 @@ class TestDynamics:
         p = _symmetric_params()
         assert not gjr.feasible(p, [0.0, 0.0], [0.0, 0.0])
 
-    def test_cost_holding_term(self):
-        p = gjr.GjrParams(
-            usage_rates=np.array([2.0, 1.0]),
-            s_bar=np.array([5.0, 5.0]),
-            a_bar=5.0,
-            fixed_cost=0.0,
-            item_fixed_costs=np.zeros(2),
-            holding=np.array([1.0, 0.0]),
-        )
-        # (2 * 1 * 2 + 2^2) * 1 / (2 * 2) = 2; the pair has zero transition
-        # time, and the step prices it without a feasibility check
-        assert gjr.gjr_step(p, [1.0, 0.0], [2.0, 0.0])[2] == pytest.approx(2.0)
-
     def test_broadcast_matches_row_by_row(self):
         p = gjr.GjrParams(
             usage_rates=np.array([2.0, 1.0, 0.5]),
@@ -128,7 +113,6 @@ class TestDynamics:
             a_bar=6.0,
             fixed_cost=100.0,
             item_fixed_costs=np.array([7.0, 11.0, 13.0]),
-            holding=np.array([0.5, 1.0, 2.0]),
         )
         rng = split_rng(19, 1)
         states = rng.uniform(0.0, 1.0, (3, 4, 3)) * p.s_bar
@@ -152,7 +136,7 @@ class TestDynamics:
 
 
 def _kernel_instance(j):
-    """A J-item instance with uneven rates and caps and positive holding costs."""
+    """A J-item instance with uneven rates, caps and item fixed costs."""
     rng = split_rng(30 + j, 1)
     s_bar = rng.uniform(2.0, 6.0, j)
     return gjr.GjrParams(
@@ -161,7 +145,6 @@ def _kernel_instance(j):
         a_bar=float(0.6 * s_bar.sum()),
         fixed_cost=100.0,
         item_fixed_costs=rng.uniform(0.0, 60.0, j),
-        holding=rng.uniform(0.1, 3.0, j),
     )
 
 
@@ -198,7 +181,6 @@ class TestKernelColumns:
             a_bar=3.0,
             fixed_cost=100.0,
             item_fixed_costs=np.arange(1.0, j + 1.0),
-            holding=np.full(j, 0.5),
         )
         tol = gjr.FEAS_TOL
         # (levels, orders) of the first two items; the others hold 1 and order nothing
@@ -236,8 +218,8 @@ class TestKernelColumns:
             want = reference_k_step_greedy(desk_instance, bases, result.solution, s, k, search)
             assert np.array_equal(got, want)
 
-    def test_lookahead_three_items_with_holding(self):
-        p = replace(gjr.gjr_instance(3, "random", 67, split_rng(2, 1)), holding=np.array([0.5, 2.0, 1.0]))
+    def test_lookahead_three_items(self):
+        p = gjr.gjr_instance(3, "random", 67, split_rng(2, 1))
         bases = sample_stumps(6, 3, float(p.s_bar.max()), seed=45)
         rng = split_rng(45, 1)
         sol = gjr.BiasApprox(
@@ -381,10 +363,7 @@ def _line_instance(name):
         return gjr.gjr_instance(2, "constant", 100, split_rng(42, 1), usage_rates=(1.0, 1.0))
     if name == "random":  # drawn usage rates
         return gjr.gjr_instance(2, "random", 100, split_rng(1, 1))
-    if name == "three":
-        return gjr.gjr_instance(3, "random", 67, split_rng(2, 1))
-    p = gjr.gjr_instance(2, "random", 100, split_rng(3, 1))
-    return replace(p, holding=np.array([8.0, 3.0]))
+    return gjr.gjr_instance(3, "random", 67, split_rng(2, 1))  # "three"
 
 
 def _scan_line(p, bases, sol, s, a, k, on_state, points=10_000):
@@ -401,7 +380,7 @@ def _scan_line(p, bases, sol, s, a, k, on_state, points=10_000):
 
 
 class TestLineMinimum:
-    @pytest.mark.parametrize("name", ["constant", "random", "three", "holding"])
+    @pytest.mark.parametrize("name", ["constant", "random", "three"])
     def test_exact_along_every_coordinate(self, name):
         p = _line_instance(name)
         j = p.num_items
@@ -598,16 +577,19 @@ class TestKStepPolicy:
 
 class TestSimulateAverageCost:
     def test_single_cycle_closed_form(self):
-        # eta large makes the lookahead maximize transition time; the small
-        # holding cost breaks ties strictly in favor of the symmetric split,
-        # so from (0,0) the policy plays (0.5, 0.5) forever:
-        # average cost = (c' + 2 * (0.5^2 h / 2)) / 0.5
+        # eta large makes the lookahead keep every transition time at its
+        # maximum 1 (item 0's cap over its rate), which item 0 reaches only
+        # when ordered to its cap at every epoch; item 1's cap of 2 lasts two
+        # epochs.  Among those plans item 1's setup cost (0.4) outweighs the
+        # terminal bias gain of keeping item 1 stocked (0.1 per unit), so from
+        # (0,0) the 2-step lookahead plays (1, 2) -> (0, 1), then (1, 0) -> (0, 0):
+        # average cost = ((c' + c_0 + c_1) + (c' + c_0)) / 2
         p = _symmetric_params(
-            s_bar=np.array([1.0, 1.0]), a_bar=1.0, fixed_cost=1.0, holding=np.array([0.1, 0.1])
+            s_bar=np.array([1.0, 2.0]), a_bar=3.0, fixed_cost=1.0, item_fixed_costs=np.array([0.2, 0.4])
         )
-        sol = gjr.BiasApprox(eta_hat=10.0, intercept=0.0, beta1=np.zeros(2), beta2=np.zeros(0))
-        avg = gjr.simulate_average_cost(p, empty_stumps(2), sol, stages=200, k=3)
-        assert avg == pytest.approx((1.0 + 0.025) / 0.5, abs=1e-9)
+        sol = gjr.BiasApprox(eta_hat=10.0, intercept=0.0, beta1=np.array([0.0, 0.1]), beta2=np.zeros(0))
+        avg = gjr.simulate_average_cost(p, empty_stumps(2), sol, stages=200, k=2)
+        assert avg == pytest.approx((1.6 + 1.2) / 2.0, abs=1e-9)
 
     def test_single_stage_is_first_step_ratio(self, desk_instance, desk_solution):
         bases, result = desk_solution
