@@ -183,7 +183,7 @@ def _make_run_dir(root: Path, label: str) -> Path:
 def _loop_config(flat: dict, mdp, seed: int, model: str) -> LoopConfig:
     """A discounted run's loop settings, row plan and basis set, taken out of a flattened config.
 
-    The rows are a grid or ``loop.num_constraints`` uniform pairs; the bases are
+    The rows are a grid (1-D problems only) or ``loop.num_constraints`` uniform pairs; the bases are
     ``loop.fixed_omegas`` or Fourier bases drawn from ``loop.sigma_range``.  A
     config that sets both halves of a pair is rejected.
     """
@@ -191,6 +191,9 @@ def _loop_config(flat: dict, mdp, seed: int, model: str) -> LoopConfig:
         if second in flat and any(key == first or key.startswith(first + ".") for key in flat):
             raise ConfigError(f"config: {first} and {second} exclude each other; set one of them")
     if "loop.grid.states" in flat or "loop.grid.actions" in flat:
+        if not mdp.dim_state == mdp.dim_action == 1:
+            raise ConfigError(f"loop.grid: the grid plan needs a 1-D state and action, the problem has "
+                              f"{mdp.dim_state}-D states and {mdp.dim_action}-D actions")
         states = np.linspace(mdp.state_lo[0], mdp.state_hi[0], _take(flat, "loop.grid.states"))[:, None]
         actions = np.linspace(mdp.action_lo[0], mdp.action_hi[0], _take(flat, "loop.grid.actions"))[:, None]
         plan = grid_plan(states, actions)

@@ -29,6 +29,14 @@ FEAS_TOL = 1e-9
 REFINE_SWEEPS = 3  # coordinate-descent sweeps from each branch's best grid point
 
 
+def _per_item(name: str, values, j: int) -> np.ndarray:
+    """``values`` as a float array of shape ``(j,)``, one entry per item; another shape is an error naming ``name``."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (j,):
+        raise ValueError(f"{name}: expected one entry per item, shape ({j},), got shape {arr.shape}")
+    return arr
+
+
 @dataclass(frozen=True)
 class GjrParams:
     usage_rates: np.ndarray  # per-item consumption per unit time
@@ -38,8 +46,9 @@ class GjrParams:
     item_fixed_costs: np.ndarray  # extra fixed cost per replenished item
 
     def __post_init__(self):
+        j = np.size(self.usage_rates)
         for f in ("usage_rates", "s_bar", "item_fixed_costs"):
-            arr = np.asarray(getattr(self, f), dtype=float)
+            arr = _per_item(f, getattr(self, f), j)
             arr.setflags(write=False)
             object.__setattr__(self, f, arr)
         if self.num_items < 2:
@@ -84,11 +93,12 @@ def gjr_instance(
     if z_pct not in _Z_CHOICES:
         raise ValueError(f"z must be one of {_Z_CHOICES}, got {z_pct}")
     j = num_items
-    rates = np.asarray(usage_rates, dtype=float) if usage_rates is not None else rng.uniform(0.0, 10.0, j)
     if usage_rates is None:
-        rates = np.maximum(rates, 1e-3)  # rates must stay positive
-    u = np.asarray(u, dtype=float) if u is not None else rng.uniform(0.0, 1.0, j)
-    alpha = np.asarray(alpha, dtype=float) if alpha is not None else rng.choice([2.0, 4.0, 8.0], j)
+        rates = np.maximum(rng.uniform(0.0, 10.0, j), 1e-3)  # rates must stay positive
+    else:
+        rates = _per_item("usage_rates", usage_rates, j)
+    u = _per_item("u", u, j) if u is not None else rng.uniform(0.0, 1.0, j)
+    alpha = _per_item("alpha", alpha, j) if alpha is not None else rng.choice([2.0, 4.0, 8.0], j)
     base = float(np.sum(rates * (u + 1.0 / j)))
     if scheme == "random":
         s_bar = 10.0 * rates * u + rates

@@ -417,6 +417,19 @@ _REJECTED_CONFIGS = {
     "negative_num_bases": ("gjr2", {"gjr.num_bases": -3}, "gjr.num_bases: expected an integer >= 0"),
     "zero_max_cuts": ("gjr2", {"gjr.max_cuts": 0}, "gjr.max_cuts: expected an integer >= 1"),
     "zero_init_pairs": ("gjr2", {"gjr.init_pairs": 0}, "gjr.init_pairs: expected an integer >= 1"),
+    # gjr spec arrays hold one entry per item
+    "gjr_u_short": ("gjr2", {"problem": _gjr_problem(items=2, scheme="constant", z=100, u=[0.5])},
+                    "problem: u: expected one entry per item, shape (2,), got shape (1,)"),
+    "gjr_alpha_long": ("gjr2", {"problem": _gjr_problem(items=2, scheme="discrete", z=100, alpha=[2, 4, 8])},
+                       "problem: alpha: expected one entry per item, shape (2,), got shape (3,)"),
+    "gjr_usage_rates_long": ("gjr2", {"problem": _gjr_problem(items=2, scheme="constant", z=100,
+                                                              usage_rates=[1.0, 1.0, 1.0])},
+                             "problem: usage_rates: expected one entry per item, shape (2,), got shape (3,)"),
+    "gjr_item_fixed_costs_long": ("gjr2", {"problem": _gjr_problem(items=2, scheme="constant", z=100,
+                                                                   item_fixed_costs=[1, 2, 3])},
+                                  "problem: item_fixed_costs: expected one entry per item, shape (2,), got shape (3,)"),
+    # the grid plan spans a 1-D state and action; pic:1 has a 2-D state
+    "grid_on_pic": ("pic1", {"loop": {"grid": {"states": 11, "actions": 11}}}, "loop.grid: the grid plan needs"),
 }
 
 
