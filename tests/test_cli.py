@@ -428,7 +428,7 @@ _REJECTED_CONFIGS = {
     "gjr_item_fixed_costs_long": ("gjr2", {"problem": _gjr_problem(items=2, scheme="constant", z=100,
                                                                    item_fixed_costs=[1, 2, 3])},
                                   "problem: item_fixed_costs: expected one entry per item, shape (2,), got shape (3,)"),
-    # the grid plan spans a 1-D state and action; pic:1 has a 2-D state
+    # the grid plan spans a 1-D state and action; pic:1 has a 3-D state
     "grid_on_pic": ("pic1", {"loop": {"grid": {"states": 11, "actions": 11}}}, "loop.grid: the grid plan needs"),
 }
 
