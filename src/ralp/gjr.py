@@ -3,10 +3,10 @@
 Items are consumed at deterministic rates under a shared replenishment
 capacity; the state holds inventory levels with at least one item stocked
 out, and the time to the next decision is the first future stockout.  The
-bias function is approximated by an affine term plus random stump bases, the
-resulting linear program is solved by constraint generation, and policies
-come from a K-step lookahead searched over enumerated replenishment supports
-and action grids.
+bias function is approximated by a linear term plus random stump bases,
+anchored at u(0) = 0 in the empty state, the resulting linear program is
+solved by constraint generation, and policies come from a K-step lookahead
+searched over enumerated replenishment supports and action grids.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ REFINE_SWEEPS = 3  # coordinate-descent sweeps from each branch's best grid poin
 
 
 def _per_item(name: str, values, j: int) -> np.ndarray:
-    """``values`` as a float array of shape ``(j,)``, one entry per item; another shape is an error naming ``name``."""
-    arr = np.asarray(values, dtype=float)
+    """``values`` as a new float array of shape ``(j,)``, one entry per item; another shape is an error naming ``name``."""
+    arr = np.array(values, dtype=float)
     if arr.shape != (j,):
         raise ValueError(f"{name}: expected one entry per item, shape ({j},), got shape {arr.shape}")
     return arr
@@ -175,16 +175,19 @@ def gjr_step(p: GjrParams, states, actions) -> tuple[np.ndarray, np.ndarray, np.
 
 @dataclass(frozen=True)
 class BiasApprox:
-    """Solution of the average-cost model: eta(rates) = eta_hat + beta1 . rates."""
+    """Solution of the average-cost model: eta(rates) = eta_hat + beta1 . rates.
+
+    The bias is defined up to a constant; it is fixed by u(0) = 0 at the
+    empty state, where the simulation starts.
+    """
 
     eta_hat: float
-    intercept: float
     beta1: np.ndarray
     beta2: np.ndarray
 
     def __post_init__(self):
         for f in ("beta1", "beta2"):
-            arr = np.asarray(getattr(self, f), dtype=float)
+            arr = np.array(getattr(self, f), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, f, arr)
 
@@ -192,9 +195,14 @@ class BiasApprox:
         return float(self.eta_hat + self.beta1 @ usage_rates)
 
     def bias(self, bases: BasisSet, states: np.ndarray) -> np.ndarray:
-        """u(s) = intercept - beta1 . s - beta2 . phi(s)."""
+        """u(s) = -beta1 . s - beta2 . (phi(s) - phi(0))."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        return self.intercept - states @ self.beta1 - features(bases, states) @ self.beta2
+        return -(states @ self.beta1) - _anchored_features(bases, states) @ self.beta2
+
+
+def _anchored_features(bases: BasisSet, states: np.ndarray) -> np.ndarray:
+    """phi(s) - phi(0): zero at the empty state, and zero everywhere for a stump constant on the state box."""
+    return features(bases, states) - features(bases, np.zeros(bases.dim_state))
 
 
 def build_avg_alp(
@@ -205,23 +213,25 @@ def build_avg_alp(
     prev: Optional[BiasApprox] = None,
     guide_states: Optional[np.ndarray] = None,
 ) -> LpModel:
-    """LP over (eta_hat, intercept, beta1, beta2) maximizing eta_hat + beta1 . rates.
+    """LP over (eta_hat, beta1, beta2), 1 + J + N columns, maximizing eta_hat + beta1 . rates.
 
     Standard rows bound eta_hat*T + beta1 . a + beta2 . (phi(s') - phi(s)) by
     c(s, a), one row per pair of the ``(n, J)`` arrays ``states`` and
-    ``actions``; with a previous solution, each guide state contributes a row
-    forcing the new bias function to dominate the old one there.
+    ``actions``.  With a previous solution, each guide state s contributes
+    the row beta1 . s + beta2 . (phi(s) - phi(0)) <= -u_prev(s), which forces
+    the new bias to dominate the old one there.  Both biases are anchored at
+    u(0) = 0, so no free constant can satisfy a guide row at no cost.
     """
     if len(states) == 0:
         raise ValueError("need at least one constraint pair")
     j = p.num_items
     n_b = len(bases)
-    num_vars = 2 + j + n_b
+    num_vars = 1 + j + n_b
     times, rhs, dphi = _step_terms(p, bases, states, actions)
     rows = np.zeros((len(states), num_vars))
     rows[:, 0] = times
-    rows[:, 2 : 2 + j] = actions
-    rows[:, 2 + j :] = dphi
+    rows[:, 1 : 1 + j] = actions
+    rows[:, 1 + j :] = dphi
 
     if prev is not None and guide_states is not None and len(guide_states) > 0:
         guide_states = np.atleast_2d(np.asarray(guide_states, dtype=float))
@@ -229,15 +239,14 @@ def build_avg_alp(
             raise ValueError("previous solution uses more bases than the current set")
         prev_bias = prev.bias(bases.prefix(len(prev.beta2)), guide_states)
         g_rows = np.zeros((len(guide_states), num_vars))
-        g_rows[:, 1] = -1.0
-        g_rows[:, 2 : 2 + j] = guide_states
-        g_rows[:, 2 + j :] = features(bases, guide_states)
+        g_rows[:, 1 : 1 + j] = guide_states
+        g_rows[:, 1 + j :] = _anchored_features(bases, guide_states)
         rows = np.vstack([rows, g_rows])
         rhs = np.concatenate([rhs, -prev_bias])
 
     objective = np.zeros(num_vars)
     objective[0] = 1.0
-    objective[2 : 2 + j] = p.usage_rates
+    objective[1 : 1 + j] = p.usage_rates
     return LpModel(objective=objective, rows=rows, rhs=rhs)
 
 
@@ -251,7 +260,7 @@ def _step_terms(
 
 def _unpack(p: GjrParams, x: np.ndarray) -> BiasApprox:
     j = p.num_items
-    return BiasApprox(eta_hat=float(x[0]), intercept=float(x[1]), beta1=x[2 : 2 + j], beta2=x[2 + j :])
+    return BiasApprox(eta_hat=float(x[0]), beta1=x[1 : 1 + j], beta2=x[1 + j :])
 
 
 @dataclass(frozen=True)
@@ -536,11 +545,8 @@ def constraint_generation(
 
     The loop solves one live LP (``backend.open``): each cut appends its
     pair's row, and with ``prev`` the row of the new guide state, and the
-    next solve continues from the previous basis.  A solution that still
-    violates the cut it was solved for by more than ``sep_tol`` is solved
-    again cold on a live LP opened over the same rows.  Unbounded
-    intermediate programs pick up extra sampled pairs until the optimum is
-    finite.
+    next solve continues from the previous basis.  Unbounded intermediate
+    programs pick up extra sampled pairs until the optimum is finite.
     Self-guiding rows (when ``prev`` is given) are only enforced at the
     guide states and at the states of the cuts; they are never separated
     since their violation does not threaten the lower bound.  Any other
@@ -558,23 +564,14 @@ def constraint_generation(
     grid = separation_grid(p, bases, search)
     separate_s = time.perf_counter() - start
     start = time.perf_counter()
-    model = build_avg_alp(p, bases, states, actions, prev, guide_states)
-    lp = backend.open(model)
+    lp = backend.open(build_avg_alp(p, bases, states, actions, prev, guide_states))
     lp_s = time.perf_counter() - start
     lp_iterations = 0
     max_violation = -np.inf
-    cut = None  # the last cut's rows, its pair's row first
     for iteration in range(max_cuts):
         start = time.perf_counter()
         lp_sol = lp.solve()
         lp_iterations += lp_sol.iterations
-        if cut is not None and lp_sol.status == "optimal" and cut.rows[0] @ lp_sol.x - cut.rhs[0] > sep_tol(p):
-            # separation would return this cut again: in the live LP's fixed
-            # preconditioned variables the row holds, in the model's it does
-            # not.  A new live LP gets a preconditioner of its own rows.
-            lp = backend.open(LpModel(model.objective, lp.rows, lp.rhs))
-            lp_sol = lp.solve()
-            lp_iterations += lp_sol.iterations
         while lp_sol.status == "unbounded":
             more_states, more_actions = sample_gjr_pairs(p, 200, rng)
             states = np.vstack([states, more_states])

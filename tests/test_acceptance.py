@@ -260,7 +260,7 @@ def test_criterion_08_gjr_validity(gjr_desk, backend):
     # oracle comparison at the un-cut initial solution, where violations exist
     model = gjr.build_avg_alp(params, bases, *init)
     lp = backend.solve(model)
-    mid = gjr.BiasApprox(eta_hat=lp.x[0], intercept=lp.x[1], beta1=lp.x[2:4], beta2=lp.x[4:])
+    mid = gjr.BiasApprox(eta_hat=lp.x[0], beta1=lp.x[1:3], beta2=lp.x[3:])
     oracle_best = _gjr_grid_oracle(params, bases, mid, 50)
     found = gjr.separate(params, bases, mid)
 

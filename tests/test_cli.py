@@ -377,6 +377,58 @@ def test_run_artifacts_match_pins(pinned_run, name):
         assert _pinnable_manifest(json.loads(manifest.read_text())) + "\n" == expected.read_text()
 
 
+# the gjr_fglp_random config under both models at these seeds, and gjr_short
+_GUIDED_SEEDS = range(1, 7)
+
+
+@pytest.fixture(scope="module")
+def gjr_seed_runs(tmp_path_factory):
+    """The modules loaded by one fresh interpreter that ran gjr_short and the
+    gjr_fglp_random config (seeds 1-6, FGLP and FALP), and each run's
+    ``(bounds, manifest)`` by name ("gjr_short", "fglp1", "falp1", ...)."""
+    tmp_path = tmp_path_factory.mktemp("gjr_seeds")
+    configs = {"gjr_short": _short_gjr_config(tmp_path)}
+    for seed in _GUIDED_SEEDS:
+        for model in ("fglp", "falp"):
+            configs[f"{model}{seed}"] = {**_short_gjr_fglp_random_config(tmp_path), "model": model, "seed": seed}
+    paths = {}
+    for name, cfg in configs.items():
+        cfg["output_dir"] = str(tmp_path / name)
+        paths[name] = _write(tmp_path, cfg, f"{name}.json")
+    loaded = _loaded_after("from ralp import cli\n" + "".join(
+        f"assert cli.run_experiment({str(path)!r})[0] == 0\n" for path in paths.values()
+    ))
+    runs = {}
+    for name in configs:
+        (run_dir,) = (tmp_path / name).iterdir()
+        runs[name] = tuple(json.loads((run_dir / f).read_text()) for f in ("bounds.json", "manifest.json"))
+    return loaded, runs
+
+
+def test_gjr_runs_leave_scipy_optimize_unloaded(gjr_seed_runs):
+    # every cut LP is solved on the live HiGHS model; the all-rows linprog
+    # fall-back, which imports scipy.optimize, is not reached
+    loaded, runs = gjr_seed_runs
+    assert len(runs) == 1 + 2 * len(_GUIDED_SEEDS)
+    assert "scipy.optimize" not in loaded
+
+
+def test_anchored_guide_rows_hold(gjr_seed_runs):
+    # with the bias anchored at u(0) = 0 the guided cut LPs are well posed:
+    # their weights satisfy their own rows with no weight box
+    _, runs = gjr_seed_runs
+    for seed in _GUIDED_SEEDS:
+        assert runs[f"fglp{seed}"][1]["cut_loop_max_violation"] <= 1e-7, seed
+
+
+def test_anchored_guide_rows_bind(gjr_seed_runs):
+    # the guide rows constrain something: on some seed FGLP's lower bound
+    # differs from FALP's
+    _, runs = gjr_seed_runs
+    lbs = [(runs[f"fglp{seed}"][0]["lb"], runs[f"falp{seed}"][0]["lb"]) for seed in _GUIDED_SEEDS]
+    assert any(abs(guided - free) > 1e-9 * abs(free) for guided, free in lbs)
+
+
 def _gjr_problem(**spec):
     return "gjr:" + json.dumps(spec)
 

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 from ralp import alp, gjr
 from ralp.alp import LpModel, ScipyBackend
-from ralp.bases import empty_stumps, sample_fourier, sample_stumps
+from ralp.bases import DEFAULT_STUMP_EPS, empty_stumps, features, sample_fourier, sample_stumps
 from ralp.mdp import InfeasiblePairError, split_rng
 from tests.conftest import reference_feasible, reference_gjr_step, reference_k_step_greedy
 
@@ -66,6 +66,21 @@ class TestInstanceGeneration:
         p = gjr.gjr_instance(4, "constant", 100, split_rng(10, 1))
         assert p.fixed_cost == 100.0
         assert np.all((p.item_fixed_costs >= 0.0) & (p.item_fixed_costs <= 60.0))
+
+    def test_frozen_fields_copy_the_callers_arrays(self):
+        # the fields are read-only; the arrays they were built from stay the caller's
+        rates, caps, costs = np.array([2.0, 3.0]), np.array([5.0, 6.0]), np.array([1.0, 4.0])
+        p = gjr.gjr_instance(2, "constant", 100, split_rng(5, 1), usage_rates=rates)
+        q = gjr.GjrParams(usage_rates=rates, s_bar=caps, a_bar=5.0, fixed_cost=100.0, item_fixed_costs=costs)
+        beta1, beta2 = np.array([1.0, 2.0]), np.array([0.5])
+        sol = gjr.BiasApprox(eta_hat=0.0, beta1=beta1, beta2=beta2)
+        for arr in (rates, caps, costs, beta1, beta2):
+            assert arr.flags.writeable
+            arr[0] = -7.0
+        assert p.usage_rates[0] == q.usage_rates[0] == 2.0 and q.s_bar[0] == 5.0 and q.item_fixed_costs[0] == 1.0
+        assert sol.beta1[0] == 1.0 and sol.beta2[0] == 0.5
+        for arr in (p.usage_rates, q.s_bar, q.item_fixed_costs, sol.beta1, sol.beta2):
+            assert not arr.flags.writeable
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -223,7 +238,7 @@ class TestKernelColumns:
         bases = sample_stumps(6, 3, float(p.s_bar.max()), seed=45)
         rng = split_rng(45, 1)
         sol = gjr.BiasApprox(
-            eta_hat=40.0, intercept=0.0, beta1=rng.normal(0.0, 10.0, 3), beta2=rng.normal(0.0, 30.0, 6)
+            eta_hat=40.0, beta1=rng.normal(0.0, 10.0, 3), beta2=rng.normal(0.0, 30.0, 6)
         )
         search = gjr.SearchPlan(beam_width=64, action_grid=9)
         for s in gjr.sample_gjr_states(p, 3, rng):
@@ -237,16 +252,16 @@ class TestAverageCostLp:
         states, actions = gjr.sample_gjr_pairs(desk_instance, 25, split_rng(13, 1))
         assert states.shape == actions.shape == (25, 2)
         model = gjr.build_avg_alp(desk_instance, empty_stumps(2), states, actions)
-        assert model.num_vars == 2 + 2  # eta_hat, intercept, beta1 per item
+        assert model.num_vars == 1 + 2  # eta_hat, beta1 per item
         assert model.num_rows == 25
-        assert np.all(model.rows[:, 1] == 0.0)  # Bellman rows only: no guide row carries the intercept
+        assert np.array_equal(model.rows[:, 1:], actions)
 
     def test_one_pair_lp_solves_to_cost_over_time(self):
         p = _symmetric_params()
         pair = (np.array([[0.0, 2.0]]), np.array([[3.0, 1.0]]))
         model = gjr.build_avg_alp(p, empty_stumps(2), *pair)
         pin = np.zeros((4, model.num_vars))
-        pin[0, 2], pin[1, 2], pin[2, 3], pin[3, 3] = 1.0, -1.0, 1.0, -1.0
+        pin[0, 1], pin[1, 1], pin[2, 2], pin[3, 2] = 1.0, -1.0, 1.0, -1.0
         pinned = LpModel(
             objective=model.objective,
             rows=np.vstack([model.rows, pin]),
@@ -264,9 +279,27 @@ class TestAverageCostLp:
             desk_instance, bases, states, actions, prev=result.solution, guide_states=guides
         )
         assert model.num_rows == 30 + 12
-        # guide rows follow the Bellman rows: -intercept + beta1 . s + beta2 . phi(s) <= -u_prev(s)
-        assert np.all(model.rows[30:, 1] == -1.0) and np.all(model.rows[:30, 1] == 0.0)
-        assert np.array_equal(model.rows[30:, 2:4], guides)
+        assert model.num_vars == 1 + 2 + len(bases)
+        # guide rows follow the Bellman rows: beta1 . s + beta2 . (phi(s) - phi(0)) <= -u_prev(s)
+        assert np.all(model.rows[30:, 0] == 0.0)
+        assert np.array_equal(model.rows[30:, 1:3], guides)
+        assert np.array_equal(model.rows[30:, 3:], features(bases, guides) - features(bases, np.zeros(2)))
+        assert np.array_equal(model.rhs[30:], -result.solution.bias(bases, guides))
+
+    def test_bias_is_anchored_at_the_empty_state(self, desk_instance, desk_solution):
+        # u(0) = 0, and a stump whose band lies below zero is constant on the
+        # state box, so its column is zero in every standard and guide row
+        bases, result = desk_solution
+        assert np.array_equal(result.solution.bias(bases, np.zeros(2)), [0.0])
+        constant = bases.omega + DEFAULT_STUMP_EPS < 0.0
+        assert 0 < constant.sum() < len(bases)
+        states, actions = gjr.sample_gjr_pairs(desk_instance, 30, split_rng(14, 1))
+        guides = gjr.sample_gjr_states(desk_instance, 12, split_rng(15, 1))
+        model = gjr.build_avg_alp(
+            desk_instance, bases, states, actions, prev=result.solution, guide_states=guides
+        )
+        assert np.all(model.rows[:, 3:][:, constant] == 0.0)
+        assert np.all(np.any(model.rows[30:, 3:][:, ~constant] != 0.0, axis=0))
 
     def test_empty_pairs_rejected(self, desk_instance):
         with pytest.raises(ValueError):
@@ -280,6 +313,8 @@ class TestAverageCostLp:
             desk_instance, bases, states, actions, ScipyBackend(),
             prev=result.solution, guide_states=guides, seed=3,
         )
+        # both biases are anchored at u(0) = 0, so each guide row is this
+        # difference itself, and nothing but the weights can satisfy it
         new_bias = guided.solution.bias(bases, guides)
         old_bias = result.solution.bias(bases, guides)
         assert np.min(new_bias - old_bias) >= -1e-7
@@ -287,7 +322,7 @@ class TestAverageCostLp:
 
 class TestSeparation:
     def test_zero_solution_feasible(self, desk_instance):
-        zero = gjr.BiasApprox(eta_hat=0.0, intercept=0.0, beta1=np.zeros(2), beta2=np.zeros(0))
+        zero = gjr.BiasApprox(eta_hat=0.0, beta1=np.zeros(2), beta2=np.zeros(0))
         res = gjr.separate(desk_instance, empty_stumps(2), zero)
         assert res.status == "feasible"
         assert res.slack > 0.0  # every slack equals c(s,a) > 0
@@ -307,7 +342,7 @@ class TestSeparation:
         pairs = gjr.sample_gjr_pairs(desk_instance, 150, split_rng(42, 2))
         model = gjr.build_avg_alp(desk_instance, bases, *pairs)
         lp = ScipyBackend().solve(model)
-        sol = gjr.BiasApprox(eta_hat=lp.x[0], intercept=lp.x[1], beta1=lp.x[2:4], beta2=lp.x[4:])
+        sol = gjr.BiasApprox(eta_hat=lp.x[0], beta1=lp.x[1:3], beta2=lp.x[3:])
         found = gjr.separate(desk_instance, bases, sol)
         oracle = _grid_oracle(desk_instance, bases, sol, 50)
         assert found.slack <= oracle + 1e-6
@@ -319,7 +354,7 @@ class TestSeparation:
     def test_non_stump_bases_rejected(self, desk_instance):
         # the line search breaks at stump kinks
         bases = sample_fourier(3, 2, (1.0, 2.0), seed=0)
-        sol = gjr.BiasApprox(eta_hat=0.0, intercept=0.0, beta1=np.zeros(2), beta2=np.zeros(3))
+        sol = gjr.BiasApprox(eta_hat=0.0, beta1=np.zeros(2), beta2=np.zeros(3))
         with pytest.raises(ValueError, match="stump"):
             gjr.separate(desk_instance, bases, sol)
 
@@ -329,7 +364,7 @@ class TestSeparation:
         sol = result.solution
         if not stumps:
             bases = empty_stumps(2)
-            sol = gjr.BiasApprox(eta_hat=sol.eta_hat, intercept=sol.intercept, beta1=sol.beta1, beta2=np.zeros(0))
+            sol = gjr.BiasApprox(eta_hat=sol.eta_hat, beta1=sol.beta1, beta2=np.zeros(0))
         grid = gjr.separation_grid(desk_instance, bases, gjr.SearchPlan(grid_per_dim=25))
         assert [b.face for b in grid] == [0, 0, 1, 1]
         for b in grid:
@@ -341,7 +376,7 @@ class TestSeparation:
         bases, result = desk_solution
         pairs = gjr.sample_gjr_pairs(desk_instance, 150, split_rng(42, 2))
         lp = ScipyBackend().solve(gjr.build_avg_alp(desk_instance, bases, *pairs))
-        zero = gjr.BiasApprox(eta_hat=0.0, intercept=0.0, beta1=np.zeros(2), beta2=np.zeros(len(bases)))
+        zero = gjr.BiasApprox(eta_hat=0.0, beta1=np.zeros(2), beta2=np.zeros(len(bases)))
         # one grid for all three solutions, as in a cut loop
         grid = gjr.separation_grid(desk_instance, bases)
         for sol in (zero, gjr._unpack(desk_instance, lp.x), result.solution):
@@ -353,7 +388,7 @@ class TestSeparation:
 
     def test_no_feasible_grid_point_raises(self):
         p = _symmetric_params(a_bar=0.0)  # no capacity: no action replenishes anything
-        zero = gjr.BiasApprox(eta_hat=0.0, intercept=0.0, beta1=np.zeros(2), beta2=np.zeros(0))
+        zero = gjr.BiasApprox(eta_hat=0.0, beta1=np.zeros(2), beta2=np.zeros(0))
         with pytest.raises(ValueError, match="feasible grid point"):
             gjr.separate(p, empty_stumps(2), zero)
 
@@ -391,7 +426,6 @@ class TestLineMinimum:
         for _ in range(5):
             sol = gjr.BiasApprox(
                 eta_hat=float(rng.uniform(0.0, 150.0)),
-                intercept=0.0,
                 beta1=rng.normal(0.0, 30.0, j),
                 beta2=rng.normal(0.0, 50.0, len(bases)),
             )
@@ -474,12 +508,9 @@ class TestConstraintGeneration:
         assert len(err.value.trace) == 2
 
 
-def _cold_objective(objective: np.ndarray, rows: np.ndarray, rhs: np.ndarray, var_bound=None) -> float:
-    """The optimum of one cold linprog over all rows and the box, in preconditioned variables as the backend solves."""
+def _cold_objective(objective: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> float:
+    """The optimum of one cold linprog over all rows, in preconditioned variables as the backend solves."""
     m = alp._preconditioner(rows)
-    if var_bound is not None:
-        eye = np.eye(len(objective))
-        rows, rhs = np.vstack([rows, eye, -eye]), np.concatenate([rhs, np.full(2 * len(objective), var_bound)])
     res = linprog(
         c=-(objective if m is None else m.T @ objective),
         A_ub=rows if m is None else rows @ m,
@@ -497,18 +528,14 @@ class TestLiveCutLp:
     def test_every_cut_matches_a_cold_all_rows_solve(self, desk_instance, monkeypatch, model):
         # the cut loop solves each cut warm on one live LP; a cold solve of the
         # same rows reaches the same objective.  The FGLP model starts with 350
-        # rows, so its first solve also generates rows.  Its intercept appears
-        # in the guide rows only and not in the objective, so without a box the
-        # solutions reach 1e19, where row activities lose whole units and the
-        # objectives agree to about 4e-8 only; a 1e6 box keeps it well posed.
+        # rows, so its first solve also generates rows.
         sigma = float(split_rng(42, 41).uniform(1.0, desk_instance.s_bar.max()))
         bases = sample_stumps(10, 2, sigma, seed=42)
         init = gjr.sample_gjr_pairs(desk_instance, 150, split_rng(42, 2))
-        prev = guides = var_bound = None
+        prev = guides = None
         if model == "fglp":
             prev = gjr.constraint_generation(desk_instance, empty_stumps(2), *init, ScipyBackend(), seed=42).solution
             guides = gjr.sample_gjr_states(desk_instance, 200, split_rng(42, 3))
-            var_bound = 1e6
         solves, live_solve = [], alp.LiveLp.solve
 
         def recorded(lp):
@@ -518,7 +545,7 @@ class TestLiveCutLp:
 
         monkeypatch.setattr(alp.LiveLp, "solve", recorded)
         result = gjr.constraint_generation(
-            desk_instance, bases, *init, ScipyBackend(var_bound), prev=prev, guide_states=guides, seed=42
+            desk_instance, bases, *init, ScipyBackend(), prev=prev, guide_states=guides, seed=42
         )
         objective = gjr.build_avg_alp(desk_instance, bases, *init).objective
         assert len(solves) >= len(result.trace) > 1
@@ -527,7 +554,7 @@ class TestLiveCutLp:
         assert len(solves[-1][1]) == first + per_cut * (len(result.trace) - 1)
         for rows, rhs, sol in solves:
             assert sol.status == "optimal"
-            ref = _cold_objective(objective, rows, rhs, var_bound)
+            ref = _cold_objective(objective, rows, rhs)
             assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
@@ -554,7 +581,7 @@ class TestKStepPolicy:
             assert np.allclose(got, best_a, atol=1e-12)
 
     def test_zero_bias_minimizes_myopic_cost(self, desk_instance):
-        zero = gjr.BiasApprox(eta_hat=0.0, intercept=0.0, beta1=np.zeros(2), beta2=np.zeros(0))
+        zero = gjr.BiasApprox(eta_hat=0.0, beta1=np.zeros(2), beta2=np.zeros(0))
         search = gjr.SearchPlan(beam_width=512, action_grid=5)
         s = np.array([0.0, 1.0])
         a = gjr.k_step_greedy(desk_instance, empty_stumps(2), zero, s, 2, search)
@@ -587,7 +614,7 @@ class TestSimulateAverageCost:
         p = _symmetric_params(
             s_bar=np.array([1.0, 2.0]), a_bar=3.0, fixed_cost=1.0, item_fixed_costs=np.array([0.2, 0.4])
         )
-        sol = gjr.BiasApprox(eta_hat=10.0, intercept=0.0, beta1=np.array([0.0, 0.1]), beta2=np.zeros(0))
+        sol = gjr.BiasApprox(eta_hat=10.0, beta1=np.array([0.0, 0.1]), beta2=np.zeros(0))
         avg = gjr.simulate_average_cost(p, empty_stumps(2), sol, stages=200, k=2)
         assert avg == pytest.approx((1.6 + 1.2) / 2.0, abs=1e-9)
 
