@@ -285,19 +285,11 @@ class TestAverageCostLp:
         assert np.array_equal(model.rows[30:, 1:3], guides)
         assert np.array_equal(model.rows[30:, 3:], features(bases, guides) - features(bases, np.zeros(2)))
         assert np.array_equal(model.rhs[30:], -result.solution.bias(bases, guides))
-
-    def test_bias_is_anchored_at_the_empty_state(self, desk_instance, desk_solution):
-        # u(0) = 0, and a stump whose band lies below zero is constant on the
-        # state box, so its column is zero in every standard and guide row
-        bases, result = desk_solution
+        # the bias is anchored at u(0) = 0, and a stump whose band lies below
+        # zero is constant on the state box, so its column is zero in every row
         assert np.array_equal(result.solution.bias(bases, np.zeros(2)), [0.0])
         constant = bases.omega + DEFAULT_STUMP_EPS < 0.0
         assert 0 < constant.sum() < len(bases)
-        states, actions = gjr.sample_gjr_pairs(desk_instance, 30, split_rng(14, 1))
-        guides = gjr.sample_gjr_states(desk_instance, 12, split_rng(15, 1))
-        model = gjr.build_avg_alp(
-            desk_instance, bases, states, actions, prev=result.solution, guide_states=guides
-        )
         assert np.all(model.rows[:, 3:][:, constant] == 0.0)
         assert np.all(np.any(model.rows[30:, 3:][:, ~constant] != 0.0, axis=0))
 
