@@ -18,6 +18,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import sys
+import types
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol
@@ -290,31 +291,57 @@ class LiveLp:
                           rounds=rounds, rows_solved=rows_solved, iterations=iterations)
 
 
-def _load_highs():
-    """scipy's compiled HiGHS binding, loaded from its file without importing ``scipy.optimize``.
+def load_extension(name: str):
+    """A compiled module of an installed package, loaded from its file without its package's ``__init__``.
 
-    The module is registered under its own name, so ``scipy.optimize``
-    imported before or after this one uses the same module object.
+    ``name`` is the module's full dotted name, such as
+    ``"scipy.optimize._highspy._core"``.  The module is registered under that
+    name, so the package imported before or after this call uses the same
+    module object.  While the module initializes, each parent package below
+    the top level that is not yet imported stands in ``sys.modules`` as a
+    bare module whose ``__path__`` is the package folder: a relative import
+    of a sibling extension then loads that file alone instead of running the
+    package's ``__init__``.  The stand-ins are removed afterwards.  The
+    top-level package is never stood in: an absolute import in the module
+    imports it for real, as other code expects it complete.
     """
-    name = "scipy.optimize._highspy._core"
     if name in sys.modules:
         return sys.modules[name]
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None:
-        raise ImportError("scipy is not installed")
-    folder = Path(scipy_spec.submodule_search_locations[0]) / "optimize" / "_highspy"
-    paths = [folder / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    top, *packages, leaf = name.split(".")
+    top_spec = importlib.util.find_spec(top)
+    if top_spec is None:
+        raise ImportError(f"{top} is not installed")
+    root = Path(top_spec.submodule_search_locations[0])
+    folder = root.joinpath(*packages)
+    paths = [folder / f"{leaf}{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if p.is_file()), None)
     if path is None:
-        raise ImportError(f"no HiGHS extension module _core.* in {folder}")
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
+        raise ImportError(f"no extension module {leaf}.* in {folder}")
+    stand_ins = []
+    for depth in range(1, len(packages) + 1):
+        package = ".".join([top, *packages[:depth]])
+        if package not in sys.modules:
+            stand_in = types.ModuleType(package)
+            stand_in.__path__ = [str(root.joinpath(*packages[:depth]))]
+            sys.modules[package] = stand_in
+            stand_ins.append(package)
+    try:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
+    finally:
+        for package in stand_ins:
+            sys.modules.pop(package, None)
     return module
 
 
-_highs = _load_highs()
+# scipy's compiled HiGHS binding, without importing scipy.optimize
+_highs = load_extension("scipy.optimize._highspy._core")
 
 
 def linprog(*args, **kwargs):

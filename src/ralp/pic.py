@@ -16,14 +16,16 @@ from dataclasses import dataclass, asdict
 from functools import partial
 
 import numpy as np
-from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
-from ralp.alp import VfaWeights
+from ralp.alp import VfaWeights, load_extension
 from ralp.bases import BasisSet
 from ralp.lower_bound import LipschitzConstants
 from ralp.mdp import DiscountedMdp, NoiseModel, degenerate
 
 DEMAND_SAA_SIZE = 5000
+
+# scipy.special's ufuncs, without importing the scipy.special package
+_ufuncs = load_extension("scipy.special._ufuncs")
 
 # Catalog rows: (c_o, c_h, c_d, c_b, a_max, s_min, gamma).
 _CATALOG = {
@@ -230,19 +232,23 @@ def demand_quantile(p: PicParams, u) -> np.ndarray:
     """Inverse CDF of the truncated-normal demand law, elementwise over ``u`` in [0, 1).
 
     Repeats scipy's ``truncnorm.ppf`` operation for operation, so it returns
-    the same bits, using only ``scipy.special``.  The lower end lies below the
-    mean (checked by ``PicParams``), so only truncnorm's left-tail branch
-    applies: Phi(x) = Phi(a) + u (Phi(b) - Phi(a)) is formed in log space and
-    inverted by ``ndtri_exp``.  u = 0 returns the lower end of the range.
+    the same bits.  The lower end lies below the mean (checked by
+    ``PicParams``), so only truncnorm's left-tail branch applies:
+    Phi(x) = Phi(a) + u (Phi(b) - Phi(a)) is formed in log space and inverted
+    by ``ndtri_exp``.  u = 0 returns the lower end of the range.  The
+    two-term ``logsumexp`` is written out as the arithmetic scipy's performs
+    on two terms, log1p(exp(lo - hi)) + hi, with the same numpy ufuncs.
     """
     a = (p.demand_range[0] - p.demand_mean) / p.demand_sd
     b = (p.demand_range[1] - p.demand_mean) / p.demand_sd
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore"):
         log_u = np.log(u)
-    log_mass = log1p(-ndtr(a) - ndtr(-b))
-    log_phi = logsumexp(np.stack(np.broadcast_arrays(log_ndtr(a), log_u + log_mass)), axis=0)
-    x = ndtri_exp(log_phi) * p.demand_sd + p.demand_mean
+    log_mass = _ufuncs.log1p(-_ufuncs.ndtr(a) - _ufuncs.ndtr(-b))
+    log_a, log_mid = _ufuncs.log_ndtr(a), log_u + log_mass
+    hi, lo = np.maximum(log_a, log_mid), np.minimum(log_a, log_mid)
+    log_phi = np.log1p(np.exp(lo - hi)) + hi
+    x = _ufuncs.ndtri_exp(log_phi) * p.demand_sd + p.demand_mean
     return np.where(u == 0.0, a * p.demand_sd + p.demand_mean, x)
 
 

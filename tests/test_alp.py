@@ -467,6 +467,42 @@ assert np.array_equal(sol.x, m @ res.x) and sol.objective == -res.fun
 """
 
 
+_LOAD_FAILS = """
+import importlib.util, sys
+from pathlib import Path
+from ralp.alp import load_extension
+folder = Path(importlib.util.find_spec("scipy").submodule_search_locations[0]) / "special"
+try:
+    load_extension("scipy.special._no_such_module")
+except ImportError as e:
+    assert str(folder) in str(e), e
+else:
+    raise AssertionError("no ImportError for a missing file")
+# a sibling that cannot be imported makes _ufuncs fail while it initializes
+sys.modules["scipy.special._ufuncs_cxx"] = None
+try:
+    load_extension("scipy.special._ufuncs")
+except ImportError:
+    pass
+else:
+    raise AssertionError("no ImportError for a failed initialization")
+assert "scipy.special" not in sys.modules and "scipy.special._ufuncs" not in sys.modules
+del sys.modules["scipy.special._ufuncs_cxx"]
+ufuncs = load_extension("scipy.special._ufuncs")
+assert "scipy.special" not in sys.modules
+import scipy.special
+assert scipy.special.ndtr is ufuncs.ndtr
+"""
+
+
+def test_load_extension_failure_leaves_no_stand_in():
+    # a missing file names the folder searched; a failed load leaves neither
+    # the stand-in parent package nor the half-loaded module registered
+    src = str(Path(alp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", _LOAD_FAILS], env=env, check=True)
+
+
 @pytest.mark.parametrize("first, second", [("import ralp.alp", "import scipy.optimize"),
                                            ("import scipy.optimize", "import ralp.alp")])
 def test_scipy_optimize_shares_the_loaded_binding(first, second):

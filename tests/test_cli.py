@@ -232,9 +232,25 @@ def test_gjr_run_leaves_scipy_special_unloaded(tmp_path):
     assert "scipy.special" not in loaded
 
 
+def test_pic_run_leaves_scipy_special_unloaded(tmp_path):
+    # pic loads scipy.special's ufunc extension by file path, not the package
+    cfg = _shipped_config(tmp_path, "pic1")
+    cfg["demand_saa_size"] = 50
+    cfg["loop"].update({"batch": 5, "max_bases": 5, "num_constraints": 200})
+    cfg["sim"] = {"horizon": 20, "replications": 2, "action_grid": 11}
+    cfg["lower_bound"] = {"chains": 2, "chain_length": 50, "burn_in": 20}
+    path = _write(tmp_path, cfg)
+    loaded = _loaded_after(f"from ralp import cli; assert cli.run_experiment({str(path)!r})[0] == 0")
+    assert "ralp.pic" in loaded and "scipy.special._ufuncs" in loaded
+    assert "scipy.special" not in loaded
+
+
 def test_pic_is_imported_on_use():
-    assert "scipy.special" in _loaded_after("import ralp; ralp.pic.demand_quantile")
-    assert "scipy.special" in _loaded_after("from ralp import *; pic.demand_quantile")
+    assert "ralp.pic" not in _loaded_after("import ralp")
+    for code in ("import ralp; ralp.pic.demand_quantile", "from ralp import *; pic.demand_quantile"):
+        loaded = _loaded_after(code)
+        assert "ralp.pic" in loaded and "scipy.special._ufuncs" in loaded
+        assert "scipy.special" not in loaded
 
 
 def _shipped_config(tmp_path, name):

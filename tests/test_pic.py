@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,11 +199,49 @@ class TestDemandQuantile:
             u = np.concatenate([self.EDGES, split_rng(22, i).random(1000)])
             assert np.array_equal(pic.demand_quantile(p, u), self._reference(p).ppf(u))
 
+    def test_where_the_two_log_terms_tie(self):
+        # near u = Phi(a) / (Phi(b) - Phi(a)) the two terms of the log-space
+        # sum are equal, which scipy's logsumexp handles by its own branch
+        p = pic.instance_from_table(1)
+        uf = pic._ufuncs
+        a, b = -2.5, 2.5
+        log_mass = uf.log1p(-uf.ndtr(a) - uf.ndtr(-b))
+        u = np.exp(uf.log_ndtr(a) - log_mass) + np.arange(-4, 5) * 2.0**-60
+        assert np.any(np.log(u) + log_mass == uf.log_ndtr(a))
+        assert np.array_equal(pic.demand_quantile(p, u), self._reference(p).ppf(u))
+
     def test_params_need_mean_inside_range(self):
         p = pic.instance_from_table(1)
         for bad in ({"demand_range": (5.0, 10.0)}, {"demand_mean": 10.0}, {"demand_sd": 0.0}):
             with pytest.raises(ValueError):
                 dataclasses.replace(p, **bad)
+
+
+_SAME_UFUNCS = """
+import sys
+import numpy as np
+{first}
+{second}
+from scipy.special import ndtri_exp
+from scipy.stats import truncnorm
+from ralp import pic
+assert sys.modules["scipy.special._ufuncs"] is pic._ufuncs and pic._ufuncs.ndtri_exp is ndtri_exp
+p = pic.instance_from_table(1)
+u = np.concatenate([[0.0, 5e-324, 0.5, 1.0 - 2.0**-53], np.random.default_rng(5).random(100_000)])
+ref = truncnorm.ppf(u, -2.5, 2.5, loc=p.demand_mean, scale=p.demand_sd)
+assert np.array_equal(pic.demand_quantile(p, u), ref)
+"""
+
+
+@pytest.mark.parametrize("first, second", [("import ralp.pic", "import scipy.special, scipy.stats"),
+                                           ("import scipy.special, scipy.stats", "import ralp.pic")])
+def test_scipy_special_shares_the_loaded_ufuncs(first, second):
+    # ralp loads scipy.special's ufunc extension by file path; importing
+    # scipy.special before or after must give one module object and the same bits
+    src = str(Path(pic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = _SAME_UFUNCS.format(first=first, second=second)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def _box_value(lo, hi):
