@@ -25,8 +25,9 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # pic alone imports the top-level scipy package (for scipy.special's
-    # ufuncs), which toy and gjr runs need not pay for, so it is imported on first use
+    # pic alone imports the top-level scipy package (about 9 ms, through
+    # scipy.special's ufuncs), which toy and gjr runs should not pay, so it
+    # is imported on first use
     if name == "pic":
         import ralp.pic
 

@@ -301,9 +301,11 @@ def load_extension(name: str):
     the top level that is not yet imported stands in ``sys.modules`` as a
     bare module whose ``__path__`` is the package folder: a relative import
     of a sibling extension then loads that file alone instead of running the
-    package's ``__init__``.  The stand-ins are removed afterwards.  The
-    top-level package is never stood in: an absolute import in the module
-    imports it for real, as other code expects it complete.
+    package's ``__init__``.  The stand-ins are removed afterwards, also when
+    the load fails.  The top-level package is never stood in, so an absolute
+    import in the module imports it for real: subpackages loaded under a
+    top-level stand-in would be missing as attributes of the real package
+    imported later (``scipy.stats`` reads ``scipy._lib``).
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -329,11 +331,10 @@ def load_extension(name: str):
         spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
-        try:
-            spec.loader.exec_module(module)
-        except BaseException:
-            del sys.modules[name]
-            raise
+        spec.loader.exec_module(module)
+    except BaseException:
+        sys.modules.pop(name, None)
+        raise
     finally:
         for package in stand_ins:
             sys.modules.pop(package, None)
