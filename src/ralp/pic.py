@@ -236,7 +236,7 @@ def demand_quantile(p: PicParams, u) -> np.ndarray:
     ``PicParams``), so only truncnorm's left-tail branch applies:
     Phi(x) = Phi(a) + u (Phi(b) - Phi(a)) is formed in log space and inverted
     by ``ndtri_exp``.  u = 0 returns the lower end of the range.  The
-    two-term ``logsumexp`` is written out as the arithmetic scipy's performs
+    two-term ``logsumexp`` is written out as the arithmetic scipy performs
     on two terms, log1p(exp(lo - hi)) + hi, with the same numpy ufuncs.
     """
     a = (p.demand_range[0] - p.demand_mean) / p.demand_sd

@@ -201,7 +201,7 @@ class TestDemandQuantile:
 
     def test_where_the_two_log_terms_tie(self):
         # near u = Phi(a) / (Phi(b) - Phi(a)) the two terms of the log-space
-        # sum are equal, which scipy's logsumexp handles by its own branch
+        # sum are equal, and scipy's logsumexp takes both as the maximum
         p = pic.instance_from_table(1)
         uf = pic._ufuncs
         a, b = -2.5, 2.5
