@@ -134,11 +134,11 @@ class ScipyBackend:
         return self.open(model).solve()
 
 
-def _preconditioner(rows: np.ndarray) -> Optional[np.ndarray]:
-    """The inverse R factor of a QR over sampled ``rows``, or None for too few rows or columns."""
+def _preconditioner(rows: np.ndarray) -> np.ndarray:
+    """The inverse R factor of a QR over sampled ``rows``, or the identity for too few rows or columns."""
     n, v = rows.shape
     if n < 2 * v or v < 2:
-        return None
+        return np.eye(v)
     idx = np.linspace(0, n - 1, min(n, PRECONDITION_ROWS)).astype(int)
     r = np.linalg.qr(rows[idx], mode="r")
     diag = np.abs(np.diag(r))
@@ -156,8 +156,10 @@ class LiveLp:
     the inverse R-factor of a QR over rows sampled from the model it is
     opened on, which makes the columns near-orthonormal without changing the
     program: the feasible region and optimum map exactly through the
-    invertible M.  M stays fixed for the life of the object, so rows added
-    later are solved in the same variables.
+    invertible M.  A model with fewer than two columns, or with fewer than
+    twice as many rows as columns, is opened with M the identity, which
+    changes no coefficient.  M stays fixed for the life of the object, so
+    rows added later are solved in the same variables.
 
     Tight feasibility tolerances keep chained models consistent: guide rows
     built from a previous solution stay satisfiable only if that solution
@@ -211,9 +213,9 @@ class LiveLp:
             self._box = 2 * v
         self.rows, self.rhs = model.rows, model.rhs  # the model's rows in their own variables
         self.m = _preconditioner(model.rows)
-        self.c = model.objective if self.m is None else self.m.T @ model.objective
+        self.c = self.m.T @ model.objective
         # every known row, preconditioned, box rows included: the model's, the box, then added ones
-        self.a_ub, self.b_ub = (rows if self.m is None else rows @ self.m), rhs
+        self.a_ub, self.b_ub = rows @ self.m, rhs
         n = model.num_rows
         self.held = np.ones(len(rhs), dtype=bool)
         if n > ROWGEN_START:
@@ -225,7 +227,7 @@ class LiveLp:
 
     def add_rows(self, rows: np.ndarray, rhs: np.ndarray) -> None:
         """Append rows (in the model's variables) and load them into HiGHS."""
-        a_ub = rows if self.m is None else rows @ self.m
+        a_ub = rows @ self.m
         _highs_add_rows(self.highs, a_ub, rhs)
         self.order = np.concatenate([self.order, len(self.b_ub) + np.arange(len(rhs))])
         self.held = np.concatenate([self.held, np.ones(len(rhs), dtype=bool)])
@@ -285,7 +287,7 @@ class LiveLp:
         if status != "optimal":
             return LpSolution(status=status, x=None, objective=None, max_violation=None,
                               rounds=rounds, rows_solved=rows_solved, iterations=iterations)
-        x = np.asarray(y) if self.m is None else self.m @ np.asarray(y)
+        x = self.m @ np.asarray(y)
         viol = float(np.max(self.rows @ x - self.rhs)) if len(self.rhs) else 0.0
         return LpSolution(status="optimal", x=x, objective=float(-fun), max_violation=viol,
                           rounds=rounds, rows_solved=rows_solved, iterations=iterations)

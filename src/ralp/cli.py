@@ -222,9 +222,9 @@ def _loop_config(flat: dict, mdp, seed: int, model: str) -> LoopConfig:
         "loop", LoopConfig, model_kind=model, seed=seed, plan=plan, bases=bases, lb_method=lb_method, batch=batch,
         tolerance=_take(flat, "loop.tolerance", float, 0.05),
         sim=_build("sim", SimConfig, rollout_seed=seed,
-                   horizon=_take(flat, "sim.horizon", default=None) or default_horizon(mdp.gamma),
+                   horizon=_take(flat, "sim.horizon", _at_least(1), default_horizon(mdp.gamma)),
                    replications=_take(flat, "sim.replications", default=200),
-                   action_grid=_take(flat, "sim.action_grid", default=None) or mdp.action_grid),
+                   action_grid=_take(flat, "sim.action_grid", default=mdp.action_grid)),
         saddle=_build("lower_bound", SaddleConfig, seed=seed, **saddle),
     )
 
@@ -293,9 +293,9 @@ def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) ->
             ["state", "optimal_value", "vfa_value"],
             zip(states[:, 0], mdp.exact_value(states), vfa),
         )
-        hist = policy_mod.estimate_visit_frequency(
-            mdp, pc_bases, result.pc_weights, bins=100, sim=loop_config.sim
-        )
+        sim = loop_config.sim
+        act = policy_mod.greedy_policy(mdp, pc_bases, result.pc_weights, sim.action_grid)
+        hist = policy_mod.estimate_visit_frequency(mdp, act, bins=100, sim=sim)
         _write_csv(
             run_dir / "visit_frequency.csv",
             ["bin_lo", "bin_hi", "mass", "normalized"],
@@ -375,7 +375,9 @@ def _read_gjr(cfg: dict, flat: dict, seed: int, model: str):
         )
         loops.append(result)
         start = time.perf_counter()
-        avg_cost = gjr_mod.simulate_average_cost(params, bases, result.solution, stages=stages, k=k, search=search)
+        avg_cost = gjr_mod.simulate_average_cost(
+            params, lambda s: gjr_mod.k_step_greedy(params, bases, result.solution, s, k, search), stages
+        )
         simulate_s = time.perf_counter() - start
         gap = 1.0 - result.eta_lambda / avg_cost if avg_cost > 0 else float("nan")
 

@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass, asdict
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -663,15 +663,13 @@ def k_step_greedy(
     return first_actions[first[int(np.argmin(total))]].copy()
 
 
-def simulate_average_cost(
-    p: GjrParams,
-    bases: BasisSet,
-    sol: BiasApprox,
-    stages: int,
-    k: int,
-    search: SearchPlan = SearchPlan(),
-) -> float:
-    """Long-run cost per unit time of the K-step greedy policy from the empty state."""
+def simulate_average_cost(p: GjrParams, act: Callable[[np.ndarray], np.ndarray], stages: int) -> float:
+    """Long-run cost per unit time of the policy ``act`` from the empty state.
+
+    ``act`` maps one state (J,) to its action (J,).  It must depend on the
+    state alone: each visited state's whole step is memoized, so ``act`` is
+    called once per distinct state.
+    """
     if stages < 1:
         raise ValueError("stages must be >= 1")
     s = np.zeros(p.num_items)
@@ -684,7 +682,7 @@ def simulate_average_cost(
         key = s.tobytes()
         step = steps.get(key)
         if step is None:
-            a = k_step_greedy(p, bases, sol, s, k, search)
+            a = act(s)
             if not feasible(p, s, a):
                 raise InfeasiblePairError(f"action {a} infeasible at state {s}")
             t, nxt, cost = gjr_step(p, s, a)

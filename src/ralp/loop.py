@@ -145,7 +145,8 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
             raise alp.SolverError(err.status, f"iteration with {num_bases} bases", records) from err
 
         t_rollout = time.monotonic()
-        pc_est = policy_mod.simulate_policy_cost(mdp, bases, weights, config.sim)
+        act = policy_mod.greedy_policy(mdp, bases, weights, config.sim.action_grid)
+        pc_est = policy_mod.simulate_policy_cost(mdp, act, config.sim)
         t_lower_bound = time.monotonic()
         lb_exp = lb_expectation(bases, weights, chi_samples)
         lb_saddle = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -60,17 +60,19 @@ def action_grid_points(mdp: DiscountedMdp, grid: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _greedy_policy(
-    mdp: DiscountedMdp, bases: BasisSet, w: VfaWeights, grid_pts: np.ndarray
+def greedy_policy(
+    mdp: DiscountedMdp, bases: BasisSet, w: VfaWeights, grid: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Greedy action per state row; ties go to the first (lexicographically
-    smallest) grid point.
+    """The VFA-greedy policy over ``grid`` points per action dimension.
 
-    Build once per rollout: the problem's ``greedy_lookahead`` prepares
-    E[V(s') | s, a] over the grid for the whole basis set here.
+    It maps a batch of states (m, d_s) to actions (m, d_a); ties go to the
+    first (lexicographically smallest) grid point.  Build once per rollout:
+    the problem's ``greedy_lookahead`` prepares E[V(s') | s, a] over the grid
+    for the whole basis set here.
     """
     if mdp.greedy_lookahead is None:
         raise ValueError("greedy policies need the problem's greedy_lookahead")
+    grid_pts = action_grid_points(mdp, grid)
     cont = mdp.greedy_lookahead(mdp.noise, bases, w, grid_pts)
     g = len(grid_pts)
 
@@ -98,19 +100,14 @@ def _rollout_draws(mdp: DiscountedMdp, sim: SimConfig) -> tuple[np.ndarray, np.n
 
 
 def simulate_policy_cost(
-    mdp: DiscountedMdp,
-    bases: Optional[BasisSet],
-    w: Optional[VfaWeights],
-    sim: SimConfig,
-    policy: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    mdp: DiscountedMdp, act: Callable[[np.ndarray], np.ndarray], sim: SimConfig
 ) -> PolicyCostEstimate:
-    """Mean discounted rollout cost from chi-sampled starts.
+    """Mean discounted rollout cost of the policy ``act`` from chi-sampled starts.
 
-    Stage costs are the instance's (SAA-)expected immediate costs; randomness
-    enters through realized transitions only.  ``policy`` maps a batch of
-    states to actions and defaults to the greedy policy of ``(bases, w)``.
+    ``act`` maps a batch of states to actions.  Stage costs are the
+    instance's (SAA-)expected immediate costs; randomness enters through
+    realized transitions only.
     """
-    act = policy or _greedy_policy(mdp, bases, w, action_grid_points(mdp, sim.action_grid))
     reps = sim.replications
     states, noise = _rollout_draws(mdp, sim)
     totals = np.zeros(reps)
@@ -148,20 +145,14 @@ class VisitHistogram:
 
 
 def estimate_visit_frequency(
-    mdp: DiscountedMdp,
-    bases: Optional[BasisSet],
-    w: Optional[VfaWeights],
-    bins: int,
-    sim: SimConfig,
-    policy: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    mdp: DiscountedMdp, act: Callable[[np.ndarray], np.ndarray], bins: int, sim: SimConfig
 ) -> VisitHistogram:
-    """Simulation estimate of the discounted state-visit frequency (1-D states)."""
+    """Simulation estimate of the discounted state-visit frequency of the policy ``act`` (1-D states)."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if mdp.dim_state != 1:
         raise ValueError("visit-frequency histograms are implemented for 1-D state spaces")
     edges = np.linspace(mdp.state_lo[0], mdp.state_hi[0], bins + 1)
-    act = policy or _greedy_policy(mdp, bases, w, action_grid_points(mdp, sim.action_grid))
     reps = sim.replications
     states, noise = _rollout_draws(mdp, sim)
 

@@ -41,7 +41,7 @@ PIC_SEEDS = (1, 2, 3, 4, 5)
 
 def greedy_at(mdp, bases, w, state: float) -> float:
     """The greedy action at one toy state on the 101-point action grid."""
-    act = policy._greedy_policy(mdp, bases, w, policy.action_grid_points(mdp, 101))
+    act = policy.greedy_policy(mdp, bases, w, 101)
     return float(act(np.array([[state]]))[0, 0])
 
 
@@ -155,9 +155,7 @@ def test_criterion_05_visit_frequency_concentration(toy_setup):
     w, _ = solve(build_falp(prepared, bases, nu), backend)
     action = greedy_at(mdp, bases, w, 0.3)
     sim = SimConfig(horizon=200, replications=4000, action_grid=101, rollout_seed=TOY_SEED)
-    hist = policy.estimate_visit_frequency(
-        mdp, bases, w, bins=100, sim=sim, policy=lambda st: np.full((len(st), 1), action)
-    )
+    hist = policy.estimate_visit_frequency(mdp, lambda st: np.full((len(st), 1), action), bins=100, sim=sim)
     expected = toy_constant_action_shares(bins=100, horizon=sim.horizon)
     tol = 0.002
     b = int(np.clip(np.searchsorted(hist.edges, action, side="right") - 1, 0, len(hist.mass) - 1))
@@ -264,7 +262,7 @@ def test_criterion_08_gjr_validity(gjr_desk, backend):
     oracle_best = _gjr_grid_oracle(params, bases, mid, 50)
     found = gjr.separate(params, bases, mid)
 
-    avg = gjr.simulate_average_cost(params, bases, result.solution, stages=4000, k=4)
+    avg = gjr.simulate_average_cost(params, lambda s: gjr.k_step_greedy(params, bases, result.solution, s, 4), 4000)
     elapsed = time.monotonic() - started
     checks = [
         (len(result.trace) <= 500, f"converged in {len(result.trace)} cuts"),

@@ -132,8 +132,8 @@ def _full_solve(backend: ScipyBackend, model: LpModel) -> tuple[np.ndarray, floa
         rows = np.vstack([rows, eye, -eye])
         rhs = np.concatenate([rhs, np.full(2 * model.num_vars, backend.var_bound)])
     m = alp._preconditioner(model.rows)
-    a_ub = rows if m is None else rows @ m
-    c = model.objective if m is None else m.T @ model.objective
+    a_ub = rows @ m
+    c = m.T @ model.objective
     res = linprog(
         c=-c,
         A_ub=a_ub,
@@ -143,7 +143,7 @@ def _full_solve(backend: ScipyBackend, model: LpModel) -> tuple[np.ndarray, floa
         options={"primal_feasibility_tolerance": HIGHS_TOL, "dual_feasibility_tolerance": HIGHS_TOL},
     )
     assert res.status == 0
-    x = np.asarray(res.x) if m is None else m @ np.asarray(res.x)
+    x = m @ np.asarray(res.x)
     return x, float(-res.fun)
 
 
@@ -155,8 +155,8 @@ def _cold_round_iterations(backend: ScipyBackend, model: LpModel) -> int:
     must beat.
     """
     m = alp._preconditioner(model.rows)
-    a_ub = model.rows if m is None else model.rows @ m
-    c = model.objective if m is None else m.T @ model.objective
+    a_ub = model.rows @ m
+    c = m.T @ model.objective
     rhs = model.rhs
     active = np.zeros(model.num_rows, dtype=bool)
     active[np.linspace(0, model.num_rows - 1, ROWGEN_START).astype(int)] = True

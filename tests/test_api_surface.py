@@ -83,8 +83,6 @@ def test_every_public_definition_is_referenced():
 
 # (function, parameter) -> why its default may be the only value src/ralp passes
 DEFAULT_ONLY = {
-    ("simulate_policy_cost", "policy"): "tests price fixed reference policies against the greedy one",
-    ("estimate_visit_frequency", "policy"): "tests take the occupancy of fixed reference policies",
     ("main", "argv"): "the console script passes sys.argv; tests pass an argument list",
     ("fourier_omega_const", "lipschitz"): "sampling-guarantee helper, waits for the convergence criterion (ROADMAP item 8)",
 }

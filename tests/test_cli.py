@@ -485,6 +485,9 @@ _REJECTED_CONFIGS = {
     "negative_num_bases": ("gjr2", {"gjr.num_bases": -3}, "gjr.num_bases: expected an integer >= 0"),
     "zero_max_cuts": ("gjr2", {"gjr.max_cuts": 0}, "gjr.max_cuts: expected an integer >= 1"),
     "zero_init_pairs": ("gjr2", {"gjr.init_pairs": 0}, "gjr.init_pairs: expected an integer >= 1"),
+    # a 0 is a value, not an absent key: a 0-stage rollout prices every policy at 0
+    "zero_horizon": ("pic1", {"sim.horizon": 0}, "sim.horizon: expected an integer >= 1"),
+    "zero_action_grid": ("pic1", {"sim.action_grid": 0}, "sim: action grid needs at least 2 points"),
     # gjr spec arrays hold one entry per item
     "gjr_u_short": ("gjr2", {"problem": _gjr_problem(items=2, scheme="constant", z=100, u=[0.5])},
                     "problem: u: expected one entry per item, shape (2,), got shape (1,)"),

@@ -39,6 +39,11 @@ def desk_solution(desk_instance):
     return bases, result
 
 
+def _lookahead(p, bases, sol, k):
+    """The K-step greedy policy of ``sol``, a function of one state."""
+    return lambda s: gjr.k_step_greedy(p, bases, sol, s, k)
+
+
 class TestInstanceGeneration:
     def test_constant_scheme_equal_caps(self):
         p = gjr.gjr_instance(2, "constant", 100, split_rng(5, 1))
@@ -482,7 +487,7 @@ class TestConstraintGeneration:
 
     def test_validity_against_simulation(self, desk_instance, desk_solution):
         bases, result = desk_solution
-        avg = gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=500, k=4)
+        avg = gjr.simulate_average_cost(desk_instance, _lookahead(desk_instance, bases, result.solution, 4), 500)
         assert result.eta_lambda <= avg + 1e-3
 
     def test_empty_init_rejected(self, desk_instance):
@@ -499,13 +504,34 @@ class TestConstraintGeneration:
             gjr.constraint_generation(desk_instance, bases, *init, ScipyBackend(), max_cuts=2, seed=42)
         assert len(err.value.trace) == 2
 
+    def test_unbounded_start_resamples(self, desk_instance, monkeypatch):
+        # one initial pair leaves the LP unbounded; the loop adds sampled
+        # pairs, 200 at a time, until it is bounded, and reaches the optimum
+        # of a loop started from 200 pairs (configs/gjr2.json's stumps)
+        sigma = float(split_rng(42, 41).uniform(1.0, desk_instance.s_bar.max()))
+        bases = sample_stumps(20, 2, sigma, seed=42)
+        sample = gjr.sample_gjr_pairs
+        full = gjr.constraint_generation(
+            desk_instance, bases, *sample(desk_instance, 200, split_rng(42, 2)), ScipyBackend(), seed=42
+        )
+        sampled = []
+        monkeypatch.setattr(gjr, "sample_gjr_pairs", lambda p, n, rng: sampled.append(n) or sample(p, n, rng))
+        one = gjr.constraint_generation(
+            desk_instance, bases, *sample(desk_instance, 1, split_rng(42, 2)), ScipyBackend(), seed=42
+        )
+        assert len(sampled) >= 1 and set(sampled) == {200}
+        # the first pair, the re-samples, then one pair per cut but the last
+        assert len(one.states) == 1 + 200 * len(sampled) + len(one.trace) - 1
+        assert one.max_violation <= 1e-7
+        assert abs(one.eta_lambda - full.eta_lambda) <= 1e-9 * abs(full.eta_lambda)
+
 
 def _cold_objective(objective: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> float:
     """The optimum of one cold linprog over all rows, in preconditioned variables as the backend solves."""
     m = alp._preconditioner(rows)
     res = linprog(
-        c=-(objective if m is None else m.T @ objective),
-        A_ub=rows if m is None else rows @ m,
+        c=-(m.T @ objective),
+        A_ub=rows @ m,
         b_ub=rhs,
         bounds=[(None, None)] * len(objective),
         method="highs",
@@ -607,7 +633,7 @@ class TestSimulateAverageCost:
             s_bar=np.array([1.0, 2.0]), a_bar=3.0, fixed_cost=1.0, item_fixed_costs=np.array([0.2, 0.4])
         )
         sol = gjr.BiasApprox(eta_hat=10.0, beta1=np.array([0.0, 0.1]), beta2=np.zeros(0))
-        avg = gjr.simulate_average_cost(p, empty_stumps(2), sol, stages=200, k=2)
+        avg = gjr.simulate_average_cost(p, _lookahead(p, empty_stumps(2), sol, 2), 200)
         assert avg == pytest.approx((1.6 + 1.2) / 2.0, abs=1e-9)
 
     def test_single_stage_is_first_step_ratio(self, desk_instance, desk_solution):
@@ -616,45 +642,42 @@ class TestSimulateAverageCost:
         a = gjr.k_step_greedy(desk_instance, bases, result.solution, start, 4)
         t, _, cost = gjr.gjr_step(desk_instance, start, a)
         expected = cost / t
-        got = gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=1, k=4)
+        got = gjr.simulate_average_cost(desk_instance, _lookahead(desk_instance, bases, result.solution, 4), 1)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic(self, desk_instance, desk_solution):
         bases, result = desk_solution
-        a = gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=50, k=2)
-        b = gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=50, k=2)
+        act = _lookahead(desk_instance, bases, result.solution, 2)
+        a = gjr.simulate_average_cost(desk_instance, act, 50)
+        b = gjr.simulate_average_cost(desk_instance, act, 50)
         assert a == b
 
-    def test_infeasible_stage_action_raises(self, desk_instance, desk_solution, monkeypatch):
-        bases, result = desk_solution
+    def test_infeasible_stage_action_raises(self, desk_instance):
         calls = []
-        monkeypatch.setattr(gjr, "k_step_greedy", lambda *args, **kwargs: calls.append(1) or np.array([-1.0, 2.0]))
         with pytest.raises(InfeasiblePairError):
-            gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=3, k=1)
+            gjr.simulate_average_cost(desk_instance, lambda s: calls.append(1) or np.array([-1.0, 2.0]), 3)
         assert len(calls) == 1  # raised at the first visit, before the step is cached
 
     def test_step_once_per_distinct_state(self, desk_instance, desk_solution, monkeypatch):
         bases, result = desk_solution
-        lookahead, step = gjr.k_step_greedy, gjr.gjr_step
+        step = gjr.gjr_step
         visited, stepped = [], []
 
-        def counted_lookahead(p, bases, sol, s, *args):
+        def counted_lookahead(s):
             visited.append(np.asarray(s).tobytes())
-            return lookahead(p, bases, sol, s, *args)
+            return gjr.k_step_greedy(desk_instance, bases, result.solution, s, 2)
 
         def counted_step(p, states, actions):
             if np.ndim(states) == 1:  # the stage's own step, not the lookahead's batched ones
                 stepped.append(np.asarray(states).tobytes())
             return step(p, states, actions)
 
-        monkeypatch.setattr(gjr, "k_step_greedy", counted_lookahead)
         monkeypatch.setattr(gjr, "gjr_step", counted_step)
-        gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=500, k=2)
+        gjr.simulate_average_cost(desk_instance, counted_lookahead, 500)
         assert len(set(visited)) == len(visited)
         assert stepped == visited
         assert len(visited) < 500  # the policy cycles, so later stages are lookups
 
-    def test_stages_validation(self, desk_instance, desk_solution):
-        bases, result = desk_solution
+    def test_stages_validation(self, desk_instance):
         with pytest.raises(ValueError):
-            gjr.simulate_average_cost(desk_instance, bases, result.solution, stages=0, k=1)
+            gjr.simulate_average_cost(desk_instance, lambda s: np.ones(2), 0)

@@ -208,7 +208,7 @@ class TestEstimator:
         cfg = SaddleConfig(chains=4, chain_length=400, burn_in=200, seed=7)
         est = estimate_lower_bound(pic1_mdp, bases, w, cfg, consts, _e_chi(pic1_mdp, bases, w))
         sim = policy.SimConfig(horizon=183, replications=12, action_grid=11, rollout_seed=7)
-        pc = policy.simulate_policy_cost(pic1_mdp, bases, w, sim)
+        pc = policy.simulate_policy_cost(pic1_mdp, policy.greedy_policy(pic1_mdp, bases, w, sim.action_grid), sim)
         assert est.bound <= pc.mean + 3.0 * (pc.stderr + est.stderr)
 
     def test_all_rejected_raises(self, monkeypatch, pic1_mdp):

@@ -17,10 +17,10 @@ from ralp.mdp import (
 )
 from ralp.policy import (
     SimConfig,
-    _greedy_policy,
     action_grid_points,
     default_horizon,
     estimate_visit_frequency,
+    greedy_policy,
     simulate_policy_cost,
 )
 from tests.conftest import (
@@ -34,7 +34,7 @@ from tests.conftest import (
 
 def _greedy(mdp, bases, w, states, grid):
     """Greedy actions of the rollouts' batch policy, one row per state row."""
-    return _greedy_policy(mdp, bases, w, action_grid_points(mdp, grid))(np.asarray(states, dtype=float))
+    return greedy_policy(mdp, bases, w, grid)(np.asarray(states, dtype=float))
 
 
 def _bin(hist, x):
@@ -179,28 +179,26 @@ class TestSimulatePolicyCost:
             state_relevance=chi,
         )
         sim = SimConfig(horizon=20, replications=5, action_grid=3, rollout_seed=0)
-        est = simulate_policy_cost(mdp, None, None, sim, policy=lambda st: np.zeros((len(st), 1)))
+        est = simulate_policy_cost(mdp, lambda st: np.zeros((len(st), 1)), sim)
         assert est.mean == 0.0
 
     def test_constant_policy_matches_closed_form(self, toy_mdp):
         sim = SimConfig(horizon=66, replications=1500, action_grid=101, rollout_seed=5)
         for a_star in (0.513, 0.598):
-            est = simulate_policy_cost(
-                toy_mdp, None, None, sim, policy=lambda st, a=a_star: np.full((len(st), 1), a)
-            )
+            est = simulate_policy_cost(toy_mdp, lambda st, a=a_star: np.full((len(st), 1), a), sim)
             exact = toy_constant_policy_cost(a_star)
             assert abs(est.mean - exact) <= 3.0 * est.stderr + 0.01 * exact
 
     def test_deterministic_given_seed(self, toy_mdp):
         sim = SimConfig(horizon=30, replications=50, action_grid=11, rollout_seed=9)
         pol = lambda st: np.full((len(st), 1), 0.5)
-        a = simulate_policy_cost(toy_mdp, None, None, sim, policy=pol)
-        b = simulate_policy_cost(toy_mdp, None, None, sim, policy=pol)
+        a = simulate_policy_cost(toy_mdp, pol, sim)
+        b = simulate_policy_cost(toy_mdp, pol, sim)
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_tail_weight_reported(self, toy_mdp):
         sim = SimConfig(horizon=10, replications=2, action_grid=11, rollout_seed=0)
-        est = simulate_policy_cost(toy_mdp, None, None, sim, policy=lambda st: np.full((len(st), 1), 0.5))
+        est = simulate_policy_cost(toy_mdp, lambda st: np.full((len(st), 1), 0.5), sim)
         assert est.tail_weight == pytest.approx(0.9**10 / 0.1)
 
     def test_default_horizon(self):
@@ -211,9 +209,7 @@ class TestSimulatePolicyCost:
 class TestVisitFrequency:
     def test_horizon_zero_is_binned_chi(self, toy_mdp):
         sim = SimConfig(horizon=0, replications=4000, action_grid=11, rollout_seed=1)
-        hist = estimate_visit_frequency(
-            toy_mdp, None, None, bins=10, sim=sim, policy=lambda st: np.full((len(st), 1), 0.5)
-        )
+        hist = estimate_visit_frequency(toy_mdp, lambda st: np.full((len(st), 1), 0.5), bins=10, sim=sim)
         assert float(hist.mass.sum()) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.abs(hist.mass - 0.1) < 0.03)  # uniform chi across 10 bins
         assert np.all(hist.visit_mass == 0.0)
@@ -233,17 +229,13 @@ class TestVisitFrequency:
             state_relevance=chi,
         )
         sim = SimConfig(horizon=50, replications=20, action_grid=3, rollout_seed=2)
-        hist = estimate_visit_frequency(
-            mdp, None, None, bins=20, sim=sim, policy=lambda st: np.zeros((len(st), 1))
-        )
+        hist = estimate_visit_frequency(mdp, lambda st: np.zeros((len(st), 1)), bins=20, sim=sim)
         target = _bin(hist, 0.25)
         assert hist.normalized[target] == pytest.approx(1.0, abs=1e-12)
 
     def test_total_mass_matches_discounted_normalizer(self, toy_mdp):
         sim = SimConfig(horizon=200, replications=50, action_grid=11, rollout_seed=3)
-        hist = estimate_visit_frequency(
-            toy_mdp, None, None, bins=100, sim=sim, policy=lambda st: np.full((len(st), 1), 0.51)
-        )
+        hist = estimate_visit_frequency(toy_mdp, lambda st: np.full((len(st), 1), 0.51), bins=100, sim=sim)
         # 1/(1-gamma) = 10 up to gamma^(H+1) truncation
         assert float(hist.mass.sum()) == pytest.approx(10.0, abs=1e-6)
 
@@ -252,9 +244,7 @@ class TestVisitFrequency:
         # occupancy; at 400 replications their Monte-Carlo standard errors
         # are 0.0017 (visits) and 0.0016 (total), so 0.007 is about 4 of them
         sim = SimConfig(horizon=200, replications=400, action_grid=11, rollout_seed=4)
-        hist = estimate_visit_frequency(
-            toy_mdp, None, None, bins=100, sim=sim, policy=lambda st: np.full((len(st), 1), 0.513)
-        )
+        hist = estimate_visit_frequency(toy_mdp, lambda st: np.full((len(st), 1), 0.513), bins=100, sim=sim)
         expected = toy_constant_action_shares(bins=100, horizon=sim.horizon)
         b = _bin(hist, 0.513)
         assert hist.visit_mass[b] / hist.visit_mass.sum() == pytest.approx(expected.visits, abs=0.007)
@@ -263,7 +253,7 @@ class TestVisitFrequency:
     def test_bins_validation(self, toy_mdp):
         sim = SimConfig(horizon=5, replications=2, action_grid=11, rollout_seed=0)
         with pytest.raises(ValueError):
-            estimate_visit_frequency(toy_mdp, None, None, bins=0, sim=sim)
+            estimate_visit_frequency(toy_mdp, _toy_policy, bins=0, sim=sim)
 
 
 def _reference_rollouts(mdp, sim, policy_fn):
@@ -310,14 +300,14 @@ class TestRolloutNoise:
     @pytest.mark.parametrize("horizon", [0, 1, 25])
     def test_policy_cost_toy_discrete_quantile(self, toy_mdp, horizon):
         sim = SimConfig(horizon=horizon, replications=7, action_grid=3, rollout_seed=4)
-        est = simulate_policy_cost(toy_mdp, None, None, sim, policy=_toy_policy)
+        est = simulate_policy_cost(toy_mdp, _toy_policy, sim)
         assert (est.mean, est.stderr) == _reference_policy_cost(toy_mdp, sim, _toy_policy)
 
     @pytest.mark.parametrize("horizon", [0, 1, 40])
     def test_policy_cost_pic_noise_quantile(self, horizon):
         mdp = pic.build_pic_mdp(pic.instance_from_table(1), demand_saa_size=50)
         sim = SimConfig(horizon=horizon, replications=6, action_grid=3, rollout_seed=8)
-        est = simulate_policy_cost(mdp, None, None, sim, policy=_pic_policy)
+        est = simulate_policy_cost(mdp, _pic_policy, sim)
         assert (est.mean, est.stderr) == _reference_policy_cost(mdp, sim, _pic_policy)
 
     @pytest.mark.parametrize("quantile", ["discrete", "pic_demand"])
@@ -330,7 +320,7 @@ class TestRolloutNoise:
                 toy_mdp, noise_quantile=lambda u: (pic.demand_quantile(p, u) >= 5.0).astype(float)
             )
         sim = SimConfig(horizon=horizon, replications=9, action_grid=3, rollout_seed=6)
-        hist = estimate_visit_frequency(mdp, None, None, bins=10, sim=sim, policy=_toy_policy)
+        hist = estimate_visit_frequency(mdp, _toy_policy, bins=10, sim=sim)
         assert np.array_equal(hist.visit_mass, _reference_visit_mass(mdp, sim, _toy_policy, bins=10))
 
 
