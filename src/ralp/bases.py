@@ -1,4 +1,4 @@
-"""Random basis functions: samplers, evaluators, and sampling-bound constants.
+"""Random basis functions: samplers and evaluators.
 
 Two universal feature classes are provided.  Fourier bases are cosines of a
 random affine map, ``cos(q + w . s)`` with ``q ~ U[-pi, pi]`` and
@@ -191,68 +191,3 @@ def features(basis_set: BasisSet, states: np.ndarray) -> np.ndarray:
     if basis_set.kind == "fourier":
         return np.cos(states @ basis_set.omega.T + basis_set.q)
     return np.clip((states[:, basis_set.q - 1] - basis_set.omega) / DEFAULT_STUMP_EPS, -1.0, 1.0)
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Constants entering the basis-count bound: Omega, Delta_delta, L, C_S."""
-
-    omega_const: float
-    delta_const: float
-    lipschitz: float
-    state_diameter: float
-
-    def __post_init__(self):
-        for f in ("omega_const", "delta_const", "lipschitz", "state_diameter"):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be non-negative")
-
-
-def delta_const(delta: float) -> float:
-    """sqrt(2 ln(1/delta)); zero exactly when delta = 1."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-    return math.sqrt(2.0 * math.log(1.0 / delta))
-
-
-def fourier_omega_const(
-    dim_state: int,
-    sigma_range: Sequence[float],
-    state_diameter: float,
-    lipschitz: float = 1.0,
-) -> BoundConstants:
-    """Closed-form Omega for the Fourier class: 4 (C_S + 1) L sqrt(E ||theta||^2).
-
-    E ||theta||^2 = pi^2/3 + d / (sigma_lo * sigma_hi), the second term being
-    E[sigma^-2] averaged over the sampling interval.  When sigma is randomized
-    per basis this is the exact second moment of the mixture, but Omega should
-    still be read as an estimate of the single-bandwidth constant.
-    """
-    lo, hi = float(sigma_range[0]), float(sigma_range[1])
-    second_moment = math.pi**2 / 3.0 + dim_state / (lo * hi)
-    return BoundConstants(
-        omega_const=4.0 * (state_diameter + 1.0) * lipschitz * math.sqrt(second_moment),
-        delta_const=0.0,
-        lipschitz=lipschitz,
-        state_diameter=state_diameter,
-    )
-
-
-def falp_sample_bound(
-    eps: float,
-    delta: float,
-    b_norm: float,
-    constants: BoundConstants,
-    gamma: float,
-) -> int:
-    """Number of sampled bases sufficient for an eps-accurate VFA at confidence 1-delta.
-
-    ceil( eps^-2 * b_norm^2 * ((1+gamma)/2 * Omega + Delta_delta)^2 )
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if b_norm < 0:
-        raise ValueError(f"b_norm must be non-negative, got {b_norm}")
-    dd = delta_const(delta)
-    val = eps**-2 * b_norm**2 * ((1.0 + gamma) / 2.0 * constants.omega_const + dd) ** 2
-    return int(math.ceil(val))

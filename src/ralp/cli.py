@@ -185,7 +185,9 @@ def _loop_config(flat: dict, mdp, seed: int, model: str) -> LoopConfig:
 
     The rows are a grid (1-D problems only) or ``loop.num_constraints`` uniform pairs; the bases are
     ``loop.fixed_omegas`` or Fourier bases drawn from ``loop.sigma_range``.  A
-    config that sets both halves of a pair is rejected.
+    config that sets both halves of a pair is rejected.  The saddle bound, the
+    default where the problem has saddle constants, reads ``lower_bound``; a
+    run with the expectation bound rejects that section.
     """
     for first, second in (("loop.grid", "loop.num_constraints"), ("loop.fixed_omegas", "loop.sigma_range")):
         if second in flat and any(key == first or key.startswith(first + ".") for key in flat):
@@ -213,19 +215,25 @@ def _loop_config(flat: dict, mdp, seed: int, model: str) -> LoopConfig:
     else:
         bases = _build("loop.fixed_omegas", fixed_fourier, omegas[:reach], dim_state=mdp.dim_state)
     lb_method = _take(flat, "loop.lb_method", str, "saddle" if mdp.saddle_constants is not None else "expectation")
-    if lb_method == "saddle" and mdp.saddle_constants is None:
-        raise ConfigError("loop.lb_method: 'saddle' needs a problem with saddle constants (pic)")
-    saddle = _given(flat, "lower_bound.", chains=_integer, chain_length=_integer, burn_in=_integer,
-                    proposal_frac=float)
-    saddle.update(("lam", v) for v in _given(flat, "lower_bound.", **{"lambda": float}).values())  # SaddleConfig.lam
+    if lb_method not in ("expectation", "saddle"):
+        raise ConfigError(f"loop.lb_method: expected 'expectation' or 'saddle', got {lb_method!r}")
+    saddle = None
+    if lb_method == "saddle":
+        if mdp.saddle_constants is None:
+            raise ConfigError("loop.lb_method: 'saddle' needs a problem with saddle constants (pic)")
+        keys = _given(flat, "lower_bound.", chains=_integer, chain_length=_integer, burn_in=_integer,
+                      proposal_frac=float)
+        keys.update(("lam", v) for v in _given(flat, "lower_bound.", **{"lambda": float}).values())  # SaddleConfig.lam
+        saddle = _build("lower_bound", SaddleConfig, seed=seed, **keys)
+    elif any(key.startswith("lower_bound.") for key in flat):
+        raise ConfigError("lower_bound: read only by the saddle bound, and this run takes the expectation bound")
     return _build(
-        "loop", LoopConfig, model_kind=model, seed=seed, plan=plan, bases=bases, lb_method=lb_method, batch=batch,
+        "loop", LoopConfig, model_kind=model, seed=seed, plan=plan, bases=bases, saddle=saddle, batch=batch,
         tolerance=_take(flat, "loop.tolerance", float, 0.05),
         sim=_build("sim", SimConfig, rollout_seed=seed,
                    horizon=_take(flat, "sim.horizon", _at_least(1), default_horizon(mdp.gamma)),
                    replications=_take(flat, "sim.replications", default=200),
                    action_grid=_take(flat, "sim.action_grid", default=mdp.action_grid)),
-        saddle=_build("lower_bound", SaddleConfig, seed=seed, **saddle),
     )
 
 
@@ -307,7 +315,7 @@ def _write_discounted_artifacts(run_dir: Path, cfg, mdp, loop_config, result) ->
         stats = fluctuation_stats(result.records)
         fluct = {"pct": stats.fluctuation_pct, "magnitude": stats.fluctuation_magnitude}
     manifest = {
-        "num_constraints": int(result.plan.num_pairs),
+        "num_constraints": int(loop_config.plan.num_pairs),
         "sigma_draws": [s for s in result.bases.sigma.tolist() if not math.isnan(s)],
         "fluctuation": fluct,
         "wallclock_s": [r.wallclock for r in result.records],
@@ -350,9 +358,7 @@ def _read_gjr(cfg: dict, flat: dict, seed: int, model: str):
     search_plan = _given(flat, "gjr.", grid_per_dim=_integer, beam_width=_integer, action_grid=_integer)
     search = _build("gjr", gjr_mod.SearchPlan, **search_plan)
     budget = _given(flat, "gjr.", max_cuts=_at_least(1))
-    stages, k = _take(flat, "gjr.stages", default=4000), _take(flat, "gjr.k", default=4)
-    if stages < 1 or k < 1:
-        raise ConfigError(f"gjr: stages and k must be >= 1, got {stages} and {k}")
+    stages, k = _take(flat, "gjr.stages", _at_least(1), 4000), _take(flat, "gjr.k", _at_least(1), 4)
     fglp = model == MODEL_FGLP
     guide_states = gjr_mod.sample_gjr_states(params, _GUIDE_STATES, split_rng(seed, 3)) if fglp else None
     backend = ScipyBackend()

@@ -40,8 +40,7 @@ MODEL_FALP = "falp"
 MODEL_FGLP = "fglp"
 
 _NU_STREAM = 22
-_CHI_STREAM = 23
-_NU_SAMPLE_SIZE = 10_000  # states in the objective's and the lower bound's sample sets
+_NU_SAMPLE_SIZE = 10_000  # states in the sample set of the objective and the expectation bound
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,7 @@ class LoopConfig:
     sim: SimConfig
     plan: ConstraintSamplePlan  # the Bellman rows of every iteration
     bases: BasisSet  # iteration k solves on the first k * batch entries
-    lb_method: str = "expectation"  # "expectation" | "saddle"
-    saddle: Optional[SaddleConfig] = None
+    saddle: Optional[SaddleConfig] = None  # the saddle bound's settings; None runs the expectation bound
 
     def __post_init__(self):
         if self.batch < 1:
@@ -65,8 +63,6 @@ class LoopConfig:
             raise ValueError("tolerance must be in (0, 1]")
         if self.model_kind not in (MODEL_FALP, MODEL_FGLP):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if self.lb_method not in ("expectation", "saddle"):
-            raise ValueError(f"unknown lb method {self.lb_method!r}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,6 @@ class RunResult:
     bases: BasisSet
     pc_weights: VfaWeights
     converged: bool
-    plan: ConstraintSamplePlan
     iterate_weights: list[VfaWeights]
 
 
@@ -108,12 +103,10 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
     A failed LP raises ``SolverError`` carrying the records of the finished
     iterations.
     """
-    rng_nu = split_rng(config.seed, _NU_STREAM)
-    nu_samples = nu_sample_set(mdp.state_relevance, _NU_SAMPLE_SIZE, rng_nu)
-    if mdp.initial_dist is mdp.state_relevance:
-        chi_samples = nu_samples  # shared estimator keeps LB equal to the objective
-    else:
-        chi_samples = nu_sample_set(mdp.initial_dist, _NU_SAMPLE_SIZE, split_rng(config.seed, _CHI_STREAM))
+    if config.saddle is not None and mdp.saddle_constants is None:
+        raise ValueError("saddle lower bound constants are only defined for the inventory MDP")
+    # one sample set for the objective and the expectation bound keeps the bound equal to the objective
+    nu_samples = nu_sample_set(mdp.initial_dist, _NU_SAMPLE_SIZE, split_rng(config.seed, _NU_STREAM))
 
     prepared = prepare_plan(mdp, config.plan)
 
@@ -148,14 +141,13 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
         act = policy_mod.greedy_policy(mdp, bases, weights, config.sim.action_grid)
         pc_est = policy_mod.simulate_policy_cost(mdp, act, config.sim)
         t_lower_bound = time.monotonic()
-        lb_exp = lb_expectation(bases, weights, chi_samples)
+        lb_exp = lb_expectation(bases, weights, nu_samples)
         lb_saddle = None
         lb_saddle_stderr = None
         saddle_acceptance = None
-        if config.lb_method == "saddle":
-            consts = _saddle_constants(mdp, weights)
-            saddle_cfg = config.saddle if config.saddle is not None else SaddleConfig(seed=config.seed)
-            est = lb_mod.estimate_lower_bound(mdp, bases, weights, saddle_cfg, consts, lb_exp)
+        if config.saddle is not None:
+            consts = mdp.saddle_constants(weights)
+            est = lb_mod.estimate_lower_bound(mdp, bases, weights, config.saddle, consts, lb_exp)
             lb_saddle = est.bound
             lb_saddle_stderr = est.stderr
             saddle_acceptance = est.acceptance_rates
@@ -219,15 +211,8 @@ def run(mdp: DiscountedMdp, config: LoopConfig, backend: SolverBackend) -> RunRe
         bases=bases,
         pc_weights=pc_weights,
         converged=converged,
-        plan=config.plan,
         iterate_weights=iterate_weights,
     )
-
-
-def _saddle_constants(mdp: DiscountedMdp, weights: VfaWeights):
-    if mdp.saddle_constants is None:
-        raise ValueError("saddle lower bound constants are only defined for the inventory MDP")
-    return mdp.saddle_constants(weights)
 
 
 @dataclass(frozen=True)

@@ -148,8 +148,9 @@ class DiscountedMdp:
     cost: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     transition: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     noise: NoiseModel
+    # chi, which weights the ALP objective, the expectation bound and the
+    # rollout starts alike
     initial_dist: StateDistribution
-    state_relevance: StateDistribution
     # Inverse CDF of the true noise law, elementwise over any array shape, used
     # for realized draws in rollouts: each rollout calls it once, on a
     # (horizon, replications) array of uniforms.  Defaults to the noise

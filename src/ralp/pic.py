@@ -295,7 +295,6 @@ def build_pic_mdp(p: PicParams, demand_saa_size: int = DEMAND_SAA_SIZE, demand_s
         raise ValueError(f"demand_saa_size must be >= 1, got {demand_saa_size}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((demand_seed, 7))))
     demand_set = sample_demand(p, rng, demand_saa_size)
-    chi = degenerate(INITIAL_STATE)
     return DiscountedMdp(
         state_lo=np.array([p.s_min, 0.0, 0.0]),
         state_hi=np.array([p.a_max, p.a_max, p.a_max]),
@@ -305,8 +304,7 @@ def build_pic_mdp(p: PicParams, demand_saa_size: int = DEMAND_SAA_SIZE, demand_s
         cost=partial(pic_cost, p),
         transition=partial(pic_transition, p),
         noise=NoiseModel(values=demand_set),
-        initial_dist=chi,
-        state_relevance=chi,
+        initial_dist=degenerate(INITIAL_STATE),
         closed_form_costs=partial(pic_expected_costs, p),
         closed_form_phases=partial(pic_successor_phases, p),
         noise_quantile=partial(demand_quantile, p),

@@ -52,7 +52,6 @@ def _toy_greedy_lookahead(noise: NoiseModel, bases: BasisSet, w: VfaWeights, gri
 
 def build_toy() -> DiscountedMdp:
     """The two-point-noise MDP on [0,1]^2 with uniform initial distribution."""
-    chi = uniform_box([0.0], [1.0])
     return DiscountedMdp(
         state_lo=np.array([0.0]),
         state_hi=np.array([1.0]),
@@ -62,8 +61,7 @@ def build_toy() -> DiscountedMdp:
         cost=_toy_cost,
         transition=_toy_transition,
         noise=NoiseModel(values=np.array([0.0, 1.0]), probs=np.array([STAY_PROB, 1.0 - STAY_PROB])),
-        initial_dist=chi,
-        state_relevance=chi,
+        initial_dist=uniform_box([0.0], [1.0]),
         greedy_lookahead=_toy_greedy_lookahead,
         exact_value=optimal_value,
     )

@@ -173,7 +173,7 @@ def toy_grid_prepared(toy_mdp):
 
 @pytest.fixture(scope="session")
 def toy_nu_samples(toy_mdp):
-    return nu_sample_set(toy_mdp.state_relevance, 10_000, split_rng(0, 22))
+    return nu_sample_set(toy_mdp.initial_dist, 10_000, split_rng(0, 22))
 
 
 @pytest.fixture(scope="session")

@@ -185,7 +185,7 @@ def pic_model():
     # the pic-saddle benchmark's second LP: pic:1, 5000 rows, 20 bases, sigma in [100, 1000]
     mdp = pic.build_pic_mdp(pic.instance_from_table(1), demand_saa_size=500, demand_seed=0)
     plan = uniform_plan(mdp, 5000, split_rng(3, 21))
-    nu = nu_sample_set(mdp.state_relevance, 1000, split_rng(3, 22))
+    nu = nu_sample_set(mdp.initial_dist, 1000, split_rng(3, 22))
     return build_falp(prepare_plan(mdp, plan), sample_fourier(20, mdp.dim_state, (100.0, 1000.0), seed=3), nu)
 
 

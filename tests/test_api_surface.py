@@ -18,10 +18,7 @@ import ralp
 SRC = Path(ralp.__file__).parent
 
 # name -> why it may stay unused
-ALLOWED = {
-    "falp_sample_bound": "sampling-guarantee helper, waits for the convergence criterion (ROADMAP item 8)",
-    "fourier_omega_const": "sampling-guarantee helper, waits for the convergence criterion (ROADMAP item 8)",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _public_definitions(tree: ast.Module):
@@ -84,7 +81,6 @@ def test_every_public_definition_is_referenced():
 # (function, parameter) -> why its default may be the only value src/ralp passes
 DEFAULT_ONLY = {
     ("main", "argv"): "the console script passes sys.argv; tests pass an argument list",
-    ("fourier_omega_const", "lipschitz"): "sampling-guarantee helper, waits for the convergence criterion (ROADMAP item 8)",
 }
 
 

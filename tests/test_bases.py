@@ -6,13 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from ralp.bases import (
     BasisSet,
-    BoundConstants,
-    delta_const,
     empty_stumps,
-    falp_sample_bound,
     features,
     fixed_fourier,
-    fourier_omega_const,
     sample_fourier,
     sample_stumps,
 )
@@ -185,50 +181,3 @@ class TestValidation:
         assert np.array_equal(tail.omega, bs.omega[2:])
         with pytest.raises(ValueError):
             bs.prefix(6)
-
-
-class TestBoundConstants:
-    def test_delta_one_is_zero(self):
-        assert delta_const(1.0) == 0.0
-
-    def test_delta_monotone_decreasing(self):
-        deltas = [0.05, 0.1, 0.3, 0.6, 1.0]
-        vals = [delta_const(d) for d in deltas]
-        assert all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
-
-    def test_omega_const_closed_form(self):
-        # E ||theta||^2 = pi^2/3 + d * E[sigma^-2], checked by quadrature
-        from scipy.integrate import quad
-
-        lo, hi, d, diam = 2.0, 7.0, 3, 1.5
-        mean_inv_sq = quad(lambda s: s**-2, lo, hi)[0] / (hi - lo)
-        expected = 4.0 * (diam + 1.0) * math.sqrt(math.pi**2 / 3.0 + d * mean_inv_sq)
-        got = fourier_omega_const(d, (lo, hi), diam).omega_const
-        assert got == pytest.approx(expected, rel=1e-9)
-
-    def test_sample_bound_hand_example(self):
-        # eps=1, delta=e^{-1/2} so Delta=1, b=1, Omega=2, gamma=0.5: ceil(2.5^2) = 7
-        consts = BoundConstants(omega_const=2.0, delta_const=0.0, lipschitz=1.0, state_diameter=1.0)
-        assert falp_sample_bound(1.0, math.exp(-0.5), 1.0, consts, 0.5) == 7
-
-    def test_sample_bound_zero_norm(self):
-        consts = BoundConstants(omega_const=2.0, delta_const=0.0, lipschitz=1.0, state_diameter=1.0)
-        assert falp_sample_bound(0.5, 0.5, 0.0, consts, 0.9) == 0
-
-    def test_sample_bound_delta_one_formula(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            eps = float(rng.uniform(0.05, 2.0))
-            b = float(rng.uniform(0.0, 10.0))
-            omega = float(rng.uniform(0.0, 5.0))
-            gamma = float(rng.uniform(0.1, 0.99))
-            consts = BoundConstants(omega_const=omega, delta_const=0.0, lipschitz=1.0, state_diameter=1.0)
-            direct = math.ceil((b * (1.0 + gamma) * omega / 2.0 / eps) ** 2)
-            assert falp_sample_bound(eps, 1.0, b, consts, gamma) == direct
-
-    def test_sample_bound_validation(self):
-        consts = BoundConstants(omega_const=1.0, delta_const=0.0, lipschitz=1.0, state_diameter=1.0)
-        with pytest.raises(ValueError):
-            falp_sample_bound(0.0, 1.0, 1.0, consts, 0.9)
-        with pytest.raises(ValueError):
-            falp_sample_bound(1.0, 1.5, 1.0, consts, 0.9)

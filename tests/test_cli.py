@@ -459,11 +459,17 @@ _REJECTED_CONFIGS = {
     "zero_replications": ("toy", {"sim.replications": 0}, "sim: replications"),
     "batch_not_an_integer": ("toy", {"loop.batch": "ten"}, "loop.batch"),
     "saddle_bound_without_constants": ("toy", {"loop.lb_method": "saddle"}, "loop.lb_method"),
+    "unknown_lb_method": ("pic1", {"loop.lb_method": "minimum"}, "loop.lb_method: expected"),
+    # only the saddle bound reads lower_bound
+    "lower_bound_on_toy": ("toy", {"lower_bound": {"chains": 4}}, "lower_bound: read only by the saddle bound"),
+    "lower_bound_beside_expectation": ("pic1", {"loop.lb_method": "expectation"},
+                                       "lower_bound: read only by the saddle bound"),
     "misspelt_loop_key": ("toy", {"loop.max_basis": 200}, "unknown key 'loop.max_basis'"),
     "removed_nu_sample_size": ("toy", {"loop.nu_sample_size": 100}, "unknown key 'loop.nu_sample_size'"),
     "lambda_above_one": ("pic1", {"lower_bound.lambda": 2}, "lower_bound: lambda"),
     "pic_id_outside_catalog": ("pic1", {"problem": "pic:99"}, "problem: instance id"),
-    "zero_lookahead_steps": ("gjr2", {"gjr.k": 0}, "gjr: stages and k"),
+    "zero_lookahead_steps": ("gjr2", {"gjr.k": 0}, "gjr.k: expected an integer >= 1"),
+    "zero_stages": ("gjr2", {"gjr.stages": 0}, "gjr.stages: expected an integer >= 1"),
     "unknown_gjr_scheme": ("gjr2", {"problem": _gjr_problem(items=2, scheme="bogus", z=100)}, "problem: scheme"),
     "unknown_gjr_model": ("gjr2", {"model": "bogus"}, "model: expected"),
     "misspelt_gjr_spec_key": ("gjr2", {"problem": _gjr_problem(itmes=3, scheme="constant", z=100)},
@@ -565,7 +571,7 @@ def test_artifacts_evaluate_incumbent_on_its_basis_prefix(tmp_path):
 
     result = RunResult(
         records=[record(2, 0.4), record(4, 0.5)], bases=bases, pc_weights=incumbent,
-        converged=False, plan=loop_config.plan, iterate_weights=[incumbent, final],
+        converged=False, iterate_weights=[incumbent, final],
     )
     run_dir = tmp_path / "artifacts"
     run_dir.mkdir()
@@ -582,10 +588,10 @@ def test_default_lb_method_follows_saddle_constants():
     from ralp import pic, toy
 
     pic_mdp = pic.build_pic_mdp(pic.instance_from_table(1), demand_saa_size=20, demand_seed=0)
-    assert cli._loop_config({}, toy.build_toy(), 0, "falp").lb_method == "expectation"
-    assert cli._loop_config({}, pic_mdp, 0, "falp").lb_method == "saddle"
+    assert cli._loop_config({}, toy.build_toy(), 0, "falp").saddle is None
+    assert cli._loop_config({}, pic_mdp, 0, "falp").saddle is not None
     flat = cli._flatten({"loop": {"lb_method": "expectation"}})
-    assert cli._loop_config(flat, pic_mdp, 0, "falp").lb_method == "expectation"
+    assert cli._loop_config(flat, pic_mdp, 0, "falp").saddle is None
 
 
 def test_lower_bound_section_reaches_saddle_config():

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from ralp import loop, toy
 from ralp.alp import LpModel, LpSolution, ScipyBackend, SolverError, grid_plan, uniform_plan, vfa_values
 from ralp.bases import fixed_fourier, sample_fourier
 from ralp.loop import FluctuationStats, IterationRecord, LoopConfig, fluctuation_stats, run
+from ralp.lower_bound import SaddleConfig
 from ralp.mdp import split_rng
 from ralp.policy import SimConfig
 from tests.conftest import TOY_ACTIONS, TOY_STATES
@@ -46,7 +48,7 @@ class TestAlgorithmLoop:
 
     def test_saddle_bound_needs_problem_constants(self, toy_mdp, backend):
         # the toy MDP defines no saddle_constants
-        cfg = dataclasses.replace(_toy_config((2.0,), reps=2), lb_method="saddle")
+        cfg = dataclasses.replace(_toy_config((2.0,), reps=2), saddle=SaddleConfig(seed=6))
         with pytest.raises(ValueError, match="saddle lower bound constants"):
             run(toy_mdp, cfg, backend)
 
@@ -115,7 +117,7 @@ class TestAlgorithmLoop:
         )
         result = run(toy_mdp, cfg, backend)
         assert len(result.records) == 5
-        guide = result.plan.guide_states
+        guide = cfg.plan.guide_states
         prev_vals = None
         for n, w in zip((2, 4, 6, 8, 10), result.iterate_weights):
             vals = vfa_values(result.bases.prefix(n), w, guide)
@@ -183,3 +185,13 @@ class TestLoopConfigValidation:
             LoopConfig(**fields, batch=3, tolerance=0.1, bases=bases)
         with pytest.raises(ValueError, match="multiple of batch 1"):
             LoopConfig(**fields, batch=1, tolerance=0.1, bases=bases[:0])
+
+
+def test_readme_quick_start_runs(capsys):
+    # the first python block of README.md, the library quick start
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == ["1", "2", "3"]  # num_bases of each iteration
+    assert all(len(row) == 4 for row in rows)

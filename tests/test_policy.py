@@ -165,7 +165,6 @@ class TestConstantPolicyCost:
 
 class TestSimulatePolicyCost:
     def test_zero_cost_mdp_gives_zero(self):
-        chi = degenerate([0.0])
         mdp = DiscountedMdp(
             state_lo=np.array([0.0]),
             state_hi=np.array([1.0]),
@@ -175,8 +174,7 @@ class TestSimulatePolicyCost:
             cost=lambda s, a, xi: 0.0 * (s[..., 0] + xi),
             transition=lambda s, a, xi: 0.0 * (s + xi[..., None]),
             noise=NoiseModel(values=np.array([0.0]), probs=np.array([1.0])),
-            initial_dist=chi,
-            state_relevance=chi,
+            initial_dist=degenerate([0.0]),
         )
         sim = SimConfig(horizon=20, replications=5, action_grid=3, rollout_seed=0)
         est = simulate_policy_cost(mdp, lambda st: np.zeros((len(st), 1)), sim)
@@ -215,7 +213,6 @@ class TestVisitFrequency:
         assert np.all(hist.visit_mass == 0.0)
 
     def test_self_loop_atom_concentrates_fully(self):
-        chi = degenerate([0.25])
         mdp = DiscountedMdp(
             state_lo=np.array([0.0]),
             state_hi=np.array([1.0]),
@@ -225,8 +222,7 @@ class TestVisitFrequency:
             cost=lambda s, a, xi: 0.0 * (s[..., 0] + xi),
             transition=lambda s, a, xi: s + 0.0 * xi[..., None],
             noise=NoiseModel(values=np.array([0.0]), probs=np.array([1.0])),
-            initial_dist=chi,
-            state_relevance=chi,
+            initial_dist=degenerate([0.25]),
         )
         sim = SimConfig(horizon=50, replications=20, action_grid=3, rollout_seed=2)
         hist = estimate_visit_frequency(mdp, lambda st: np.zeros((len(st), 1)), bins=20, sim=sim)
