@@ -19,7 +19,7 @@ import importlib.machinery
 import importlib.util
 import sys
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Protocol
 
@@ -97,7 +97,6 @@ class LpSolution:
 
 
 class SolverBackend(Protocol):
-    def open(self, model: LpModel) -> "LiveLp": ...
     def solve(self, model: LpModel) -> LpSolution: ...
 
 
@@ -112,11 +111,7 @@ ROWGEN_ADD = 150
 
 
 class ScipyBackend:
-    """HiGHS through scipy's bundled bindings; variables are free.
-
-    ``open(model)`` loads a model into a ``LiveLp``, which solves it and
-    takes more rows; ``solve(model)`` opens a model and solves it once.
-    """
+    """HiGHS through scipy's bundled bindings; variables are free."""
 
     def __init__(self, var_bound: Optional[float] = None):
         # Optional box |x_i| <= var_bound.  Nearly duplicated feature columns
@@ -127,11 +122,36 @@ class ScipyBackend:
         # enough never to bind at solutions of interest.
         self.var_bound = var_bound
 
-    def open(self, model: LpModel) -> "LiveLp":
-        return LiveLp(model, self.var_bound)
-
     def solve(self, model: LpModel) -> LpSolution:
-        return self.open(model).solve()
+        """Solve ``model`` once, on a ``LiveLp`` of its own in preconditioned variables.
+
+        Random cosine features can produce nearly collinear LP columns (tiny
+        or nearly duplicated frequencies), on which the simplex breaks down.
+        The model is therefore solved in variables x = M y, with M the
+        inverse R-factor of a QR over rows sampled from the model, which
+        makes the columns near-orthonormal without changing the program: the
+        feasible region and optimum map exactly through the invertible M.  A
+        model with fewer than two columns, or with fewer than twice as many
+        rows as columns, is solved with M the identity, which changes no
+        coefficient.  The box rows [M; -M] y <= var_bound are held from the
+        first round; ``rows_solved`` does not count them, and
+        ``max_violation`` is taken over the model's rows in x.
+        """
+        m = _preconditioner(model.rows)
+        lp = LiveLp(LpModel(m.T @ model.objective, model.rows @ m, model.rhs))
+        box = 0
+        if self.var_bound is not None:
+            # box rows compose with the preconditioner (plain variable bounds
+            # would not survive the change of variables)
+            box = 2 * model.num_vars
+            lp.add_rows(np.vstack([m, -m]), np.full(box, self.var_bound))
+        sol = lp.solve()
+        rows_solved = sol.rows_solved - box
+        if sol.status != "optimal":
+            return replace(sol, rows_solved=rows_solved)
+        x = m @ sol.x
+        viol = float(np.max(model.rows @ x - model.rhs)) if model.num_rows else 0.0
+        return replace(sol, x=x, max_violation=viol, rows_solved=rows_solved)
 
 
 def _preconditioner(rows: np.ndarray) -> np.ndarray:
@@ -150,31 +170,20 @@ def _preconditioner(rows: np.ndarray) -> np.ndarray:
 class LiveLp:
     """One live HiGHS model of an ``LpModel`` that takes more rows between solves.
 
-    Random cosine features can produce nearly collinear LP columns (tiny or
-    nearly duplicated frequencies), on which the simplex breaks down.  The
-    model is therefore solved in preconditioned variables x = M y, with M
-    the inverse R-factor of a QR over rows sampled from the model it is
-    opened on, which makes the columns near-orthonormal without changing the
-    program: the feasible region and optimum map exactly through the
-    invertible M.  A model with fewer than two columns, or with fewer than
-    twice as many rows as columns, is opened with M the identity, which
-    changes no coefficient.  M stays fixed for the life of the object, so
-    rows added later are solved in the same variables.
-
     Tight feasibility tolerances keep chained models consistent: guide rows
     built from a previous solution stay satisfiable only if that solution
     honored its own rows to well below the guide slack.
 
     Sampled ALPs have thousands of rows but only about as many binding rows
     as variables, so each solve is row generation on the live model.  The
-    model is loaded with ``ROWGEN_START`` evenly spaced rows plus every box
-    row, with the options ``linprog(method="highs")`` passes.  After each
-    round, up to ``ROWGEN_ADD`` of the known rows outside it violated by
-    more than ``HIGHS_TOL * (1 + |rhs|)`` are appended, the most violated
-    first, and the dual simplex continues from the kept basis (added rows
-    leave it dual feasible), until no known row is violated.  ``add_rows``
-    appends rows straight into the model, and the next solve continues from
-    the basis of the last one.
+    model is loaded with ``ROWGEN_START`` evenly spaced rows, with the
+    options ``linprog(method="highs")`` passes.  After each round, up to
+    ``ROWGEN_ADD`` of the known rows outside it violated by more than
+    ``HIGHS_TOL * (1 + |rhs|)`` are appended, the most violated first, and
+    the dual simplex continues from the kept basis (added rows leave it dual
+    feasible), until no known row is violated.  ``add_rows`` appends rows
+    straight into the model, and the next solve continues from the basis of
+    the last one.
 
     A model of at most ``ROWGEN_START`` rows is therefore one solve over all
     of its rows, with the same bits as ``linprog``.  A solve of more than
@@ -200,42 +209,27 @@ class LiveLp:
     first call.
     """
 
-    def __init__(self, model: LpModel, var_bound: Optional[float]):
-        rows, rhs = model.rows, model.rhs
-        self._box = 0
-        if var_bound is not None:
-            # box rows compose with the preconditioner (plain variable bounds
-            # would not survive the change of variables)
-            v = model.num_vars
-            eye = np.eye(v)
-            rows = np.vstack([rows, eye, -eye])
-            rhs = np.concatenate([rhs, np.full(2 * v, var_bound)])
-            self._box = 2 * v
-        self.rows, self.rhs = model.rows, model.rhs  # the model's rows in their own variables
-        self.m = _preconditioner(model.rows)
-        self.c = self.m.T @ model.objective
-        # every known row, preconditioned, box rows included: the model's, the box, then added ones
-        self.a_ub, self.b_ub = rows @ self.m, rhs
+    def __init__(self, model: LpModel):
+        self.objective = model.objective
+        self.rows, self.rhs = model.rows, model.rhs  # every known row: the model's, then added ones
         n = model.num_rows
-        self.held = np.ones(len(rhs), dtype=bool)
+        self.held = np.ones(n, dtype=bool)
         if n > ROWGEN_START:
-            self.held[:n] = False
+            self.held[:] = False
             self.held[np.linspace(0, n - 1, ROWGEN_START).astype(int)] = True
         self.order = np.flatnonzero(self.held)  # known row of each HiGHS row, in insertion order
-        self.highs = _highs_model(self.c, self.a_ub[self.order], self.b_ub[self.order])
+        self.highs = _highs_model(self.objective, self.rows[self.order], self.rhs[self.order])
         self.warm = False  # whether HiGHS holds a basis to start from
 
     def add_rows(self, rows: np.ndarray, rhs: np.ndarray) -> None:
-        """Append rows (in the model's variables) and load them into HiGHS."""
-        a_ub = rows @ self.m
-        _highs_add_rows(self.highs, a_ub, rhs)
-        self.order = np.concatenate([self.order, len(self.b_ub) + np.arange(len(rhs))])
+        """Append rows to the known rows and load them into HiGHS."""
+        _highs_add_rows(self.highs, rows, rhs)
+        self.order = np.concatenate([self.order, len(self.rhs) + np.arange(len(rhs))])
         self.held = np.concatenate([self.held, np.ones(len(rhs), dtype=bool)])
-        self.a_ub, self.b_ub = np.vstack([self.a_ub, a_ub]), np.concatenate([self.b_ub, rhs])
         self.rows, self.rhs = np.vstack([self.rows, rows]), np.concatenate([self.rhs, rhs])
 
     def solve(self) -> LpSolution:
-        a_ub, b_ub = self.a_ub, self.b_ub
+        a_ub, b_ub = self.rows, self.rhs
         add_tol = HIGHS_TOL * (1.0 + np.abs(b_ub))
         rounds = iterations = 0
         while True:
@@ -261,14 +255,14 @@ class LiveLp:
                     continue
                 if rounds > 1:
                     y = _basis_vertex(self.highs, self.order, a_ub, b_ub, y)
-                    fun = -float(self.c @ y)
+                    fun = -float(self.objective @ y)
             elif status != "infeasible" and not self.held.all():
                 # unbounded or numeric is reported for all known rows only
                 res = linprog(
-                    c=-self.c,
+                    c=-self.objective,
                     A_ub=a_ub,
                     b_ub=b_ub,
-                    bounds=[(None, None)] * len(self.c),
+                    bounds=[(None, None)] * len(self.objective),
                     method="highs",
                     options={
                         "primal_feasibility_tolerance": HIGHS_TOL,
@@ -280,17 +274,16 @@ class LiveLp:
                 iterations += res.nit
                 self.held[:] = True
                 self.order = np.arange(len(b_ub))
-                self.highs = _highs_model(self.c, a_ub, b_ub)
+                self.highs = _highs_model(self.objective, a_ub, b_ub)
                 self.warm = False
             break
-        rows_solved = len(self.order) - self._box
         if status != "optimal":
             return LpSolution(status=status, x=None, objective=None, max_violation=None,
-                              rounds=rounds, rows_solved=rows_solved, iterations=iterations)
-        x = self.m @ np.asarray(y)
-        viol = float(np.max(self.rows @ x - self.rhs)) if len(self.rhs) else 0.0
-        return LpSolution(status="optimal", x=x, objective=float(-fun), max_violation=viol,
-                          rounds=rounds, rows_solved=rows_solved, iterations=iterations)
+                              rounds=rounds, rows_solved=len(self.order), iterations=iterations)
+        y = np.asarray(y)
+        viol = float(np.max(a_ub @ y - b_ub)) if len(b_ub) else 0.0
+        return LpSolution(status="optimal", x=y, objective=float(-fun), max_violation=viol,
+                          rounds=rounds, rows_solved=len(self.order), iterations=iterations)
 
 
 def load_extension(name: str):

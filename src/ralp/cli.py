@@ -361,13 +361,12 @@ def _read_gjr(cfg: dict, flat: dict, seed: int, model: str):
     stages, k = _take(flat, "gjr.stages", _at_least(1), 4000), _take(flat, "gjr.k", _at_least(1), 4)
     fglp = model == MODEL_FGLP
     guide_states = gjr_mod.sample_gjr_states(params, _GUIDE_STATES, split_rng(seed, 3)) if fglp else None
-    backend = ScipyBackend()
 
     def run(run_dir: Path) -> int:
         prev, loops = None, []
         if guide_states is not None:
             try:
-                affine = gjr_mod.constraint_generation(params, empty_stumps(j), *init_pairs, backend,
+                affine = gjr_mod.constraint_generation(params, empty_stumps(j), *init_pairs,
                                                        search=search, seed=seed, **budget)
             except (SolverError, gjr_mod.ConstraintGenerationError) as err:
                 err.args, err.trace = (f"affine warm start: {err}",), []  # trace.csv holds stump-loop cuts only
@@ -375,7 +374,7 @@ def _read_gjr(cfg: dict, flat: dict, seed: int, model: str):
             prev = affine.solution
             loops.append(affine)
         result = gjr_mod.constraint_generation(
-            params, bases, *init_pairs, backend,
+            params, bases, *init_pairs,
             prev=prev, guide_states=guide_states,
             search=search, seed=seed, **budget,
         )

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ralp.alp import LpModel, SolverBackend, SolverError
+from ralp.alp import LiveLp, LpModel, SolverError
 from ralp.bases import BasisSet, DEFAULT_STUMP_EPS, features
 from ralp.mdp import InfeasiblePairError, split_rng
 
@@ -534,7 +534,6 @@ def constraint_generation(
     bases: BasisSet,
     init_states: np.ndarray,
     init_actions: np.ndarray,
-    backend: SolverBackend,
     prev: Optional[BiasApprox] = None,
     guide_states: Optional[np.ndarray] = None,
     search: SearchPlan = SearchPlan(),
@@ -543,9 +542,9 @@ def constraint_generation(
 ) -> CutLoopResult:
     """Solve, separate, append the violated pair, repeat until feasible.
 
-    The loop solves one live LP (``backend.open``): each cut appends its
-    pair's row, and with ``prev`` the row of the new guide state, and the
-    next solve continues from the previous basis.  Unbounded intermediate
+    The loop solves one live LP in the model's own variables: each cut
+    appends its pair's row, and with ``prev`` the row of the new guide
+    state, and the next solve continues from the previous basis.  Unbounded intermediate
     programs pick up extra sampled pairs until the optimum is finite.
     Self-guiding rows (when ``prev`` is given) are only enforced at the
     guide states and at the states of the cuts; they are never separated
@@ -564,7 +563,7 @@ def constraint_generation(
     grid = separation_grid(p, bases, search)
     separate_s = time.perf_counter() - start
     start = time.perf_counter()
-    lp = backend.open(build_avg_alp(p, bases, states, actions, prev, guide_states))
+    lp = LiveLp(build_avg_alp(p, bases, states, actions, prev, guide_states))
     lp_s = time.perf_counter() - start
     lp_iterations = 0
     max_violation = -np.inf

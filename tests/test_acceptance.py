@@ -240,7 +240,7 @@ def test_criterion_07_fluctuation_directional(pic_desk_runs):
 
 
 @pytest.fixture(scope="module")
-def gjr_desk(backend):
+def gjr_desk():
     params = gjr.gjr_instance(2, "constant", 100, split_rng(42, 1), usage_rates=(1.0, 1.0))
     sigma = float(split_rng(42, 41).uniform(1.0, params.s_bar.max()))
     bases = sample_stumps(20, 2, sigma, seed=42)
@@ -251,7 +251,7 @@ def gjr_desk(backend):
 def test_criterion_08_gjr_validity(gjr_desk, backend):
     params, bases, init = gjr_desk
     started = time.monotonic()
-    result = gjr.constraint_generation(params, bases, *init, backend, max_cuts=500, seed=42)
+    result = gjr.constraint_generation(params, bases, *init, max_cuts=500, seed=42)
 
     # oracle comparison at the un-cut initial solution, where violations exist
     model = gjr.build_avg_alp(params, bases, *init)
@@ -289,9 +289,9 @@ def _gjr_grid_oracle(p, bases, sol, g):
     return best
 
 
-def test_criterion_09_kstep_matches_enumeration(gjr_desk, backend):
+def test_criterion_09_kstep_matches_enumeration(gjr_desk):
     params, bases, init = gjr_desk
-    result = gjr.constraint_generation(params, bases, *init, backend, max_cuts=500, seed=42)
+    result = gjr.constraint_generation(params, bases, *init, max_cuts=500, seed=42)
     sol = result.solution
     eta = sol.eta(params.usage_rates)
     search = gjr.SearchPlan(beam_width=512, action_grid=21)

@@ -35,7 +35,7 @@ def desk_solution(desk_instance):
     sigma = float(split_rng(42, 41).uniform(1.0, desk_instance.s_bar.max()))
     bases = sample_stumps(10, 2, sigma, seed=42)
     init = gjr.sample_gjr_pairs(desk_instance, 150, split_rng(42, 2))
-    result = gjr.constraint_generation(desk_instance, bases, *init, ScipyBackend(), seed=42)
+    result = gjr.constraint_generation(desk_instance, bases, *init, seed=42)
     return bases, result
 
 
@@ -307,7 +307,7 @@ class TestAverageCostLp:
         states, actions = gjr.sample_gjr_pairs(desk_instance, 60, split_rng(17, 1))
         guides = gjr.sample_gjr_states(desk_instance, 40, split_rng(18, 1))
         guided = gjr.constraint_generation(
-            desk_instance, bases, states, actions, ScipyBackend(),
+            desk_instance, bases, states, actions,
             prev=result.solution, guide_states=guides, seed=3,
         )
         # both biases are anchored at u(0) = 0, so each guide row is this
@@ -478,9 +478,7 @@ class TestConstraintGeneration:
         # The rerun's cold first solve may land elsewhere on the degenerate
         # optimal face and take more cuts there (8 at the same objective).
         bases, result = desk_solution
-        rerun = gjr.constraint_generation(
-            desk_instance, bases, result.states, result.actions, ScipyBackend(), seed=1
-        )
+        rerun = gjr.constraint_generation(desk_instance, bases, result.states, result.actions, seed=1)
         final = result.trace[-1][1]
         assert abs(rerun.trace[0][1] - final) <= 1e-9 * abs(final)
         assert gjr.separate(desk_instance, bases, result.solution).status == "feasible"
@@ -492,16 +490,14 @@ class TestConstraintGeneration:
 
     def test_empty_init_rejected(self, desk_instance):
         with pytest.raises(ValueError):
-            gjr.constraint_generation(
-                desk_instance, empty_stumps(2), np.empty((0, 2)), np.empty((0, 2)), ScipyBackend()
-            )
+            gjr.constraint_generation(desk_instance, empty_stumps(2), np.empty((0, 2)), np.empty((0, 2)))
 
     def test_cut_cap_raises_typed_error(self, desk_instance):
         sigma = float(split_rng(42, 41).uniform(1.0, desk_instance.s_bar.max()))
         bases = sample_stumps(10, 2, sigma, seed=42)
         init = gjr.sample_gjr_pairs(desk_instance, 150, split_rng(42, 2))
         with pytest.raises(gjr.ConstraintGenerationError) as err:
-            gjr.constraint_generation(desk_instance, bases, *init, ScipyBackend(), max_cuts=2, seed=42)
+            gjr.constraint_generation(desk_instance, bases, *init, max_cuts=2, seed=42)
         assert len(err.value.trace) == 2
 
     def test_unbounded_start_resamples(self, desk_instance, monkeypatch):
@@ -512,12 +508,12 @@ class TestConstraintGeneration:
         bases = sample_stumps(20, 2, sigma, seed=42)
         sample = gjr.sample_gjr_pairs
         full = gjr.constraint_generation(
-            desk_instance, bases, *sample(desk_instance, 200, split_rng(42, 2)), ScipyBackend(), seed=42
+            desk_instance, bases, *sample(desk_instance, 200, split_rng(42, 2)), seed=42
         )
         sampled = []
         monkeypatch.setattr(gjr, "sample_gjr_pairs", lambda p, n, rng: sampled.append(n) or sample(p, n, rng))
         one = gjr.constraint_generation(
-            desk_instance, bases, *sample(desk_instance, 1, split_rng(42, 2)), ScipyBackend(), seed=42
+            desk_instance, bases, *sample(desk_instance, 1, split_rng(42, 2)), seed=42
         )
         assert len(sampled) >= 1 and set(sampled) == {200}
         # the first pair, the re-samples, then one pair per cut but the last
@@ -527,11 +523,10 @@ class TestConstraintGeneration:
 
 
 def _cold_objective(objective: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> float:
-    """The optimum of one cold linprog over all rows, in preconditioned variables as the backend solves."""
-    m = alp._preconditioner(rows)
+    """The optimum of one cold linprog over all rows, in the model's own variables as the cut loop solves."""
     res = linprog(
-        c=-(m.T @ objective),
-        A_ub=rows @ m,
+        c=-objective,
+        A_ub=rows,
         b_ub=rhs,
         bounds=[(None, None)] * len(objective),
         method="highs",
@@ -552,7 +547,7 @@ class TestLiveCutLp:
         init = gjr.sample_gjr_pairs(desk_instance, 150, split_rng(42, 2))
         prev = guides = None
         if model == "fglp":
-            prev = gjr.constraint_generation(desk_instance, empty_stumps(2), *init, ScipyBackend(), seed=42).solution
+            prev = gjr.constraint_generation(desk_instance, empty_stumps(2), *init, seed=42).solution
             guides = gjr.sample_gjr_states(desk_instance, 200, split_rng(42, 3))
         solves, live_solve = [], alp.LiveLp.solve
 
@@ -563,7 +558,7 @@ class TestLiveCutLp:
 
         monkeypatch.setattr(alp.LiveLp, "solve", recorded)
         result = gjr.constraint_generation(
-            desk_instance, bases, *init, ScipyBackend(), prev=prev, guide_states=guides, seed=42
+            desk_instance, bases, *init, prev=prev, guide_states=guides, seed=42
         )
         objective = gjr.build_avg_alp(desk_instance, bases, *init).objective
         assert len(solves) >= len(result.trace) > 1
