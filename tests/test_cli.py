@@ -187,13 +187,13 @@ class TestRunToy:
 
 REPO = Path(__file__).resolve().parent.parent
 # bounds.json of the full gjr2 run, pinned with its golden trace
-GJR2_LB = 91.65996878967826
+GJR2_LB = 91.65996878967825
 GJR2_PC = 91.65996878968302
 # bounds.json of the shortened gjr2 run, pinned with the golden trace
-GJR_SHORT_LB = 91.65996878967823
+GJR_SHORT_LB = 91.65996878967825
 GJR_SHORT_PC = 91.65996878967778
 # bounds.json of the FGLP run on drawn usage rates, pinned with its golden trace
-GJR_RANDOM_LB = 40.99895531232257
+GJR_RANDOM_LB = 40.99895531232258
 GJR_RANDOM_PC = 41.03348999798985
 
 
