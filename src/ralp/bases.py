@@ -6,10 +6,10 @@ random affine map, ``cos(q + w . s)`` with ``q ~ U[-pi, pi]`` and
 ``sgn(s_q - w)``, smoothed by a piecewise-linear surrogate near the kink so
 they can live inside linear programs.
 
-Basis sets are reproducible from ``(seed, kind, sigma_range, count)``, and
-the samplers draw entries sequentially from a single PCG64 stream, so a
-longer set drawn from the same seed starts with the same entries
-bit-for-bit, which nested-approximation arguments rely on.
+The samplers reproduce a set from its seed, bandwidth and count, and draw
+entries sequentially from a single PCG64 stream, so a longer set drawn from
+the same seed starts with the same entries bit-for-bit, which
+nested-approximation arguments rely on.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ DEFAULT_STUMP_EPS = 0.01
 
 @dataclass(frozen=True, eq=False)
 class BasisSet:
-    """Ordered, seed-reproducible collection of random basis parameters.
+    """Ordered collection of random basis parameters.
 
     Entry j is ``phi_j(s; q_j, omega_j)`` with parameters held once, as
     read-only arrays:
@@ -45,8 +45,6 @@ class BasisSet:
     q: np.ndarray
     omega: np.ndarray
     sigma: np.ndarray
-    seed: int
-    sigma_range: tuple[float, float]
     dim_state: int
 
     def __post_init__(self):
@@ -90,15 +88,14 @@ class BasisSet:
         if not isinstance(other, BasisSet):
             return NotImplemented
         return (
-            (self.kind, self.seed, tuple(self.sigma_range), self.dim_state)
-            == (other.kind, other.seed, tuple(other.sigma_range), other.dim_state)
+            (self.kind, self.dim_state) == (other.kind, other.dim_state)
             and np.array_equal(self.q, other.q)
             and np.array_equal(self.omega, other.omega)
             and np.array_equal(self.sigma, other.sigma, equal_nan=True)
         )
 
     def __getitem__(self, index: slice) -> "BasisSet":
-        """The entries selected by a slice, as a set with the same provenance."""
+        """The entries selected by a slice, as a set of the same kind and state dimension."""
         return replace(self, q=self.q[index], omega=self.omega[index], sigma=self.sigma[index])
 
     def prefix(self, count: int) -> "BasisSet":
@@ -127,9 +124,7 @@ def sample_fourier(count: int, dim_state: int, sigma_range: Sequence[float], see
         sigma[j] = rng.uniform(lo, hi)
         q[j] = rng.uniform(-math.pi, math.pi)
         omega[j] = rng.normal(0.0, 1.0 / sigma[j], size=dim_state)
-    return BasisSet(
-        kind="fourier", q=q, omega=omega, sigma=sigma, seed=seed, sigma_range=(lo, hi), dim_state=dim_state
-    )
+    return BasisSet(kind="fourier", q=q, omega=omega, sigma=sigma, dim_state=dim_state)
 
 
 def sample_stumps(count: int, dim_state: int, sigma: float, seed: int) -> BasisSet:
@@ -144,21 +139,12 @@ def sample_stumps(count: int, dim_state: int, sigma: float, seed: int) -> BasisS
     for j in range(count):
         q[j] = rng.integers(1, dim_state + 1)
         omega[j] = rng.uniform(-sigma, sigma)
-    sigma = float(sigma)
-    return BasisSet(
-        kind="stump",
-        q=q,
-        omega=omega,
-        sigma=np.full(count, sigma),
-        seed=seed,
-        sigma_range=(sigma, sigma),
-        dim_state=dim_state,
-    )
+    return BasisSet(kind="stump", q=q, omega=omega, sigma=np.full(count, float(sigma)), dim_state=dim_state)
 
 
 def empty_stumps(dim_state: int) -> BasisSet:
     """Zero-entry stump set; the affine bias approximation uses no random bases."""
-    return BasisSet(kind="stump", q=(), omega=(), sigma=(), seed=0, sigma_range=(1.0, 1.0), dim_state=dim_state)
+    return BasisSet(kind="stump", q=(), omega=(), sigma=(), dim_state=dim_state)
 
 
 def fixed_fourier(omegas: Sequence[Sequence[float]] | Sequence[float], dim_state: int = 1) -> BasisSet:
@@ -168,15 +154,7 @@ def fixed_fourier(omegas: Sequence[Sequence[float]] | Sequence[float], dim_state
         if len(w) != dim_state:
             raise ValueError(f"frequency dimension {len(w)} != {dim_state}")
     n = len(omega)
-    return BasisSet(
-        kind="fourier",
-        q=np.zeros(n),
-        omega=omega,
-        sigma=np.full(n, math.nan),
-        seed=0,
-        sigma_range=(1.0, 1.0),
-        dim_state=dim_state,
-    )
+    return BasisSet(kind="fourier", q=np.zeros(n), omega=omega, sigma=np.full(n, math.nan), dim_state=dim_state)
 
 
 def features(basis_set: BasisSet, states: np.ndarray) -> np.ndarray:

@@ -16,16 +16,12 @@ from ralp.bases import (
 
 def _fourier(q, omega, sigma=math.nan):
     """One hand-built Fourier entry cos(q + omega . s)."""
-    return BasisSet(
-        kind="fourier", q=[q], omega=[omega], sigma=[sigma], seed=0, sigma_range=(1.0, 1.0), dim_state=len(omega)
-    )
+    return BasisSet(kind="fourier", q=[q], omega=[omega], sigma=[sigma], dim_state=len(omega))
 
 
 def _stump(q_index, omega, sigma, dim_state=1):
     """One hand-built stump entry on coordinate ``q_index`` (1-based)."""
-    return BasisSet(
-        kind="stump", q=[q_index], omega=[omega], sigma=[sigma], seed=0, sigma_range=(sigma, sigma), dim_state=dim_state
-    )
+    return BasisSet(kind="stump", q=[q_index], omega=[omega], sigma=[sigma], dim_state=dim_state)
 
 
 class TestSampling:
@@ -157,11 +153,11 @@ class TestValidation:
         q = bs.q.copy()
         q[1] = 3
         with pytest.raises(ValueError, match="coordinate index"):
-            BasisSet(kind="stump", q=q, omega=bs.omega, sigma=bs.sigma, seed=22, sigma_range=(2.0, 2.0), dim_state=2)
+            BasisSet(kind="stump", q=q, omega=bs.omega, sigma=bs.sigma, dim_state=2)
 
     def test_frequency_of_wrong_length_rejected(self):
         bs = sample_fourier(3, 2, (1.0, 3.0), seed=21)
-        fields = dict(kind="fourier", q=bs.q, sigma=bs.sigma, seed=21, sigma_range=(1.0, 3.0), dim_state=2)
+        fields = dict(kind="fourier", q=bs.q, sigma=bs.sigma, dim_state=2)
         omega = [list(w) for w in bs.omega]
         omega[1] = [0.5]
         with pytest.raises(ValueError, match="dimension 2"):
@@ -177,7 +173,7 @@ class TestValidation:
     def test_slices_keep_provenance(self):
         bs = sample_fourier(5, 2, (1.0, 3.0), seed=21)
         tail = bs[2:]
-        assert len(tail) == 3 and tail.seed == 21
+        assert len(tail) == 3 and (tail.kind, tail.dim_state) == ("fourier", 2)
         assert np.array_equal(tail.omega, bs.omega[2:])
         with pytest.raises(ValueError):
             bs.prefix(6)

@@ -355,6 +355,34 @@ def test_short_gjr_config_matches_golden_trace(pinned_run):
     assert bounds["pc"] == GJR_SHORT_PC
 
 
+# runs the config named by argv[1] after checking that OpenBLAS loaded the
+# kernel OPENBLAS_CORETYPE asked for
+_RUN_UNDER_HASWELL = """
+import ctypes, glob, os, sys, numpy
+lib, = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+core = corename().decode()
+assert core == "Haswell", f"OPENBLAS_CORETYPE=Haswell ignored: OpenBLAS runs {core}"
+from ralp import cli
+assert cli.run_experiment(sys.argv[1])[0] == 0
+"""
+
+
+def test_short_gjr_trace_is_the_same_under_the_haswell_kernel(tmp_path):
+    # the cut LPs run in the model's own variables, with no QR to carry the
+    # BLAS kernel's rounding into the cut path: OpenBLAS's AVX2 kernel, the
+    # one a CPU without AVX-512 loads, writes the golden bytes too
+    path = _write(tmp_path, _short_gjr_config(tmp_path))
+    src = str(Path(ralp.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _RUN_UNDER_HASWELL, str(path)], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert (run_dir / "trace.csv").read_bytes() == (GOLDEN / "gjr_short_trace.csv").read_bytes()
+
+
 def test_short_gjr_fglp_random_rates_matches_golden_trace(pinned_run):
     # drawn usage rates leave float dust in the successor, and the FGLP model
     # adds the affine warm start, guide rows and sampled guide states.

@@ -476,7 +476,7 @@ class TestConstraintGeneration:
         # the final pairs certify the loop's optimum: a rerun on them starts at
         # that objective, and the loop's own solution separates as feasible.
         # The rerun's cold first solve may land elsewhere on the degenerate
-        # optimal face and take more cuts there (8 at the same objective).
+        # optimal face and take more cuts there (10 at the same objective).
         bases, result = desk_solution
         rerun = gjr.constraint_generation(desk_instance, bases, result.states, result.actions, seed=1)
         final = result.trace[-1][1]
@@ -520,6 +520,21 @@ class TestConstraintGeneration:
         assert len(one.states) == 1 + 200 * len(sampled) + len(one.trace) - 1
         assert one.max_violation <= 1e-7
         assert abs(one.eta_lambda - full.eta_lambda) <= 1e-9 * abs(full.eta_lambda)
+
+    @pytest.mark.parametrize("count, constant", [(10, 5), (20, 9)])
+    def test_weights_bounded_with_stumps_constant_on_the_box(self, count, constant):
+        # a stump whose band lies outside [0, s_bar] is constant on the state
+        # box, and the anchored bias gives it a zero column; the cut LPs, solved
+        # in their own variables, still return moderate weights for it
+        p = gjr.gjr_instance(2, "constant", 100, split_rng(42, 1))
+        sigma = float(split_rng(42, 41).uniform(1.0, p.s_bar.max()))
+        bases = sample_stumps(count, 2, sigma, seed=42)
+        top = p.s_bar[bases.q - 1]
+        assert np.sum((bases.omega <= -DEFAULT_STUMP_EPS) | (bases.omega >= top + DEFAULT_STUMP_EPS)) == constant
+        result = gjr.constraint_generation(p, bases, *gjr.sample_gjr_pairs(p, 200, split_rng(42, 2)), seed=42)
+        sol = result.solution
+        assert max(abs(sol.eta_hat), np.abs(sol.beta1).max(), np.abs(sol.beta2).max()) <= 1e6
+        assert result.eta_lambda == pytest.approx(118.6327078229344, rel=1e-12)
 
 
 def _cold_objective(objective: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> float:

@@ -47,15 +47,7 @@ class TestGreedyAction:
         # V(s) = -cos(2 pi s - pi) has its unique minimum at 0.5
         w = VfaWeights(beta0=0.0, betas=[-1.0])
         # the basis phase q = -pi, built by hand
-        bases = BasisSet(
-            kind="fourier",
-            q=[-math.pi],
-            omega=[[2.0 * math.pi]],
-            sigma=[math.nan],
-            seed=0,
-            sigma_range=(1.0, 1.0),
-            dim_state=1,
-        )
+        bases = BasisSet(kind="fourier", q=[-math.pi], omega=[[2.0 * math.pi]], sigma=[math.nan], dim_state=1)
         a = _greedy(toy_mdp, bases, w, [[0.2]], grid=101)
         assert a.shape == (1, 1)
         assert a[0, 0] == pytest.approx(0.5, abs=1e-12)
