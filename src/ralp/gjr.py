@@ -544,14 +544,14 @@ def constraint_generation(
 
     The loop solves one live LP in the model's own variables: each cut
     appends its pair's row, and with ``prev`` the row of the new guide
-    state, and the next solve continues from the previous basis.  Unbounded intermediate
-    programs pick up extra sampled pairs until the optimum is finite.
-    Self-guiding rows (when ``prev`` is given) are only enforced at the
-    guide states and at the states of the cuts; they are never separated
-    since their violation does not threaten the lower bound.  Any other
-    non-optimal LP status raises ``SolverError``; running out of
-    ``max_cuts`` raises ``ConstraintGenerationError``.  Both carry the trace
-    of the finished cuts.
+    state, and the next solve continues from the previous basis.
+    Unbounded intermediate programs pick up extra sampled pairs until the
+    optimum is finite.  Self-guiding rows (when ``prev`` is given) are only
+    enforced at the guide states and at the states of the cuts; they are
+    never separated since their violation does not threaten the lower
+    bound.  Any other non-optimal LP status raises ``SolverError``; running
+    out of ``max_cuts`` raises ``ConstraintGenerationError``.  Both carry
+    the trace of the finished cuts.
     """
     if len(init_states) == 0:
         raise ValueError("need at least one initial constraint pair")
